@@ -6,7 +6,7 @@ the CLS schedule next to the plain list schedule.
 from pulsecc.bench import qaoa_triangle
 from pulsecc.commute import build_commutation_groups, detect_diagonal_blocks
 from pulsecc.gdg import build_gdg
-from pulsecc.latency import LatencyModel
+from pulsecc.latency import table_price
 from pulsecc.scheduler import cls_schedule, list_schedule
 
 
@@ -16,9 +16,9 @@ def main():
     for g in circuit.gates:
         print(f"  {g!r}")
 
-    table = LatencyModel("table")
+    table = table_price()
     g = build_gdg(circuit)
-    g.set_durations(table.estimate)
+    g.set_durations(table)
     total, path = g.critical_path()
     print(f"\nflattened dependence graph: {len(g.real_nodes())} nodes, "
           f"critical path {total:.1f} ns (gate-by-gate baseline)")
@@ -28,7 +28,7 @@ def main():
     print(isa.timeline(g))
 
     detect_diagonal_blocks(g)
-    g.set_durations(table.estimate)
+    g.set_durations(table)
     print(f"\nafter diagonal-block detection: {len(g.real_nodes())} nodes")
     for n in g.real_nodes():
         print(f"  node {n.id}: {n.instruction.label()} "

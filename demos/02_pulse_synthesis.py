@@ -16,7 +16,6 @@ from pulsecc.optctrl import HamiltonianModel, evolve, infidelity, min_time
 def main():
     m1 = HamiltonianModel.build(1)
     m2 = HamiltonianModel.build(2)
-    cache = {}
 
     targets = [
         ("H", m1, gate_unitary(Gate(GateName.H, (0,)))),
@@ -33,7 +32,7 @@ def main():
     print(f"{'target':<14} {'min time':>9} {'fidelity':>9} {'wall':>7}")
     for name, model, u in targets:
         t0 = time.time()
-        t, res = min_time(u, model, cache=cache)
+        t, res = min_time(u, model)
         durations[name] = t
         err = infidelity(evolve(res.pulses, model), u)
         print(f"{name:<14} {t:>7.1f} ns {1 - err:>9.5f} {time.time() - t0:>6.1f}s")

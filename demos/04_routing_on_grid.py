@@ -9,7 +9,7 @@ import numpy as np
 from pulsecc.bench import maxcut_line
 from pulsecc.gates import Circuit, GateName, circuit_unitary, permute_wires, phases_equal
 from pulsecc.gdg import build_gdg
-from pulsecc.latency import LatencyModel
+from pulsecc.latency import table_price
 from pulsecc.mapper import (Topology, build_interaction_graph, initial_mapping,
                             permutation_operator, route_swaps)
 from pulsecc.scheduler import list_schedule
@@ -35,7 +35,7 @@ def main():
                                 for col in range(topo.cols)))
 
     g = build_gdg(c)
-    g.set_durations(LatencyModel("table").estimate)
+    g.set_durations(table_price())
     result = route_swaps(list_schedule(g), g, mapping, topo)
     print(f"\ninserted SWAPs: {result.swap_count}")
     print("final permutation (logical -> site):", result.final_mapping)

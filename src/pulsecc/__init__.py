@@ -11,7 +11,7 @@ from .commute import (build_commutation_groups, commutes,
 from .gates import (Circuit, Gate, GateError, GateName, circuit_unitary,
                     gate_unitary, phases_equal)
 from .gdg import GDG, AggregatedInstruction, GDGError, GDGNode, build_gdg
-from .latency import LatencyError, LatencyModel, default_table
+from .latency import LatencyError, default_table, table_price
 from .mapper import (MappingError, RoutingResult, Topology,
                      build_interaction_graph, initial_mapping, route_swaps)
 from .optctrl import (ControlPulses, ConvergenceError, GrapeResult,

@@ -100,23 +100,22 @@ def enumerate_actions(g: GDG, max_width: int = DEFAULT_MAX_WIDTH,
     return actions
 
 
-def aggregate_loop(g: GDG, oracle, max_width: int = DEFAULT_MAX_WIDTH,
+def aggregate_loop(g: GDG, price, max_width: int = DEFAULT_MAX_WIDTH,
                    outer_cap: int = OUTER_LOOP_CAP,
                    tol_ns: float = CONVERGENCE_TOL_NS,
-                   trace: list | None = None) -> GDG:
-    """Apply global-best monotonic actions until none remain, refresh durations
-    from the oracle, and repeat until durations converge.
+                   trace: list | None = None, cached=None) -> GDG:
+    """Apply global-best monotonic actions until none remain, re-price the
+    merged nodes, and repeat until durations converge.
 
-    oracle(instruction) -> ns must be callable for any instruction of width
-    <= max_width; oracle.cached_duration(instruction) is used, when present,
-    to rank actions by true predicted gain.
+    price(instruction) -> ns must accept any instruction of width
+    <= max_width. cached(instruction) -> ns or None, when given, returns the
+    price of an already synthesized instruction without synthesizing; it
+    ranks actions by true predicted gain.
     """
-    hint = getattr(oracle, "cached_duration", None)
-    oracle_fn = oracle.latency if hasattr(oracle, "latency") else oracle
     for _outer in range(outer_cap):
         changed: set[int] = set()
         while True:
-            actions = enumerate_actions(g, max_width, duration_hint=hint)
+            actions = enumerate_actions(g, max_width, duration_hint=cached)
             if not actions:
                 break
             best = max(actions, key=lambda a: (a.predicted_gain_ns,
@@ -124,8 +123,8 @@ def aggregate_loop(g: GDG, oracle, max_width: int = DEFAULT_MAX_WIDTH,
             dur = (g.nodes[best.node_a].duration or 0.0) + \
                   (g.nodes[best.node_b].duration or 0.0)
             merged = g.contract({best.node_a, best.node_b})
-            cached = hint(merged.instruction) if hint else None
-            merged.duration = cached if cached is not None else dur
+            known = cached(merged.instruction) if cached else None
+            merged.duration = known if known is not None else dur
             changed.add(merged.id)
             if trace is not None:
                 trace.append({"merged": [best.node_a, best.node_b],
@@ -136,7 +135,7 @@ def aggregate_loop(g: GDG, oracle, max_width: int = DEFAULT_MAX_WIDTH,
             node = g.nodes.get(nid)
             if node is None:
                 continue
-            fresh = float(oracle_fn(node.instruction))
+            fresh = float(price(node.instruction))
             max_delta = max(max_delta, abs(fresh - (node.duration or 0.0)))
             node.duration = fresh
         if max_delta <= tol_ns:

@@ -18,8 +18,8 @@ from .bench import BENCH_NAMES, make_bench
 from .gates import Circuit, GateError
 from .mapper import MappingError, Topology
 from .optctrl import ConvergenceError
-from .pipeline import (STRATEGIES, CompileOptions, PipelineError,
-                       compile_circuit, write_artifacts)
+from .pipeline import (LATENCY_MODES, STRATEGIES, CompileOptions,
+                       PipelineError, compile_circuit, write_artifacts)
 from .scheduler import ScheduleError
 
 EXIT_OK = 0
@@ -30,18 +30,21 @@ EXIT_VERIFY = 5
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--strategy", choices=STRATEGIES, default="cls+agg")
+    defaults = CompileOptions()
+    p.add_argument("--strategy", choices=STRATEGIES, default=defaults.strategy)
     p.add_argument("--topology", default=None,
                    help="grid:RxC (default: line with one site per qubit)")
-    p.add_argument("--max-width", type=int, default=4,
+    p.add_argument("--max-width", type=int, default=defaults.max_width,
                    help="aggregated-instruction qubit limit")
-    p.add_argument("--latency", choices=("table", "oracle"), default="oracle")
-    p.add_argument("--dt", type=float, default=0.5, help="pulse step (ns)")
-    p.add_argument("--mu-max", type=float, default=0.02,
+    p.add_argument("--latency", choices=LATENCY_MODES,
+                   default=defaults.latency_mode)
+    p.add_argument("--dt", type=float, default=defaults.dt,
+                   help="pulse step (ns)")
+    p.add_argument("--mu-max", type=float, default=defaults.mu_max,
                    help="coupling amplitude bound (GHz)")
-    p.add_argument("--fidelity", type=float, default=0.999)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--max-iters", type=int, default=600)
+    p.add_argument("--fidelity", type=float, default=defaults.fidelity)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
     p.add_argument("--out", default=None, help="artifact output directory")
     p.add_argument("--quiet", action="store_true")
 

@@ -259,10 +259,10 @@ class GDG:
 
     # -- weighting ---------------------------------------------------------
 
-    def set_durations(self, dur_fn):
-        """Assign durations from a callable node -> ns (root stays 0)."""
+    def set_durations(self, price):
+        """Assign durations from a callable instruction -> ns (root stays 0)."""
         for node in self.real_nodes():
-            node.duration = float(dur_fn(node))
+            node.duration = float(price(node.instruction))
 
     def critical_path(self) -> tuple[float, list[int]]:
         """Longest duration-weighted root-to-sink path.

@@ -1,15 +1,14 @@
-"""Gate-duration accounting shared by baseline and aggregated pipelines.
+"""Table pricing of instructions.
 
-TABLE mode looks single gates up in a named-gate table (defaults match the
-published per-gate times for the worked example); ORACLE mode asks the
-optimal-control unit for the true minimum pulse time of any instruction.
+An instruction is priced by a callable instruction -> ns. table_price()
+sums the member gates' times from a named-gate table (defaults match the
+published per-gate times for the worked example); the optimal-control
+unit's latency() prices by the true minimum pulse time instead.
 """
 from __future__ import annotations
 
 import json
 from importlib import resources
-
-from .gdg import GDGNode
 
 
 class LatencyError(ValueError):
@@ -21,40 +20,22 @@ def default_table() -> dict[str, float]:
     return {k: float(v) for k, v in json.loads(text).items()}
 
 
-class LatencyModel:
-    """mode='table' with a name -> ns map, or mode='oracle' with a callable."""
+def table_price(override: dict[str, float] | None = None):
+    """Price an instruction as the sum of its member gates' table times.
 
-    def __init__(self, mode: str = "table",
-                 table: dict[str, float] | None = None,
-                 oracle=None):
-        if mode not in ("table", "oracle"):
-            raise LatencyError(f"unknown latency mode {mode!r}")
-        if mode == "oracle" and oracle is None:
-            raise LatencyError("oracle mode requires an oracle callable")
-        self.mode = mode
-        self.table = dict(default_table())
-        if table:
-            self.table.update({k.lower(): float(v) for k, v in table.items()})
-        self.oracle = oracle
+    override maps gate names to ns and takes precedence over default_table().
+    """
+    table = default_table()
+    if override:
+        table.update({k.lower(): float(v) for k, v in override.items()})
 
-    def duration(self, node: GDGNode) -> float:
-        ins = node.instruction
-        if not ins.gates:
-            return 0.0  # virtual root
-        if self.mode == "oracle":
-            return float(self.oracle(ins))
-        if len(ins.gates) > 1:
-            raise LatencyError(
-                f"TABLE mode cannot price multi-gate node {ins.label()}; "
-                "use ORACLE mode")
-        return self._gate_time(ins.gates[0])
+    def price(ins) -> float:
+        total = 0.0
+        for gate in ins.gates:
+            name = gate.name.value
+            if name not in table:
+                raise LatencyError(f"no table entry for gate {name!r}")
+            total += table[name]
+        return total
 
-    def _gate_time(self, gate) -> float:
-        name = gate.name.value
-        if name not in self.table:
-            raise LatencyError(f"no table entry for gate {name!r}")
-        return self.table[name]
-
-    def estimate(self, node: GDGNode) -> float:
-        """Sum of member gate table times; pre-routing scheduling estimate."""
-        return sum(self._gate_time(g) for g in node.instruction.gates)
+    return price

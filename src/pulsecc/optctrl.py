@@ -134,7 +134,6 @@ class OptimizerConfig:
     fidelity_threshold: float = 0.999
     seed: int = 7
     cap_ns: float = 2000.0           # min_time upper-bound search limit
-    smoothness_weight: float = 0.0   # optional quadratic difference penalty
 
     def __post_init__(self):
         if not 0 < self.fidelity_threshold <= 1:
@@ -269,13 +268,6 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
     for it in range(1, cfg.max_iters + 1):
         u = bounds * np.tanh(theta)
         loss, grad_u, _ = _loss_and_gradient(u, m, v_target)
-        if cfg.smoothness_weight > 0 and n > 1:
-            diff = np.diff(u, axis=1)
-            loss += cfg.smoothness_weight * float(np.sum(diff ** 2))
-            gsm = np.zeros_like(u)
-            gsm[:, :-1] -= 2 * diff
-            gsm[:, 1:] += 2 * diff
-            grad_u = grad_u + cfg.smoothness_weight * gsm
         fid = 1.0 - loss
         if fid > best_fid:
             best_fid, best_u = fid, u.copy()
@@ -305,7 +297,6 @@ def fingerprint(u: np.ndarray, extra: tuple = ()) -> tuple:
 
 def min_time(v_target: np.ndarray, m: HamiltonianModel,
              cfg: OptimizerConfig | None = None,
-             cache: dict | None = None,
              fallback_amplitudes: np.ndarray | None = None
              ) -> tuple[float, GrapeResult]:
     """Shortest duration achieving the fidelity threshold, by bisection.
@@ -325,20 +316,10 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     keeps the unaggregated schedule when it is shorter.
     """
     cfg = cfg or OptimizerConfig()
-    key = None
-    if cache is not None:
-        key = fingerprint(v_target, ("min_time", cfg.fidelity_threshold,
-                                     tuple(ch.name for ch in m.channels)))
-        if key in cache:
-            return cache[key]
-
     fid0 = 1.0 - infidelity(np.eye(m.dim, dtype=complex), v_target)
     if fid0 >= cfg.fidelity_threshold:
-        result = (0.0, GrapeResult(ControlPulses(
-            np.zeros((len(m.channels), 0)), m.dt), fid0, 0, True))
-        if cache is not None:
-            cache[key] = result
-        return result
+        return 0.0, GrapeResult(ControlPulses(
+            np.zeros((len(m.channels), 0)), m.dt), fid0, 0, True)
 
     fb = fallback_amplitudes
     polish_cfg = replace(cfg, step_size=cfg.step_size * WARM_POLISH_STEP_FACTOR)
@@ -374,10 +355,7 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
             hi, best = mid, res
         else:
             lo = mid
-    result = (hi * m.dt, best)
-    if cache is not None:
-        cache[key] = result
-    return result
+    return hi * m.dt, best
 
 
 class OptimalControlUnit:
@@ -391,19 +369,29 @@ class OptimalControlUnit:
         self.dt = dt
         self.cfg = cfg or OptimizerConfig()
         self.adjacency = adjacency
+        # fingerprint -> (duration, GrapeResult, HamiltonianModel)
         self.cache: dict = {}
-        self._by_fingerprint: dict = {}
 
-    def _model_for(self, qubits: list[int]) -> tuple[HamiltonianModel, tuple]:
+    def _pairs(self, qubits: list[int]) -> tuple:
+        """Coupled operand pairs (i, j), i < j, as positions in qubits."""
         pairs = []
         for i, a in enumerate(qubits):
             for j in range(i + 1, len(qubits)):
-                b = qubits[j]
-                if self.adjacency is None or self.adjacency(a, b):
+                if self.adjacency is None or self.adjacency(a, qubits[j]):
                     pairs.append((i, j))
+        return tuple(pairs)
+
+    def _model_for(self, qubits: list[int]) -> tuple[HamiltonianModel, tuple]:
+        pairs = self._pairs(qubits)
         model = HamiltonianModel.build(len(qubits), pairs,
                                        mu_max=self.mu_max, dt=self.dt)
-        return model, tuple(pairs)
+        return model, pairs
+
+    def _key(self, ins) -> tuple:
+        """The channel set is fixed by the qubit count and the coupled pairs,
+        so the unitary, the pairs and the threshold select one pulse."""
+        return fingerprint(ins.target_unitary, (self._pairs(ins.context),
+                                                self.cfg.fidelity_threshold))
 
     def _concat_fallback(self, ins, model: HamiltonianModel,
                          qubits: list[int]) -> np.ndarray | None:
@@ -440,31 +428,25 @@ class OptimalControlUnit:
 
     def synthesize(self, ins) -> tuple[float, GrapeResult, HamiltonianModel]:
         """min_time on the instruction's target unitary over its sub-lattice."""
-        qubits = ins.context
-        model, pairs = self._model_for(qubits)
-        key = fingerprint(ins.target_unitary,
-                          (pairs, self.cfg.fidelity_threshold))
-        if key not in self._by_fingerprint:
+        key = self._key(ins)
+        if key not in self.cache:
+            qubits = ins.context
+            model, _ = self._model_for(qubits)
             fallback = self._concat_fallback(ins, model, qubits)
             try:
-                duration, res = min_time(ins.target_unitary, model,
-                                         self.cfg, cache=self.cache,
+                duration, res = min_time(ins.target_unitary, model, self.cfg,
                                          fallback_amplitudes=fallback)
             except ConvergenceError as e:
                 raise ConvergenceError(
                     f"pulse synthesis failed for {ins.label()}: {e}",
                     e.best_fidelity)
-            self._by_fingerprint[key] = (duration, res, model)
-        return self._by_fingerprint[key]
+            self.cache[key] = (duration, res, model)
+        return self.cache[key]
 
     def latency(self, ins) -> float:
         return self.synthesize(ins)[0]
 
     def cached_duration(self, ins) -> float | None:
         """Duration if this instruction's unitary was already synthesized."""
-        qubits = ins.context
-        _, pairs = self._model_for(qubits)
-        key = fingerprint(ins.target_unitary,
-                          (pairs, self.cfg.fidelity_threshold))
-        hit = self._by_fingerprint.get(key)
+        hit = self.cache.get(self._key(ins))
         return hit[0] if hit else None

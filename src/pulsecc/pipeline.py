@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .aggregator import DEFAULT_MAX_WIDTH, aggregate_loop
 from .commute import build_commutation_groups, singleton_groups
 from .gates import Circuit
 from .gdg import GDG, build_gdg
-from .latency import LatencyModel
+from .latency import table_price
 from .mapper import (RoutingResult, Topology, build_interaction_graph,
                      initial_mapping, route_swaps)
 from .optctrl import (DT_DEFAULT, MU_MAX_DEFAULT, OptimalControlUnit,
@@ -26,6 +26,7 @@ from .scheduler import Schedule, cls_schedule, list_schedule
 from .verify import VerificationReport, sample_verify
 
 STRATEGIES = ("isa", "cls", "agg", "cls+agg")
+LATENCY_MODES = ("table", "oracle")
 
 
 class PipelineError(RuntimeError):
@@ -39,7 +40,7 @@ class CompileOptions:
     strategy: str = "cls+agg"
     topology: Topology | None = None       # default: 1 x num_qubits line
     max_width: int = DEFAULT_MAX_WIDTH
-    latency_mode: str = "oracle"           # table | oracle
+    latency_mode: str = "oracle"           # one of LATENCY_MODES
     dt: float = DT_DEFAULT
     mu_max: float = MU_MAX_DEFAULT
     fidelity: float = 0.999
@@ -53,6 +54,9 @@ class CompileOptions:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; "
                              f"choose from {STRATEGIES}")
+        if self.latency_mode not in LATENCY_MODES:
+            raise ValueError(f"unknown latency mode {self.latency_mode!r}; "
+                             f"choose from {LATENCY_MODES}")
 
     @property
     def use_cls(self) -> bool:
@@ -121,8 +125,8 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
     groups = build_commutation_groups(gdg) if opts.use_cls else singleton_groups(gdg)
 
     # logical schedule on table estimates (true pulse times come post-routing)
-    estimator = LatencyModel("table", table=opts.table_override)
-    gdg.set_durations(estimator.estimate)
+    table = table_price(opts.table_override)
+    gdg.set_durations(table)
     logical_sched = cls_schedule(gdg, groups)
 
     graph = build_interaction_graph(gdg.flatten())
@@ -131,13 +135,15 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
     final_gdg = routing.gdg
     stages["routed"] = _gdg_stats(final_gdg)
 
+    # table mode prices an instruction by its member-gate sum; oracle mode
+    # by its synthesized pulse
     if opts.latency_mode == "oracle":
         if ocu is None:
             ocu = make_ocu(opts, topo)
-        lat = LatencyModel("oracle", oracle=ocu.latency)
+        price = ocu.latency
     else:
-        ocu = None if opts.latency_mode == "table" else ocu
-        lat = LatencyModel("table", table=opts.table_override)
+        ocu, price = None, table
+    final_gdg.set_durations(price)
 
     trace: list = []
     unaggregated = None
@@ -145,15 +151,11 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
         if ocu is None:
             raise PipelineError("aggregation",
                                 "aggregation requires --latency oracle")
-        final_gdg.set_durations(lat.duration)
         unaggregated = final_gdg.copy()
-        aggregate_loop(final_gdg, ocu, max_width=opts.max_width, trace=trace)
-        stages["aggregated"] = _gdg_stats(final_gdg)
+        aggregate_loop(final_gdg, price, max_width=opts.max_width,
+                       trace=trace, cached=ocu.cached_duration)
+        final_gdg.set_durations(price)
 
-    # table mode prices a contracted node by its member-gate sum; oracle mode
-    # prices the synthesized pulse
-    final_gdg.set_durations(lat.duration if opts.latency_mode == "oracle"
-                            else lat.estimate)
     schedule = _schedule(final_gdg, opts.use_cls)
     if unaggregated is not None:
         # a merged pulse may come out longer than its parts; the routed graph
@@ -165,6 +167,7 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
                           "aggregated_makespan_ns": schedule.makespan_ns,
                           "unaggregated_makespan_ns": fallback.makespan_ns})
             final_gdg, schedule = unaggregated, fallback
+        stages["aggregated"] = _gdg_stats(final_gdg)
 
     instructions = []
     report = None
@@ -177,12 +180,8 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
 
     baseline_makespan = schedule.makespan_ns
     if opts.compare_baseline and opts.strategy != "isa":
-        base_opts = CompileOptions(
-            strategy="isa", topology=topo, max_width=opts.max_width,
-            latency_mode=opts.latency_mode, dt=opts.dt, mu_max=opts.mu_max,
-            fidelity=opts.fidelity, seed=opts.seed, max_iters=opts.max_iters,
-            table_override=opts.table_override, compare_baseline=False,
-            verify_samples=0)
+        base_opts = replace(opts, strategy="isa", topology=topo,
+                            compare_baseline=False, verify_samples=0)
         baseline = compile_circuit(circuit, base_opts, ocu=ocu)
         baseline_makespan = baseline.makespan_ns
 
@@ -238,12 +237,8 @@ def compare_strategies(circuit: Circuit, opts: CompileOptions,
     ocu = make_ocu(opts, topo) if opts.latency_mode == "oracle" else None
     rows = {}
     for strat in strategies:
-        o = CompileOptions(
-            strategy=strat, topology=topo, max_width=opts.max_width,
-            latency_mode=opts.latency_mode, dt=opts.dt, mu_max=opts.mu_max,
-            fidelity=opts.fidelity, seed=opts.seed, max_iters=opts.max_iters,
-            table_override=opts.table_override, compare_baseline=False,
-            verify_samples=opts.verify_samples)
+        o = replace(opts, strategy=strat, topology=topo,
+                    compare_baseline=False)
         rows[strat] = compile_circuit(circuit, o, ocu=ocu)
     base = rows["isa"].makespan_ns if "isa" in rows else None
     table = {

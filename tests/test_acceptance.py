@@ -14,7 +14,7 @@ from pulsecc.commute import build_commutation_groups, commutes
 from pulsecc.gates import (Gate, GateName, circuit_unitary, embed,
                            gate_unitary, permute_wires, phases_equal)
 from pulsecc.gdg import build_gdg
-from pulsecc.latency import LatencyModel
+from pulsecc.latency import table_price
 from pulsecc.mapper import (Topology, build_interaction_graph, initial_mapping,
                             permutation_operator, route_swaps)
 from pulsecc.optctrl import (ControlPulses, HamiltonianModel,
@@ -26,7 +26,7 @@ from pulsecc.scheduler import (ComputationalGraph, cls_schedule, list_schedule,
 from pulsecc.verify import verify_instruction
 
 from conftest import random_circuit
-from test_aggregator import TableOracle, toy_instance
+from test_aggregator import toy_instance
 from test_scheduler import (brute_max_matching_size, schedule_is_valid,
                             scheduled_unitary)
 
@@ -55,7 +55,7 @@ def compiled_store():
 def test_criterion_1_worked_example_arithmetic(capfd):
     t0 = time.time()
     g = build_gdg(qaoa_triangle())
-    g.set_durations(LatencyModel("table").estimate)
+    g.set_durations(table_price())
     sched = list_schedule(g)
     ok = abs(sched.makespan_ns - 381.9) <= 1e-9
 
@@ -170,7 +170,7 @@ def test_criterion_6_scheduling_validity_semantics(capfd, rng):
     for _ in range(100):
         c = random_circuit(4, int(rng.integers(1, 21)), rng)
         g = build_gdg(c)
-        g.set_durations(LatencyModel("table").estimate)
+        g.set_durations(table_price())
         sched = cls_schedule(g, build_commutation_groups(g))
         ok = ok and schedule_is_valid(sched, g)
         ok = ok and phases_equal(circuit_unitary(c),
@@ -188,7 +188,7 @@ def test_criterion_7_routing_legality_semantics(capfd, rng):
         n = topo.num_sites
         c = random_circuit(n, int(rng.integers(1, 16)), rng)
         g = build_gdg(c)
-        g.set_durations(LatencyModel("table").estimate)
+        g.set_durations(table_price())
         sched = list_schedule(g)
         mp = initial_mapping(build_interaction_graph(c), topo, seed=trial)
         r = route_swaps(sched, g, mp, topo)
@@ -259,19 +259,19 @@ def test_criterion_9_swap_synthesis_beats_decomposition(capfd, line_ocu):
 
 def test_criterion_10_monotonic_aggregation(capfd, rng):
     t0 = time.time()
-    oracle = TableOracle()
+    price = table_price()
     ok = True
     for trial in range(100):
         topo = Topology(1, 4) if trial % 2 == 0 else Topology(2, 2)
         c = random_circuit(4, int(rng.integers(4, 16)), rng)
         g = build_gdg(c)
-        g.set_durations(LatencyModel("table").estimate)
+        g.set_durations(price)
         sched = list_schedule(g)
         mp = initial_mapping(build_interaction_graph(c), topo, seed=trial)
         routed = route_swaps(sched, g, mp, topo).gdg
-        routed.set_durations(LatencyModel("table").estimate)
+        routed.set_durations(price)
         before, _ = routed.critical_path()
-        aggregate_loop(routed, oracle)
+        aggregate_loop(routed, price)
         after, _ = routed.critical_path()
         ok = ok and after <= before + 1e-9
     # the toy instance admits exactly the final-pair merge

@@ -5,7 +5,7 @@ from pulsecc.aggregator import (Action, aggregate_loop, can_aggregate,
                                 enumerate_actions, is_monotonic)
 from pulsecc.gates import Gate, GateName, circuit_unitary, phases_equal
 from pulsecc.gdg import GDG, AggregatedInstruction, build_gdg
-from pulsecc.latency import LatencyModel
+from pulsecc.latency import table_price
 
 from conftest import random_circuit
 
@@ -66,25 +66,15 @@ def test_monotonicity_uses_sum_of_durations():
     assert not is_monotonic(act, g)
 
 
-class TableOracle:
-    """Frozen-table latency oracle: duration = sum of member gate times."""
-
-    def __init__(self):
-        self.model = LatencyModel("table")
-
-    def __call__(self, ins):
-        return sum(self.model._gate_time(gt) for gt in ins.gates)
-
-
 def test_aggregate_loop_never_increases_makespan(rng):
-    oracle = TableOracle()
+    price = table_price()
     for _ in range(50):
         c = random_circuit(4, int(rng.integers(5, 16)), rng)
         g = build_gdg(c)
-        g.set_durations(LatencyModel("table").estimate)
+        g.set_durations(price)
         before, _ = g.critical_path()
         before_u = circuit_unitary(g.flatten())
-        aggregate_loop(g, oracle)
+        aggregate_loop(g, price)
         g.audit()
         after, _ = g.critical_path()
         assert after <= before + 1e-9
@@ -94,16 +84,16 @@ def test_aggregate_loop_never_increases_makespan(rng):
 def test_aggregate_loop_applies_toy_merge():
     g, ids = toy_instance()
     trace = []
-    aggregate_loop(g, TableOracle(), trace=trace)
+    aggregate_loop(g, table_price(), trace=trace)
     assert len(trace) == 1
     assert set(trace[0]["merged"]) == {ids["g3"], ids["g6"]}
 
 
 def test_width_cap_respected(rng):
-    oracle = TableOracle()
+    price = table_price()
     for _ in range(10):
         c = random_circuit(5, 15, rng)
         g = build_gdg(c)
-        g.set_durations(LatencyModel("table").estimate)
-        aggregate_loop(g, oracle, max_width=2)
+        g.set_durations(price)
+        aggregate_loop(g, price, max_width=2)
         assert all(n.instruction.width <= 2 for n in g.real_nodes())

@@ -6,13 +6,13 @@ import pytest
 from pulsecc.bench import qaoa_triangle
 from pulsecc.gates import circuit_unitary, phases_equal
 from pulsecc.gdg import GDG, AggregatedInstruction, GDGError, build_gdg
-from pulsecc.latency import LatencyModel
+from pulsecc.latency import table_price
 
 from conftest import random_circuit
 
 
 def table_durations(g):
-    g.set_durations(LatencyModel("table").estimate)
+    g.set_durations(table_price())
 
 
 def test_build_structure():

@@ -2,12 +2,12 @@ import pytest
 
 from pulsecc.bench import qaoa_triangle
 from pulsecc.gates import Gate, GateName
-from pulsecc.gdg import AggregatedInstruction, GDGNode, build_gdg
-from pulsecc.latency import LatencyError, LatencyModel, default_table
+from pulsecc.gdg import AggregatedInstruction, build_gdg
+from pulsecc.latency import default_table, table_price
 
 
-def node_of(*gates):
-    return GDGNode(1, AggregatedInstruction(list(gates), 0))
+def ins_of(*gates):
+    return AggregatedInstruction(list(gates), 0)
 
 
 def test_default_table_worked_example_values():
@@ -20,45 +20,26 @@ def test_default_table_worked_example_values():
 
 
 def test_table_mode_single_gates():
-    m = LatencyModel("table")
-    assert m.duration(node_of(Gate(GateName.CNOT, (0, 1)))) == 47.1
-    assert m.duration(node_of(Gate(GateName.RZ, (0,), (5.67,)))) == 9.8
-
-
-def test_table_mode_rejects_multi_gate_nodes():
-    m = LatencyModel("table")
-    n = node_of(Gate(GateName.CNOT, (0, 1)), Gate(GateName.RZ, (1,), (1.0,)))
-    with pytest.raises(LatencyError):
-        m.duration(n)
+    price = table_price()
+    assert price(ins_of(Gate(GateName.CNOT, (0, 1)))) == 47.1
+    assert price(ins_of(Gate(GateName.RZ, (0,), (5.67,)))) == 9.8
 
 
 def test_estimate_sums_members():
-    m = LatencyModel("table")
-    n = node_of(Gate(GateName.CNOT, (0, 1)), Gate(GateName.RZ, (1,), (1.0,)),
-                Gate(GateName.CNOT, (0, 1)))
-    assert m.estimate(n) == pytest.approx(2 * 47.1 + 9.8)
+    price = table_price()
+    ins = ins_of(Gate(GateName.CNOT, (0, 1)), Gate(GateName.RZ, (1,), (1.0,)),
+                 Gate(GateName.CNOT, (0, 1)))
+    assert price(ins) == pytest.approx(2 * 47.1 + 9.8)
 
 
 def test_table_override():
-    m = LatencyModel("table", table={"cnot": 40.0})
-    assert m.duration(node_of(Gate(GateName.CNOT, (0, 1)))) == 40.0
-    assert m.duration(node_of(Gate(GateName.H, (0,)))) == 13.7
-
-
-def test_oracle_mode_delegates():
-    m = LatencyModel("oracle", oracle=lambda ins: 12.5)
-    n = node_of(Gate(GateName.CNOT, (0, 1)), Gate(GateName.CNOT, (0, 1)))
-    assert m.duration(n) == 12.5
+    price = table_price({"cnot": 40.0})
+    assert price(ins_of(Gate(GateName.CNOT, (0, 1)))) == 40.0
+    assert price(ins_of(Gate(GateName.H, (0,)))) == 13.7
 
 
 def test_root_has_zero_duration():
     g = build_gdg(qaoa_triangle())
-    m = LatencyModel("table")
-    assert m.duration(g.root) == 0.0
-
-
-def test_invalid_modes():
-    with pytest.raises(LatencyError):
-        LatencyModel("magic")
-    with pytest.raises(LatencyError):
-        LatencyModel("oracle")
+    g.set_durations(table_price())
+    assert g.root.duration == 0.0
+    assert table_price()(g.root.instruction) == 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from pulsecc.gates import Circuit, GateName, circuit_unitary, permute_wires, phases_equal
 from pulsecc.gdg import build_gdg
-from pulsecc.latency import LatencyModel
+from pulsecc.latency import table_price
 from pulsecc.mapper import (InteractionGraph, MappingError, Topology, bisect,
                             build_interaction_graph, initial_mapping,
                             permutation_operator, route_swaps)
@@ -112,7 +112,7 @@ def test_mapping_places_triangle_contiguously():
 
 def route(c, topo, seed=0):
     g = build_gdg(c)
-    g.set_durations(LatencyModel("table").estimate)
+    g.set_durations(table_price())
     sched = list_schedule(g)
     mp = initial_mapping(build_interaction_graph(c), topo, seed=seed)
     return route_swaps(sched, g, mp, topo)

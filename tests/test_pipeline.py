@@ -63,6 +63,22 @@ def test_unknown_strategy_rejected():
         CompileOptions(strategy="fastest")
 
 
+def test_unknown_latency_mode_rejected():
+    with pytest.raises(ValueError, match="latency mode"):
+        CompileOptions(strategy="cls", latency_mode="orcale")
+
+
+def test_table_override_reaches_baseline():
+    override = {"cnot": 40.0, "h": 20.0}
+    cls = compile_circuit(qaoa_triangle(), CompileOptions(
+        strategy="cls", latency_mode="table", table_override=override))
+    isa = compile_circuit(qaoa_triangle(), CompileOptions(
+        strategy="isa", latency_mode="table", table_override=override))
+    assert cls.manifest["baseline_makespan_ns"] == isa.makespan_ns
+    assert isa.makespan_ns != compile_circuit(qaoa_triangle(), CompileOptions(
+        strategy="isa", latency_mode="table")).makespan_ns
+
+
 def test_oracle_compile_small_end_to_end(tmp_path):
     res = compile_circuit(ising_chain(2),
                           CompileOptions(strategy="cls+agg", max_width=2))
@@ -123,6 +139,8 @@ def test_aggregation_undone_when_merges_lengthen_schedule():
     assert trace[-1]["aggregated_makespan_ns"] > cls.makespan_ns
     assert agg.makespan_ns <= cls.makespan_ns + 1e-9
     assert agg.report.passed
+    stages, emitted = agg.manifest["stages"], agg.manifest["instructions"]
+    assert stages["aggregated"]["nodes"] == len(emitted)
 
 
 def test_topology_capacity_checked():
@@ -158,6 +176,11 @@ def test_cli_routing_error(tmp_path):
     rc = cli.main(["compile", str(src), "--latency", "table",
                    "--strategy", "isa", "--topology", "grid:2x2"])
     assert rc == cli.EXIT_ROUTING
+
+
+def test_cli_defaults_match_compile_options():
+    args = cli.build_parser().parse_args(["compile", "x.qasm"])
+    assert cli._options(args) == CompileOptions()
 
 
 def test_cli_bench_table(capsys):

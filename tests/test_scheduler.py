@@ -7,7 +7,7 @@ from pulsecc.bench import qaoa_triangle
 from pulsecc.commute import build_commutation_groups, singleton_groups
 from pulsecc.gates import circuit_unitary, phases_equal
 from pulsecc.gdg import build_gdg
-from pulsecc.latency import LatencyModel
+from pulsecc.latency import table_price
 from pulsecc.scheduler import (ComputationalGraph, cls_schedule, list_schedule,
                                max_matching)
 
@@ -79,7 +79,7 @@ def scheduled_unitary(sched, g):
 
 def test_cls_schedules_all_nodes_once():
     g = build_gdg(qaoa_triangle())
-    g.set_durations(LatencyModel("table").estimate)
+    g.set_durations(table_price())
     sched = cls_schedule(g, build_commutation_groups(g))
     assert sorted(nid for nid, _ in sched.entries) == \
            sorted(n.id for n in g.real_nodes())
@@ -87,7 +87,7 @@ def test_cls_schedules_all_nodes_once():
 
 def test_list_schedule_worked_example_makespan():
     g = build_gdg(qaoa_triangle())
-    g.set_durations(LatencyModel("table").estimate)
+    g.set_durations(table_price())
     sched = list_schedule(g)
     total, _ = g.critical_path()
     assert sched.makespan_ns == pytest.approx(total, abs=1e-9)
@@ -99,7 +99,7 @@ def test_cls_not_slower_on_worked_example():
     from pulsecc.commute import detect_diagonal_blocks
     g = build_gdg(qaoa_triangle())
     detect_diagonal_blocks(g)
-    g.set_durations(LatencyModel("table").estimate)
+    g.set_durations(table_price())
     cls = cls_schedule(g, build_commutation_groups(g))
     isa = list_schedule(g)
     assert cls.makespan_ns <= isa.makespan_ns + 1e-9
@@ -109,7 +109,7 @@ def test_validity_and_semantics_random(rng):
     for _ in range(100):
         c = random_circuit(4, int(rng.integers(1, 21)), rng)
         g = build_gdg(c)
-        g.set_durations(LatencyModel("table").estimate)
+        g.set_durations(table_price())
         sched = cls_schedule(g, build_commutation_groups(g))
         assert schedule_is_valid(sched, g)
         assert phases_equal(circuit_unitary(c), scheduled_unitary(sched, g))
@@ -118,7 +118,7 @@ def test_validity_and_semantics_random(rng):
 def test_makespan_equals_latest_finish(rng):
     c = random_circuit(3, 12, rng)
     g = build_gdg(c)
-    g.set_durations(LatencyModel("table").estimate)
+    g.set_durations(table_price())
     sched = list_schedule(g)
     finish = max(start + g.nodes[nid].duration for nid, start in sched.entries)
     assert sched.makespan_ns == pytest.approx(finish)
