@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gdg import GDG
+from .gdg import GDG, AggregatedInstruction
 
 DEFAULT_MAX_WIDTH = 4       # q_L at desk scale; configurable up to 10
 CONVERGENCE_TOL_NS = 0.1
@@ -48,61 +48,66 @@ def can_aggregate(a: int, b: int, g: GDG, max_width: int = DEFAULT_MAX_WIDTH) ->
     return g.can_contract({a, b})[0]
 
 
-def _simulated_makespan(g: GDG, a: int, b: int) -> float:
-    """Critical path after merging a and b with summed (unoptimized) duration."""
-    trial = g.copy()
-    dur = (trial.nodes[a].duration or 0.0) + (trial.nodes[b].duration or 0.0)
-    merged = trial.contract({a, b})
-    merged.duration = dur
-    total, _ = trial.critical_path()
-    return total
-
-
-def is_monotonic(act: Action, g: GDG) -> bool:
-    """Depth must not increase even with no pulse credit for the merge."""
-    before, _ = g.critical_path()
-    after = _simulated_makespan(g, act.node_a, act.node_b)
-    return after <= before + 1e-9
+def _heads_tails(g: GDG) -> tuple[dict, dict, float]:
+    """Earliest finish (head) and longest path to a sink (tail) of every node,
+    each counting the node's own duration, and the makespan."""
+    order = g.topological_order()
+    head = {g.ROOT: 0.0}
+    for nid in order:
+        start = max(head[p] for p in g.predecessors(nid))
+        head[nid] = start + (g.nodes[nid].duration or 0.0)
+    tail: dict[int, float] = {}
+    for nid in reversed(order):
+        end = max((tail[c] for c in g.successors(nid)), default=0.0)
+        tail[nid] = end + (g.nodes[nid].duration or 0.0)
+    return head, tail, max(head.values())
 
 
 def enumerate_actions(g: GDG, max_width: int = DEFAULT_MAX_WIDTH,
                       duration_hint=None) -> list[Action]:
     """All monotonic merge actions, with predicted critical-path gain.
 
-    duration_hint(instruction) -> ns or None supplies cached oracle durations
-    for already-synthesized merged unitaries; without a hint the conservative
-    summed duration predicts zero gain.
+    Merging parent a into child b at the summed duration is monotonic when
+    the longest path through the merged node, max head of its outside parents
+    + d_a + d_b + max tail of its outside children, fits the makespan: every
+    path avoiding a and b keeps its length.  Such a merge never shortens the
+    critical path, so its gain is zero unless duration_hint(instruction) -> ns
+    or None prices the merged instruction from cached oracle durations.
     """
-    before, _ = g.critical_path()
+    head, tail, makespan = _heads_tails(g)
     seen = set()
     actions = []
-    for node in g.real_nodes():
-        for q, child in sorted(node.children.items()):
-            pair = (min(node.id, child), max(node.id, child))
+    for a in g.real_nodes():
+        for child in a.children.values():
+            pair = (min(a.id, child), max(a.id, child))
             if pair in seen:
                 continue
             seen.add(pair)
+            b = g.nodes[child]
+            start = max(head[p] for n in (a, b) for p in n.parents.values()
+                        if p not in pair)
+            end = max((tail[c] for n in (a, b) for c in n.children.values()
+                       if c not in pair), default=0.0)
+            through = start + (a.duration or 0.0) + (b.duration or 0.0) + end
+            if through > makespan + 1e-9:
+                continue
             if not can_aggregate(pair[0], pair[1], g, max_width):
                 continue
-            after = _simulated_makespan(g, pair[0], pair[1])
-            if after > before + 1e-9:
-                continue
-            gain = before - after
+            gain = 0.0
             if duration_hint is not None:
-                trial = g.copy()
-                merged = trial.contract(set(pair))
-                hint = duration_hint(merged.instruction)
+                merged_ins = AggregatedInstruction(
+                    a.instruction.gates + b.instruction.gates,
+                    min(a.instruction.seq, b.instruction.seq))
+                hint = duration_hint(merged_ins)
                 if hint is not None:
-                    merged.duration = hint
-                    total, _ = trial.critical_path()
-                    gain = max(gain, before - total)
+                    trial = g.copy()
+                    trial.contract(set(pair)).duration = hint
+                    gain = max(0.0, makespan - trial.critical_path()[0])
             actions.append(Action(pair[0], pair[1], gain))
     return actions
 
 
 def aggregate_loop(g: GDG, price, max_width: int = DEFAULT_MAX_WIDTH,
-                   outer_cap: int = OUTER_LOOP_CAP,
-                   tol_ns: float = CONVERGENCE_TOL_NS,
                    trace: list | None = None, cached=None) -> GDG:
     """Apply global-best monotonic actions until none remain, re-price the
     merged nodes, and repeat until durations converge.
@@ -112,7 +117,7 @@ def aggregate_loop(g: GDG, price, max_width: int = DEFAULT_MAX_WIDTH,
     price of an already synthesized instruction without synthesizing; it
     ranks actions by true predicted gain.
     """
-    for _outer in range(outer_cap):
+    for _outer in range(OUTER_LOOP_CAP):
         changed: set[int] = set()
         while True:
             actions = enumerate_actions(g, max_width, duration_hint=cached)
@@ -138,6 +143,6 @@ def aggregate_loop(g: GDG, price, max_width: int = DEFAULT_MAX_WIDTH,
             fresh = float(price(node.instruction))
             max_delta = max(max_delta, abs(fresh - (node.duration or 0.0)))
             node.duration = fresh
-        if max_delta <= tol_ns:
+        if max_delta <= CONVERGENCE_TOL_NS:
             break
     return g

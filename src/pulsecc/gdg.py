@@ -8,6 +8,7 @@ A missing children[q] entry marks the chain's end (virtual sink).
 """
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 
@@ -140,16 +141,17 @@ class GDG:
         for n in self.nodes.values():
             for c in set(n.children.values()):
                 indeg[c] += 1
-        ready = [i for i, d in indeg.items() if d == 0]
+        ready = [(self.nodes[i].instruction.seq, i)
+                 for i, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
         order = []
         while ready:
-            ready.sort(key=lambda i: (self.nodes[i].instruction.seq, i))
-            nid = ready.pop(0)
+            _, nid = heapq.heappop(ready)
             order.append(nid)
             for c in self.successors(nid):
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    ready.append(c)
+                    heapq.heappush(ready, (self.nodes[c].instruction.seq, c))
         if len(order) != len(self.nodes):
             raise GDGError("cycle detected in GDG")
         return [i for i in order if i != self.ROOT]

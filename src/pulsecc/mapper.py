@@ -172,22 +172,17 @@ class _Region:
                 for c in range(self.c0, self.c1)]
 
     def split(self, need_a: int, need_b: int) -> tuple["_Region", "_Region"]:
-        """Cut along the longer axis into halves covering both demands."""
-        height, width = self.r1 - self.r0, self.c1 - self.c0
-        if height >= width:
-            for cut in range(self.r0 + 1, self.r1):
-                a = _Region(self.r0, cut, self.c0, self.c1)
-                b = _Region(cut, self.r1, self.c0, self.c1)
-                if a.capacity >= need_a and b.capacity >= need_b:
-                    return a, b
-        for cut in range(self.c0 + 1, self.c1):
-            a = _Region(self.r0, self.r1, self.c0, cut)
-            b = _Region(self.r0, self.r1, cut, self.c1)
-            if a.capacity >= need_a and b.capacity >= need_b:
-                return a, b
-        for cut in range(self.r0 + 1, self.r1):
-            a = _Region(self.r0, cut, self.c0, self.c1)
-            b = _Region(cut, self.r1, self.c0, self.c1)
+        """Cut along the longer axis, else the other, into halves covering
+        both demands."""
+        row_cuts = [(_Region(self.r0, cut, self.c0, self.c1),
+                     _Region(cut, self.r1, self.c0, self.c1))
+                    for cut in range(self.r0 + 1, self.r1)]
+        col_cuts = [(_Region(self.r0, self.r1, self.c0, cut),
+                     _Region(self.r0, self.r1, cut, self.c1))
+                    for cut in range(self.c0 + 1, self.c1)]
+        cuts = (row_cuts + col_cuts if self.r1 - self.r0 >= self.c1 - self.c0
+                else col_cuts + row_cuts)
+        for a, b in cuts:
             if a.capacity >= need_a and b.capacity >= need_b:
                 return a, b
         raise MappingError("grid region cannot accommodate both partitions")

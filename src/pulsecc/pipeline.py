@@ -4,7 +4,7 @@ latency comparison, and artifact emission.
 Stages: parse -> dependence graph -> [diagonal-block detection] ->
 commutation groups -> logical schedule -> placement -> SWAP routing ->
 [instruction aggregation] -> final durations -> final schedule -> pulse
-synthesis -> sampled verification.
+synthesis -> verification of every pulse.
 """
 from __future__ import annotations
 
@@ -47,7 +47,6 @@ class CompileOptions:
     seed: int = 7
     max_iters: int = 600
     table_override: dict | None = None
-    verify_samples: int = 10
     compare_baseline: bool = True
 
     def __post_init__(self):
@@ -175,13 +174,12 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
         for node in final_gdg.real_nodes():
             duration, res, model = ocu.synthesize(node.instruction)
             instructions.append((node.id, node.instruction, res.pulses, model))
-        report = sample_verify(instructions, n=opts.verify_samples,
-                               seed=opts.seed, threshold=opts.fidelity)
+        report = sample_verify(instructions, threshold=opts.fidelity)
 
     baseline_makespan = schedule.makespan_ns
     if opts.compare_baseline and opts.strategy != "isa":
         base_opts = replace(opts, strategy="isa", topology=topo,
-                            compare_baseline=False, verify_samples=0)
+                            compare_baseline=False)
         baseline = compile_circuit(circuit, base_opts, ocu=ocu)
         baseline_makespan = baseline.makespan_ns
 

@@ -4,13 +4,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .gdg import AggregatedInstruction
 from .optctrl import ControlPulses, HamiltonianModel, evolve, infidelity
-
-DEFAULT_SAMPLE_COUNT = 10
-DEFAULT_SEED = 20240901
 
 
 class VerificationError(RuntimeError):
@@ -65,22 +60,16 @@ def verify_instruction(ins: AggregatedInstruction, p: ControlPulses,
     return 1.0 - infidelity(u, ins.target_unitary)
 
 
-def sample_verify(instructions, n: int = DEFAULT_SAMPLE_COUNT,
-                  seed: int = DEFAULT_SEED,
-                  threshold: float = 0.999) -> VerificationReport:
-    """Verify min(n, count) distinct instructions sampled uniformly.
+def sample_verify(instructions, threshold: float = 0.999) -> VerificationReport:
+    """Verify every emitted instruction against its pulses.
 
     instructions: list of (node_id, AggregatedInstruction, ControlPulses,
     HamiltonianModel) tuples from the compile output.
     """
     if not instructions:
         raise VerificationError("compiled output contains no instructions")
-    rng = np.random.default_rng(seed)
-    count = min(n, len(instructions))
-    idx = sorted(rng.choice(len(instructions), size=count, replace=False))
     report = VerificationReport(threshold=threshold)
-    for i in idx:
-        node_id, ins, pulses, model = instructions[i]
+    for node_id, ins, pulses, model in instructions:
         fid = verify_instruction(ins, pulses, model)
         report.checks.append(InstructionCheck(
             node_id, ins.label(), fid,
