@@ -27,9 +27,10 @@ class Action:
 def can_aggregate(a: int, b: int, g: GDG, max_width: int = DEFAULT_MAX_WIDTH) -> bool:
     """True iff merging a and b keeps pulses continuous and width bounded.
 
-    Requires shared qubits, chain adjacency on every shared qubit, no outside
-    path between the two (which would force a cycle), and a merged width
-    within the instruction-width limit.
+    Requires shared qubits, a merged width within the instruction-width
+    limit, and a legal contraction: on a shared qubit, contiguity is chain
+    adjacency, and no outside path may run between the two (which would
+    force a cycle).
     """
     if a == b or a == g.ROOT or b == g.ROOT:
         return False
@@ -37,14 +38,10 @@ def can_aggregate(a: int, b: int, g: GDG, max_width: int = DEFAULT_MAX_WIDTH) ->
     if na is None or nb is None:
         return False
     qa, qb = set(na.qubits), set(nb.qubits)
-    shared = qa & qb
-    if not shared:
+    if not qa & qb:
         return False
     if len(qa | qb) > max_width:
         return False
-    for q in shared:
-        if na.children.get(q) != b and na.parents.get(q) != b:
-            return False
     return g.can_contract({a, b})[0]
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import gates_unitary
+from .gates import embed, gates_unitary
 from .gdg import GDG, AggregatedInstruction, GDGError
 
 TOL_COMMUTE = 1e-8
@@ -107,59 +107,55 @@ def _interacting_pairs(g: GDG) -> list[tuple[int, int]]:
 
 
 def _pair_runs(g: GDG, pair: tuple[int, int]) -> list[list[int]]:
-    """Maximal contiguous (contract-legal) runs of nodes supported on pair."""
-    a, b = pair
-    support = {a, b}
-    candidates = [nid for nid in g.topological_order()
-                  if set(g.nodes[nid].qubits) <= support]
-    runs: list[list[int]] = []
-    current: list[int] = []
-    for nid in candidates:
-        trial = current + [nid]
-        if current and g.can_contract(set(trial))[0]:
-            current = trial
-        else:
-            if len(current) >= 2:
-                runs.append(current)
-            current = [nid]
-    if len(current) >= 2:
-        runs.append(current)
-    return runs
+    """Maximal contract-legal runs of nodes supported on pair, from one sweep
+    of the topological order: a node joins the run when its parent on each
+    qubit the run touches is the run's last node there, and none of its other
+    parents is downstream of the run (which would close a cycle)."""
+    support = set(pair)
+    runs: list[list[int]] = [[]]
+    last_on: dict[int, int] = {}
+    reached: set[int] = set()  # the current run and every node downstream of it
+    for nid in g.topological_order():
+        node = g.nodes[nid]
+        if not set(node.qubits) <= support:
+            if reached.intersection(node.parents.values()):
+                reached.add(nid)
+            continue
+        if not all(last_on.get(q) == p if q in last_on else p not in reached
+                   for q, p in node.parents.items()):
+            runs.append([])
+            last_on, reached = {}, set()
+        runs[-1].append(nid)
+        last_on.update(dict.fromkeys(node.qubits, nid))
+        reached.add(nid)
+    return [run for run in runs if len(run) >= 2]
 
 
 def detect_diagonal_blocks(g: GDG, window_cap: int = DIAG_WINDOW_CAP,
                            tol: float = TOL_DIAG) -> GDG:
     """Contract maximal runs of 2-qubit-supported gates with diagonal product.
 
-    For each interacting qubit pair, contiguous runs (capped at window_cap
-    gates) whose product is diagonal become single nodes; overlapping
-    candidates resolve left-to-right greedily.  Mutates and returns g.
+    One pass per interacting qubit pair: from each node of a run, the longest
+    window of 2 or more nodes and at most window_cap gates whose product is
+    diagonal becomes a single node, and the scan resumes after it.  A slice
+    of a legal run is legal.  Mutates and returns g.
     """
     for pair in _interacting_pairs(g):
-        ctx = sorted(pair)
-        changed = True
-        while changed:
-            changed = False
-            for run in _pair_runs(g, pair):
-                i = 0
-                while i < len(run):
-                    hi = min(len(run), i + window_cap)
-                    found = None
-                    for j in range(hi, i + 1, -1):  # longest window first
-                        members = run[i:j]
-                        gates = [gt for nid in members
-                                 for gt in g.nodes[nid].instruction.gates]
-                        if len(gates) > window_cap:
-                            continue
-                        u = gates_unitary(gates, ctx)
-                        if is_diagonal(u, tol) and g.can_contract(set(members))[0]:
-                            found = members
-                            break
-                    if found and len(found) >= 2:
-                        g.contract(set(found))
-                        changed = True
-                        break  # run node ids are stale; rescan this pair
-                    i += 1
-                if changed:
-                    break
+        ctx = list(pair)
+        for run in _pair_runs(g, pair):
+            i = 0
+            while i < len(run):
+                u, count, end = np.eye(4, dtype=complex), 0, None
+                for j in range(i, len(run)):
+                    gates = g.nodes[run[j]].instruction.gates
+                    count += len(gates)
+                    if count > window_cap:
+                        break
+                    for gt in gates:
+                        u = embed(gt, ctx) @ u
+                    if j > i and is_diagonal(u, tol):
+                        end = j + 1
+                if end:
+                    g.contract(set(run[i:end]))
+                i = end or i + 1
     return g

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,14 +204,12 @@ class GDG:
         for nid in members:
             if nid not in self.nodes:
                 return False, f"unknown node {nid}"
-        qubits = set()
-        for nid in members:
-            qubits.update(self.nodes[nid].qubits)
-        for q in qubits:
-            path = self.qubit_path(q)
-            idx = [i for i, nid in enumerate(path) if nid in members]
-            if idx and idx[-1] - idx[0] + 1 != len(idx):
-                return False, f"members not contiguous on q{q} chain"
+        # members are contiguous on q's chain iff one has its q-parent outside
+        entries = Counter(q for nid in members
+                          for q, p in self.nodes[nid].parents.items() if p not in members)
+        split = sorted(q for q, n in entries.items() if n > 1)
+        if split:
+            return False, f"members not contiguous on q{split[0]} chain"
         # an outside path from one member back into another would close a cycle
         outside_starts = {c for nid in members for c in self.successors(nid)
                           if c not in members}
@@ -242,18 +241,18 @@ class GDG:
 
         node = GDGNode(self._next_id, merged)
         self._next_id += 1
-        # boundary links: per qubit, the first member's parent and last member's child
+        # boundary links: per qubit, the parent entering the members and the
+        # child leaving them (none at the chain's end)
+        enter = {q: p for nid in members
+                 for q, p in self.nodes[nid].parents.items() if p not in members}
+        leave = {q: c for nid in members
+                 for q, c in self.nodes[nid].children.items() if c not in members}
         for q in merged.qubits:
-            path = self.qubit_path(q)
-            on_q = [nid for nid in path if nid in members]
-            first, last = on_q[0], on_q[-1]
-            pid = self.nodes[first].parents[q]
-            node.parents[q] = pid
-            self.nodes[pid].children[q] = node.id
-            cid = self.nodes[last].children.get(q)
-            if cid is not None:
-                node.children[q] = cid
-                self.nodes[cid].parents[q] = node.id
+            node.parents[q] = enter[q]
+            self.nodes[enter[q]].children[q] = node.id
+            if q in leave:
+                node.children[q] = leave[q]
+                self.nodes[leave[q]].parents[q] = node.id
         for nid in members:
             del self.nodes[nid]
         self.nodes[node.id] = node

@@ -108,20 +108,24 @@ def _cut_weight(gr: InteractionGraph, side_a: set[int]) -> int:
 
 
 def _kl_refine(gr: InteractionGraph, part_a: list[int], part_b: list[int]) -> None:
-    """One round of Kernighan-Lin pair-swap refinement, in place."""
-    verts = part_a + part_b
+    """One round of Kernighan-Lin pair-swap refinement, in place.
+
+    Swapping a and b gains D_a + D_b - 2 w(a, b), where D_v is v's crossing
+    weight minus its same-side weight.
+    """
     side = {v: 0 for v in part_a} | {v: 1 for v in part_b}
     improved = True
     while improved:
         improved = False
+        d = dict.fromkeys(side, 0)
+        for (x, y), w in gr.weights.items():
+            if x in side and y in side:
+                signed = w if side[x] != side[y] else -w
+                d[x] += signed
+                d[y] += signed
         best_gain, best_pair = 0, None
         for a, b in itertools.product(part_a, part_b):
-            before = sum(gr.weight(a, v) for v in verts if side[v] != side[a]) + \
-                     sum(gr.weight(b, v) for v in verts if side[v] != side[b])
-            after = sum(gr.weight(a, v) for v in verts if side[v] == side[a] and v != a) + \
-                    sum(gr.weight(b, v) for v in verts if side[v] == side[b] and v != b) + \
-                    2 * gr.weight(a, b)
-            gain = before - after
+            gain = d[a] + d[b] - 2 * gr.weight(a, b)
             if gain > best_gain:
                 best_gain, best_pair = gain, (a, b)
         if best_pair:

@@ -56,6 +56,8 @@ class CompileOptions:
         if self.latency_mode not in LATENCY_MODES:
             raise ValueError(f"unknown latency mode {self.latency_mode!r}; "
                              f"choose from {LATENCY_MODES}")
+        if not (0 < self.fidelity <= 1 and self.dt > 0 and self.mu_max > 0):
+            raise ValueError("fidelity must be in (0, 1]; dt and mu_max must be positive")
 
     @property
     def use_cls(self) -> bool:

@@ -41,3 +41,26 @@ def random_circuit(n: int, num_gates: int, rng, name: str = "") -> Circuit:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240825)
+
+
+def chain_walk_can_contract(g, node_ids) -> tuple[bool, str]:
+    """Reference contraction rule: walk every touched qubit's whole chain and
+    require the members' positions on it to form one block, then search
+    everything downstream of the members for a way back into them."""
+    members = set(node_ids)
+    if g.ROOT in members:
+        return False, "cannot contract the virtual root"
+    for q in {q for nid in members for q in g.nodes[nid].qubits}:
+        idx = [i for i, nid in enumerate(g.qubit_path(q)) if nid in members]
+        if idx[-1] - idx[0] + 1 != len(idx):
+            return False, f"members not contiguous on q{q} chain"
+    stack = [c for nid in members for c in g.successors(nid) if c not in members]
+    seen = set(stack)
+    while stack:
+        cur = stack.pop()
+        if cur in members:
+            return False, "contraction would create a cycle"
+        for c in g.successors(cur) - seen:
+            seen.add(c)
+            stack.append(c)
+    return True, ""

@@ -5,11 +5,11 @@ from pulsecc.bench import qaoa_triangle
 from pulsecc.commute import (build_commutation_groups, commutes,
                              detect_diagonal_blocks, is_diagonal,
                              singleton_groups)
-from pulsecc.gates import (Gate, GateName, circuit_unitary, embed,
-                           phases_equal)
+from pulsecc.gates import (Circuit, Gate, GateName, circuit_unitary, embed,
+                           gates_unitary, phases_equal)
 from pulsecc.gdg import build_gdg
 
-from conftest import random_gate
+from conftest import chain_walk_can_contract, random_circuit, random_gate
 
 
 def brute_commutes(a: Gate, b: Gate) -> bool:
@@ -118,3 +118,90 @@ def test_window_cap_limits_block_size(rng):
     g = build_gdg(c)
     detect_diagonal_blocks(g)
     assert all(len(n.instruction.gates) <= 10 for n in g.real_nodes())
+
+
+def restart_loop_detect(g, window_cap=10, tol=1e-8):
+    """Reference diagonal-block detection: rebuild the pair's runs and rescan
+    them from the start after every contraction, re-multiplying and
+    re-checking legality of every window."""
+    pairs = sorted({tuple(sorted(n.qubits)) for n in g.real_nodes()
+                    if len(n.qubits) == 2})
+    for pair in pairs:
+        changed = True
+        while changed:
+            changed = False
+            runs, current = [], []
+            for nid in g.topological_order():
+                if not set(g.nodes[nid].qubits) <= set(pair):
+                    continue
+                if current and chain_walk_can_contract(g, current + [nid])[0]:
+                    current.append(nid)
+                else:
+                    runs.append(current)
+                    current = [nid]
+            runs.append(current)
+            for run in runs:
+                for i in range(len(run)):
+                    for j in range(min(len(run), i + window_cap), i + 1, -1):
+                        members = run[i:j]
+                        gates = [gt for nid in members
+                                 for gt in g.nodes[nid].instruction.gates]
+                        if (len(gates) <= window_cap
+                                and is_diagonal(gates_unitary(gates, list(pair)), tol)
+                                and chain_walk_can_contract(g, members)[0]):
+                            g.contract(set(members))
+                            changed = True
+                            break
+                    if changed:
+                        break
+                if changed:
+                    break
+    return g
+
+
+def diagonal_rich_circuit(n, num_gates, rng):
+    c = Circuit(n)
+    for _ in range(num_gates):
+        a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
+        kind = rng.integers(6)
+        if kind == 0:
+            c.add(GateName.CPHASE, a, b, params=(float(rng.uniform(0, 6)),))
+        elif kind == 1:
+            c.add(GateName.RZ, a, params=(float(rng.uniform(0, 6)),))
+        elif kind == 2:
+            c.add(GateName.CNOT, a, b)
+        elif kind == 3:
+            c.add(GateName.Z, a)
+        else:
+            c.add(GateName.H if kind == 4 else GateName.X, a)
+    return c
+
+
+def graph_signature(g):
+    return [(nid, n.instruction.seq, [repr(x) for x in n.instruction.gates],
+             list(n.parents.items()), list(n.children.items()))
+            for nid, n in sorted(g.nodes.items())]
+
+
+def test_detection_matches_restart_loop_reference(rng):
+    # rz q0 and rz q1 may not share a run: cnot q0 q2; cnot q2 q1 is a path
+    # from one to the other outside the pair
+    detour = Circuit(3)
+    detour.add(GateName.RZ, 0, params=(0.4,))
+    detour.add(GateName.CNOT, 0, 2)
+    detour.add(GateName.CNOT, 2, 1)
+    detour.add(GateName.RZ, 1, params=(0.7,))
+    detour.add(GateName.CPHASE, 0, 1, params=(0.9,))
+    circuits = [qaoa_triangle(), detour]
+    for _ in range(40):
+        circuits.append(random_circuit(int(rng.integers(2, 6)),
+                                       int(rng.integers(5, 30)), rng))
+        circuits.append(diagonal_rich_circuit(int(rng.integers(2, 6)),
+                                              int(rng.integers(5, 40)), rng))
+    merged = 0
+    for c in circuits:
+        got = detect_diagonal_blocks(build_gdg(c))
+        want = restart_loop_detect(build_gdg(c))
+        assert graph_signature(got) == graph_signature(want)
+        merged += len(c.gates) - len(got.real_nodes())
+    assert merged > 100

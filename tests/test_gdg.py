@@ -8,7 +8,7 @@ from pulsecc.gates import circuit_unitary, phases_equal
 from pulsecc.gdg import GDG, AggregatedInstruction, GDGError, build_gdg
 from pulsecc.latency import table_price
 
-from conftest import random_circuit
+from conftest import chain_walk_can_contract, random_circuit
 
 
 def table_durations(g):
@@ -148,3 +148,35 @@ def test_to_json_roundtrips_counts():
     doc = json.loads(g.to_json())
     assert doc["num_qubits"] == 3
     assert len(doc["nodes"]) == 17  # 16 gates + root
+
+
+def test_can_contract_matches_chain_walk(rng):
+    # node sets grown from a random seed node through parent/child links, with
+    # an occasional unrelated node; legal sets are sometimes contracted so
+    # later sets contain merged nodes
+    checked = {True: 0, False: 0}
+    for _ in range(60):
+        g = build_gdg(random_circuit(int(rng.integers(2, 6)),
+                                     int(rng.integers(6, 30)), rng))
+        for _ in range(12):
+            ids = [n.id for n in g.real_nodes()]
+            members = {ids[rng.integers(len(ids))]}
+            for _ in range(int(rng.integers(1, 6))):
+                node = g.nodes[sorted(members)[rng.integers(len(members))]]
+                links = [x for x in (*node.parents.values(), *node.children.values())
+                         if x != g.ROOT]
+                if links and rng.random() < 0.85:
+                    members.add(links[rng.integers(len(links))])
+                else:
+                    members.add(ids[rng.integers(len(ids))])
+                ok, why = g.can_contract(members)
+                ref_ok, ref_why = chain_walk_can_contract(g, members)
+                assert ok == ref_ok
+                assert ("cycle" in why) == ("cycle" in ref_why)
+                checked[ok] += 1
+            if ok and rng.random() < 0.5:
+                before = circuit_unitary(g.flatten())
+                g.contract(members)
+                g.audit()
+                assert phases_equal(before, circuit_unitary(g.flatten()))
+    assert min(checked.values()) > 100

@@ -151,3 +151,60 @@ def test_no_swaps_when_already_adjacent():
     c.add(GateName.CNOT, 1, 2)
     r = route(c, Topology.line(3))
     assert r.swap_count == 0
+
+
+def four_sum_kl_refine(gr, part_a, part_b):
+    """Reference Kernighan-Lin round: re-sum both vertices' crossing and
+    same-side weights for every candidate swap."""
+    verts = part_a + part_b
+    side = {v: 0 for v in part_a} | {v: 1 for v in part_b}
+    improved = True
+    while improved:
+        improved = False
+        best_gain, best_pair = 0, None
+        for a, b in itertools.product(part_a, part_b):
+            before = sum(gr.weight(a, v) for v in verts if side[v] != side[a]) + \
+                     sum(gr.weight(b, v) for v in verts if side[v] != side[b])
+            after = sum(gr.weight(a, v) for v in verts if side[v] == side[a] and v != a) + \
+                    sum(gr.weight(b, v) for v in verts if side[v] == side[b] and v != b) + \
+                    2 * gr.weight(a, b)
+            if before - after > best_gain:
+                best_gain, best_pair = before - after, (a, b)
+        if best_pair:
+            a, b = best_pair
+            part_a[part_a.index(a)] = b
+            part_b[part_b.index(b)] = a
+            side[a], side[b] = 1, 0
+            improved = True
+
+
+def test_kl_refine_matches_four_sum_reference(rng, monkeypatch):
+    from pulsecc import mapper
+    fast = mapper._kl_refine
+
+    def placement(gr, topo, seed):
+        try:
+            return initial_mapping(gr, topo, seed=seed)
+        except MappingError as e:
+            return str(e)
+
+    failures = 0
+    for trial in range(60):
+        rows, cols = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        n = int(rng.integers(2, rows * cols + 1))
+        w = {(a, b): int(rng.integers(1, 6))
+             for a, b in itertools.combinations(range(n), 2) if rng.random() < 0.4}
+        gr = InteractionGraph(list(range(n)), w)
+        order = [int(v) for v in rng.permutation(n)]
+        k = (n + 1) // 2
+        got_a, got_b, want_a, want_b = order[:k], order[k:], order[:k], order[k:]
+        fast(gr, got_a, got_b)
+        four_sum_kl_refine(gr, want_a, want_b)
+        assert (got_a, got_b) == (want_a, want_b)
+        monkeypatch.setattr(mapper, "_kl_refine", fast)
+        got = placement(gr, Topology(rows, cols), trial)
+        monkeypatch.setattr(mapper, "_kl_refine", four_sum_kl_refine)
+        want = placement(gr, Topology(rows, cols), trial)
+        assert got == want
+        failures += isinstance(got, str)
+    assert failures > 0

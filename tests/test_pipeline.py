@@ -68,6 +68,18 @@ def test_unknown_latency_mode_rejected():
         CompileOptions(strategy="cls", latency_mode="orcale")
 
 
+@pytest.mark.parametrize("flag, value", [("--fidelity", "1.5"), ("--fidelity", "0"),
+                                         ("--dt", "0"), ("--mu-max", "-1"),
+                                         ("--mu-max", "0")])
+def test_invalid_pulse_options_rejected(flag, value):
+    field = flag[2:].replace("-", "_")
+    with pytest.raises(ValueError, match=field):
+        CompileOptions(**{field: float(value)})
+    rc = cli.main(["bench", "maxcut-line", "--n", "2", "--strategy", "isa",
+                   flag, value])
+    assert rc == cli.EXIT_PARSE
+
+
 def test_table_override_reaches_baseline():
     override = {"cnot": 40.0, "h": 20.0}
     cls = compile_circuit(qaoa_triangle(), CompileOptions(
