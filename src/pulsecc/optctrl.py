@@ -55,6 +55,9 @@ class HamiltonianModel:
     channels: list[Channel]
     dt: float = DT_DEFAULT
     drift: np.ndarray | None = None
+    # 2*pi*H_k stacked over channels, K x d x d: the step Hamiltonian per unit
+    # amplitude, shared by the propagators and the gradient
+    ops: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -67,6 +70,8 @@ class HamiltonianModel:
                 raise ControlError(f"channel {ch.name} operator is not Hermitian")
             if ch.bound <= 0:
                 raise ControlError(f"channel {ch.name} bound must be positive")
+        self.ops = np.array([TWO_PI * ch.op for ch in self.channels],
+                            dtype=complex).reshape(len(self.channels), d, d)
 
     @property
     def dim(self) -> int:
@@ -142,8 +147,7 @@ class OptimizerConfig:
 
 def _step_propagators(u: np.ndarray, m: HamiltonianModel):
     """Batched eigendecomposition of every step Hamiltonian."""
-    ops = np.stack([ch.op for ch in m.channels])
-    h = np.einsum("kn,kab->nab", TWO_PI * u, ops)
+    h = np.einsum("kn,kab->nab", u, m.ops)
     if np.max(np.abs(m.drift)) > 0:
         h = h + m.drift[None, :, :]
     lam, q = np.linalg.eigh(h)
@@ -182,6 +186,7 @@ def _loss_and_gradient(u_amp: np.ndarray, m: HamiltonianModel,
 
     Uses the eigendecomposition form of the matrix-exponential directional
     derivative, so the gradient is exact for piecewise-constant controls.
+    With N steps, K channels and dimension d it costs O(N d^3 + K N d^2).
     """
     n = u_amp.shape[1]
     d = m.dim
@@ -199,22 +204,22 @@ def _loss_and_gradient(u_amp: np.ndarray, m: HamiltonianModel,
     tau = np.trace(v_target.conj().T @ fwd[n])
     loss = 1.0 - (abs(tau) / d) ** 2
 
-    # divided differences of f(x) = exp(-i x dt) over step eigenvalues
+    # divided differences of f(x) = exp(-i x dt) over step eigenvalues; on
+    # (near-)degenerate pairs, e.g. an idle qubit, they are the derivative
     dlam = lam[:, :, None] - lam[:, None, :]
     df = phase[:, :, None] - phase[:, None, :]
+    deriv = (-1j * m.dt * phase)[:, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(np.abs(dlam) > 1e-12, df / np.where(dlam == 0, 1, dlam), 0)
-    diag = -1j * m.dt * phase
-    ii = np.arange(d)
-    phi[:, ii, ii] = diag
+        phi = np.where(np.abs(dlam) > 1e-12, df / dlam, deriv)
 
-    # W_j = F_{j-1} (V^dag B_j); Tr(W D) with D = Q (phi o (Q^dag G_k Q)) Q^dag
-    vh = v_target.conj().T
-    w = np.einsum("nab,bc,ncd->nad", fwd[:n], vh, bwd[1:])
-    x = np.einsum("nba,nbc,ncd->nad", q.conj(), w, q)
-    ops = np.stack([TWO_PI * ch.op for ch in m.channels])
-    y = np.einsum("nba,kbc,ncd->knad", q.conj(), ops, q)
-    dtau = np.einsum("nab,nba,knba->kn", x, phi, y)
+    # W_j = F_{j-1} (V^dag B_j) and X = Q^dag W Q; the trace identity
+    # Tr(W Q (phi o Q^dag G_k Q) Q^dag) = sum_cd G_k[c, d] M[c, d]
+    # with M = conj(Q) (X^T o phi) Q^T contracts each G_k once per step
+    qt = np.swapaxes(q, 1, 2)
+    w = fwd[:n] @ v_target.conj().T @ bwd[1:]
+    x = qt.conj() @ w @ q
+    mm = q.conj() @ (np.swapaxes(x, 1, 2) * phi) @ qt
+    dtau = m.ops.reshape(-1, d * d) @ mm.reshape(n, d * d).T
     grad = (-2.0 / d ** 2) * np.real(np.conj(tau) * dtau)
     return loss, grad, fwd[n]
 
@@ -301,8 +306,10 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
              ) -> tuple[float, GrapeResult]:
     """Shortest duration achieving the fidelity threshold, by bisection.
 
-    Doubles an upper bound until success, then bisects on the dt grid with
-    resolution 4*dt; shorter trials warm-start from the best found pulses.
+    Doubles an upper bound until success, then bisects with resolution
+    4*dt: every bisection trial is a multiple of 4*dt, and shorter trials
+    warm-start from the best found pulses. The result is on that grid too,
+    unless it is the fallback's own duration and that is not.
 
     fallback_amplitudes, when given, is a pulse table that approximates the
     target, e.g. the concatenated member pulses of a merged instruction. Its
@@ -346,9 +353,11 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
             f"{cfg.fidelity_threshold}", best_fail)
 
     hi, best = success
-    lo = hi // 2 if hi > BISECT_RESOLUTION_STEPS else 0
-    while hi - lo > BISECT_RESOLUTION_STEPS:
-        mid = (hi + lo) // 2
+    res_steps = BISECT_RESOLUTION_STEPS
+    lo = hi // 2 // res_steps * res_steps
+    while hi - lo > res_steps:
+        # on the grid, and short of hi even when a fallback's hi is not
+        mid = lo + max(1, (hi - lo) // (2 * res_steps)) * res_steps
         warm = best.pulses.amplitudes[:, :mid]
         res = grape_optimize(v_target, m, mid * m.dt, cfg, init_amplitudes=warm)
         if res.converged:

@@ -64,3 +64,39 @@ def chain_walk_can_contract(g, node_ids) -> tuple[bool, str]:
             seen.add(c)
             stack.append(c)
     return True, ""
+
+
+def einsum_gradient(u_amp: np.ndarray, m, v_target: np.ndarray) -> np.ndarray:
+    """Reference GRAPE gradient: the multi-operand einsum contraction through
+    the K x N x d x d tensor of channel operators in every step's eigenbasis.
+    Its divided differences are zero on degenerate pairs, so compare it only
+    at amplitudes whose step Hamiltonians have distinct eigenvalues."""
+    n, d = u_amp.shape[1], m.dim
+    ops = np.stack([2 * np.pi * ch.op for ch in m.channels])
+    h = np.einsum("kn,kab->nab", u_amp, ops) + m.drift[None, :, :]
+    lam, q = np.linalg.eigh(h)
+    phase = np.exp(-1j * lam * m.dt)
+    steps = np.einsum("nab,nb,ncb->nac", q, phase, q.conj())
+    fwd = np.empty((n + 1, d, d), dtype=complex)
+    fwd[0] = np.eye(d)
+    for j in range(n):
+        fwd[j + 1] = steps[j] @ fwd[j]
+    bwd = np.empty((n + 1, d, d), dtype=complex)
+    bwd[n] = np.eye(d)
+    for j in range(n - 1, -1, -1):
+        bwd[j] = bwd[j + 1] @ steps[j]
+    tau = np.trace(v_target.conj().T @ fwd[n])
+
+    dlam = lam[:, :, None] - lam[:, None, :]
+    df = phase[:, :, None] - phase[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(np.abs(dlam) > 1e-12, df / np.where(dlam == 0, 1, dlam), 0)
+    ii = np.arange(d)
+    phi[:, ii, ii] = -1j * m.dt * phase
+
+    vh = v_target.conj().T
+    w = np.einsum("nab,bc,ncd->nad", fwd[:n], vh, bwd[1:])
+    x = np.einsum("nba,nbc,ncd->nad", q.conj(), w, q)
+    y = np.einsum("nba,kbc,ncd->knad", q.conj(), ops, q)
+    dtau = np.einsum("nab,nba,knba->kn", x, phi, y)
+    return (-2.0 / d ** 2) * np.real(np.conj(tau) * dtau)

@@ -6,9 +6,12 @@ import pytest
 from pulsecc import optctrl
 from pulsecc.gates import Gate, GateName, gate_unitary
 from pulsecc.gdg import AggregatedInstruction
-from pulsecc.optctrl import (ControlPulses, HamiltonianModel,
-                             OptimalControlUnit, OptimizerConfig, evolve,
-                             gradient, grape_optimize, infidelity, min_time)
+from pulsecc.optctrl import (BISECT_RESOLUTION_STEPS, ControlPulses,
+                             GrapeResult, HamiltonianModel, OptimalControlUnit,
+                             OptimizerConfig, evolve, gradient, grape_optimize,
+                             infidelity, min_time)
+
+from conftest import einsum_gradient
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +83,77 @@ def test_gradient_matches_finite_differences(nq, model1, model2):
         approx = central_fd(p, m, target)
         scale = max(np.max(np.abs(approx)), 1e-12)
         assert np.max(np.abs(exact - approx)) / scale <= 1e-4
+
+
+@pytest.mark.parametrize("nq", [2, 3])
+def test_gradient_matches_finite_differences_with_idle_qubits(nq):
+    # only qubit 0 is driven, as in a concatenated member pulse: every step
+    # Hamiltonian is H_0 (x) I, whose eigenvalues come in degenerate pairs
+    m = HamiltonianModel.build(nq, [(i, i + 1) for i in range(nq - 1)])
+    gates = [Gate(GateName.CNOT, (i, i + 1)) for i in range(nq - 1)]
+    target = AggregatedInstruction(gates, 0).target_unitary
+    rng = np.random.default_rng(nq)
+    for _ in range(3):
+        amps = np.zeros((len(m.channels), 6))
+        amps[:3] = rng.uniform(-0.05, 0.05, size=(3, 6))
+        p = ControlPulses(amps, m.dt)
+        exact = gradient(p, m, target)
+        approx = central_fd(p, m, target)
+        assert np.max(np.abs(approx[3:])) > 1e-3   # idle channels do matter
+        scale = np.max(np.abs(approx))
+        assert np.max(np.abs(exact - approx)) / scale <= 1e-6
+
+
+def _random_unitary(d, rng):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.mark.parametrize("nq", [1, 2, 3, 4])
+@pytest.mark.parametrize("coupling", ["line", "all", "drift"])
+def test_gradient_matches_einsum_reference(nq, coupling):
+    pairs = None if coupling == "all" else [(i, i + 1) for i in range(nq - 1)]
+    m = HamiltonianModel.build(nq, pairs)
+    rng = np.random.default_rng([nq, len(coupling)])
+    if coupling == "drift":
+        h0 = rng.normal(size=(m.dim, m.dim)) + 1j * rng.normal(size=(m.dim, m.dim))
+        m = HamiltonianModel(nq, m.channels, m.dt, 0.05 * (h0 + h0.conj().T))
+    target = _random_unitary(m.dim, rng)
+    amps = rng.uniform(-1, 1, size=(len(m.channels), 12)) * m.bounds[:, None]
+    exact = gradient(ControlPulses(amps, m.dt), m, target)
+    ref = einsum_gradient(amps, m, target)
+    assert np.max(np.abs(exact - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("fb_steps, converge_from, result", [
+    (120, 93, 96),     # fallback on the grid: the result is on it too
+    (118, 117, 118),   # off the grid: only the fallback itself converges
+])
+def test_bisection_trials_stay_on_resolution_grid(monkeypatch, model1,
+                                                  fb_steps, converge_from,
+                                                  result):
+    # a fake optimizer: the cold doubling fails up to 64 steps, then the
+    # fallback polish succeeds, and every bisection trial below it must stay
+    # on the 4*dt grid
+    trials = []
+
+    def fake_grape(v_target, m, duration_ns, cfg=None, init_amplitudes=None):
+        n = int(round(duration_ns / m.dt))
+        trials.append(n)
+        assert len(trials) < 50, f"bisection does not terminate: {trials}"
+        ok = n >= converge_from
+        amps = np.zeros((len(m.channels), n))
+        return GrapeResult(ControlPulses(amps, m.dt), 0.9995 if ok else 0.99,
+                           1, ok)
+
+    monkeypatch.setattr(optctrl, "grape_optimize", fake_grape)
+    target = gate_unitary(Gate(GateName.X, (0,)))
+    fallback = np.zeros((len(model1.channels), fb_steps))
+    t, res = min_time(target, model1, fallback_amplitudes=fallback)
+    assert trials[:6] == [4, 8, 16, 32, 64, fb_steps] and len(trials) > 6
+    assert all(n % BISECT_RESOLUTION_STEPS == 0 for n in trials[6:])
+    assert t == result * model1.dt and res.pulses.steps == result
 
 
 def test_grape_converges_on_hadamard(model1):
