@@ -20,6 +20,11 @@ MU_MAX_DEFAULT = 0.02   # GHz, XY coupling limit
 SINGLE_QUBIT_FACTOR = 5.0
 DT_DEFAULT = 0.5        # ns
 TWO_PI = 2.0 * math.pi
+# From max_iters // 2 on, a GRAPE trial stops unconverged once ln(1 - best
+# fidelity), extrapolated to max_iters at this many times its mean rate since
+# max_iters // 6, misses ln(1 - threshold). min_time never reuses a failed
+# trial's pulses, so stopping one changes no result. None turns it off.
+PLATEAU_RATE_FACTOR = 3.0
 
 _XY = 0.5 * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y))
 
@@ -31,6 +36,7 @@ class ControlError(RuntimeError):
 class ConvergenceError(ControlError):
     def __init__(self, msg: str, best_fidelity: float):
         super().__init__(f"{msg} (best fidelity {best_fidelity:.6f})")
+        self.reason = msg
         self.best_fidelity = best_fidelity
 
 
@@ -143,6 +149,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if not 0 < self.fidelity_threshold <= 1:
             raise ControlError("fidelity threshold must be in (0, 1]")
+        if self.max_iters < 1:
+            raise ControlError("max_iters must be at least 1")
 
 
 def _step_propagators(u: np.ndarray, m: HamiltonianModel):
@@ -258,7 +266,10 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
                            fid >= cfg.fidelity_threshold)
 
     rng = np.random.default_rng(cfg.seed)
-    if init_amplitudes is not None and init_amplitudes.shape == (k, n):
+    if init_amplitudes is not None:
+        if init_amplitudes.shape != (k, n):
+            raise ControlError(f"warm start has shape {init_amplitudes.shape}, "
+                               f"expected {(k, n)}")
         frac = np.clip(init_amplitudes / bounds, -0.999, 0.999)
         theta = np.arctanh(frac)
     else:
@@ -269,6 +280,8 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     best_fid, best_u = -1.0, bounds * np.tanh(theta)
     target_loss = 1.0 - cfg.fidelity_threshold
+    anchor, check_from = cfg.max_iters // 6, cfg.max_iters // 2
+    project = PLATEAU_RATE_FACTOR is not None and anchor > 0 and target_loss > 0
 
     for it in range(1, cfg.max_iters + 1):
         u = bounds * np.tanh(theta)
@@ -278,6 +291,14 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
             best_fid, best_u = fid, u.copy()
         if loss <= target_loss:
             return GrapeResult(ControlPulses(best_u, m.dt), best_fid, it, True)
+        if project and it >= anchor:
+            ell = math.log(1.0 - best_fid)  # every loss > target_loss > 0
+            if it == anchor:
+                ell_a = ell
+            elif it >= check_from and ell - PLATEAU_RATE_FACTOR * (ell_a - ell) \
+                    / (it - anchor) * (cfg.max_iters - it) > math.log(target_loss):
+                return GrapeResult(ControlPulses(best_u, m.dt), best_fid, it,
+                                   False)
         grad_theta = grad_u * bounds * (1.0 - np.tanh(theta) ** 2)
         m1 = beta1 * m1 + (1 - beta1) * grad_theta
         m2 = beta2 * m2 + (1 - beta2) * grad_theta ** 2
@@ -447,7 +468,7 @@ class OptimalControlUnit:
                                          fallback_amplitudes=fallback)
             except ConvergenceError as e:
                 raise ConvergenceError(
-                    f"pulse synthesis failed for {ins.label()}: {e}",
+                    f"pulse synthesis failed for {ins.label()}: {e.reason}",
                     e.best_fidelity)
             self.cache[key] = (duration, res, model)
         return self.cache[key]

@@ -58,6 +58,8 @@ class CompileOptions:
                              f"choose from {LATENCY_MODES}")
         if not (0 < self.fidelity <= 1 and self.dt > 0 and self.mu_max > 0):
             raise ValueError("fidelity must be in (0, 1]; dt and mu_max must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
     @property
     def use_cls(self) -> bool:

@@ -6,8 +6,9 @@ import pytest
 from pulsecc import optctrl
 from pulsecc.gates import Gate, GateName, gate_unitary
 from pulsecc.gdg import AggregatedInstruction
-from pulsecc.optctrl import (BISECT_RESOLUTION_STEPS, ControlPulses,
-                             GrapeResult, HamiltonianModel, OptimalControlUnit,
+from pulsecc.optctrl import (BISECT_RESOLUTION_STEPS, ControlError,
+                             ControlPulses, ConvergenceError, GrapeResult,
+                             HamiltonianModel, OptimalControlUnit,
                              OptimizerConfig, evolve, gradient, grape_optimize,
                              infidelity, min_time)
 
@@ -164,6 +165,78 @@ def test_grape_converges_on_hadamard(model1):
     # respects amplitude bounds
     assert np.all(np.abs(res.pulses.amplitudes) <=
                   model1.bounds[:, None] + 1e-12)
+
+
+def test_wrong_shaped_warm_start_rejected(model1):
+    target = gate_unitary(Gate(GateName.H, (0,)))
+    with pytest.raises(ControlError, match=r"\(3, 5\).*\(3, 4\)"):
+        grape_optimize(target, model1, 4 * model1.dt,
+                       init_amplitudes=np.zeros((3, 5)))
+
+
+def test_max_iters_below_one_rejected():
+    with pytest.raises(ControlError, match="max_iters"):
+        OptimizerConfig(max_iters=0)
+
+
+def test_plateau_stop_ends_hopeless_trial(model2):
+    # a cold CNOT at 2 ns plateaus far below the threshold
+    cfg = OptimizerConfig()
+    res = grape_optimize(gate_unitary(Gate(GateName.CNOT, (0, 1))), model2,
+                         4 * model2.dt, cfg)
+    assert not res.converged and res.iterations < cfg.max_iters
+
+
+@pytest.mark.parametrize("max_iters, threshold", [(5, 0.999), (60, 1.0)])
+def test_plateau_stop_without_anchor_or_reachable_target(model2, max_iters,
+                                                         threshold):
+    # too few iterations for an anchor, or an exact target: the hopeless
+    # trial runs its whole budget
+    cfg = OptimizerConfig(max_iters=max_iters, fidelity_threshold=threshold)
+    res = grape_optimize(gate_unitary(Gate(GateName.CNOT, (0, 1))), model2,
+                         4 * model2.dt, cfg)
+    assert not res.converged and res.iterations == max_iters
+
+
+@pytest.mark.parametrize("gates", [
+    [Gate(GateName.CNOT, (0, 1))],
+    [Gate(GateName.SWAP, (0, 1))],
+    [Gate(GateName.CNOT, (0, 1)), Gate(GateName.RZ, (1,), (5.67,)),
+     Gate(GateName.CNOT, (0, 1))],
+], ids=["cnot", "swap", "cnot-rz-cnot"])
+def test_plateau_stop_changes_no_min_time_result(monkeypatch, gates):
+    # criterion 9's instructions: the same duration and pulse with the stop
+    # on and off, although the stop ends failed trials early
+    trials = []
+
+    def recording_grape(*args, **kwargs):
+        res = real_grape(*args, **kwargs)
+        trials.append((res.converged, res.iterations))
+        return res
+
+    real_grape = optctrl.grape_optimize
+    monkeypatch.setattr(optctrl, "grape_optimize", recording_grape)
+
+    def synthesize():
+        ocu = OptimalControlUnit(adjacency=lambda a, b: abs(a - b) == 1)
+        t, res, _ = ocu.synthesize(AggregatedInstruction(list(gates), 0))
+        return t, res
+
+    t_on, res_on = synthesize()
+    max_iters = OptimizerConfig().max_iters
+    assert any(not ok and its < max_iters for ok, its in trials)
+    monkeypatch.setattr(optctrl, "PLATEAU_RATE_FACTOR", None)
+    t_off, res_off = synthesize()
+    assert t_on == t_off
+    assert res_on.iterations == res_off.iterations
+    assert np.array_equal(res_on.pulses.amplitudes, res_off.pulses.amplitudes)
+
+
+def test_synthesis_failure_names_best_fidelity_once():
+    ocu = OptimalControlUnit(cfg=OptimizerConfig(max_iters=1, cap_ns=2.0))
+    with pytest.raises(ConvergenceError, match="pulse synthesis failed") as exc:
+        ocu.latency(AggregatedInstruction([Gate(GateName.CNOT, (0, 1))], 0))
+    assert str(exc.value).count("best fidelity") == 1
 
 
 def test_min_time_identity_is_zero(model1):

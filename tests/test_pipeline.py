@@ -70,7 +70,7 @@ def test_unknown_latency_mode_rejected():
 
 @pytest.mark.parametrize("flag, value", [("--fidelity", "1.5"), ("--fidelity", "0"),
                                          ("--dt", "0"), ("--mu-max", "-1"),
-                                         ("--mu-max", "0")])
+                                         ("--mu-max", "0"), ("--max-iters", "0")])
 def test_invalid_pulse_options_rejected(flag, value):
     field = flag[2:].replace("-", "_")
     with pytest.raises(ValueError, match=field):
