@@ -155,12 +155,13 @@ class OptimizerConfig:
 
 def _step_propagators(u: np.ndarray, m: HamiltonianModel):
     """Batched eigendecomposition of every step Hamiltonian."""
-    h = np.einsum("kn,kab->nab", u, m.ops)
+    (k, n), d = u.shape, m.dim
+    h = (u.T @ m.ops.reshape(k, d * d)).reshape(n, d, d)
     if np.max(np.abs(m.drift)) > 0:
-        h = h + m.drift[None, :, :]
+        h = h + m.drift
     lam, q = np.linalg.eigh(h)
     phase = np.exp(-1j * lam * m.dt)
-    steps = np.einsum("nab,nb,ncb->nac", q, phase, q.conj())
+    steps = (q * phase[:, None, :]) @ np.swapaxes(q.conj(), 1, 2)
     return steps, lam, q, phase
 
 
@@ -204,28 +205,26 @@ def _loss_and_gradient(u_amp: np.ndarray, m: HamiltonianModel,
     fwd[0] = np.eye(d)
     for j in range(n):
         fwd[j + 1] = steps[j] @ fwd[j]
-    bwd = np.empty((n + 1, d, d), dtype=complex)  # bwd[j] = U_N ... U_{j+1}
-    bwd[n] = np.eye(d)
-    for j in range(n - 1, -1, -1):
-        bwd[j] = bwd[j + 1] @ steps[j]
-
-    tau = np.trace(v_target.conj().T @ fwd[n])
+    vu = v_target.conj().T @ fwd[n]
+    tau = np.trace(vu)
     loss = 1.0 - (abs(tau) / d) ** 2
 
-    # divided differences of f(x) = exp(-i x dt) over step eigenvalues; on
-    # (near-)degenerate pairs, e.g. an idle qubit, they are the derivative
-    dlam = lam[:, :, None] - lam[:, None, :]
-    df = phase[:, :, None] - phase[:, None, :]
-    deriv = (-1j * m.dt * phase)[:, :, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(np.abs(dlam) > 1e-12, df / dlam, deriv)
+    # divided differences of f(x) = exp(-i x dt) over step eigenvalues, as
+    # -i dt e^{-i(la+lb)dt/2} sinc((la-lb)dt/2): free of cancellation, and
+    # the derivative on degenerate pairs, e.g. an idle qubit's
+    half = np.exp(-0.5j * m.dt * lam)
+    gap = 0.5 * m.dt * (lam[:, :, None] - lam[:, None, :])
+    phi = (-1j * m.dt * half[:, :, None] * half[:, None, :]
+           * np.sinc(gap / np.pi))
 
-    # W_j = F_{j-1} (V^dag B_j) and X = Q^dag W Q; the trace identity
-    # Tr(W Q (phi o Q^dag G_k Q) Q^dag) = sum_cd G_k[c, d] M[c, d]
+    # X_j = Q^dag F_{j-1} V^dag (U_N ... U_{j+1}) Q = A (V^dag U) A^dag
+    # diag(conj phase_j) with A = Q^dag F_{j-1}, since U_N ... U_{j+1} =
+    # U F_j^dag and F_j^dag Q = F_{j-1}^dag Q diag(conj phase_j); the trace
+    # identity Tr(X (phi o Q^dag G_k Q)) = sum_cd G_k[c, d] M[c, d]
     # with M = conj(Q) (X^T o phi) Q^T contracts each G_k once per step
     qt = np.swapaxes(q, 1, 2)
-    w = fwd[:n] @ v_target.conj().T @ bwd[1:]
-    x = qt.conj() @ w @ q
+    a = qt.conj() @ fwd[:n]
+    x = a @ vu @ np.swapaxes(a.conj(), 1, 2) * phase.conj()[:, None, :]
     mm = q.conj() @ (np.swapaxes(x, 1, 2) * phi) @ qt
     dtau = m.ops.reshape(-1, d * d) @ mm.reshape(n, d * d).T
     grad = (-2.0 / d ** 2) * np.real(np.conj(tau) * dtau)
@@ -284,7 +283,8 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
     project = PLATEAU_RATE_FACTOR is not None and anchor > 0 and target_loss > 0
 
     for it in range(1, cfg.max_iters + 1):
-        u = bounds * np.tanh(theta)
+        t = np.tanh(theta)
+        u = bounds * t
         loss, grad_u, _ = _loss_and_gradient(u, m, v_target)
         fid = 1.0 - loss
         if fid > best_fid:
@@ -299,7 +299,7 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
                     / (it - anchor) * (cfg.max_iters - it) > math.log(target_loss):
                 return GrapeResult(ControlPulses(best_u, m.dt), best_fid, it,
                                    False)
-        grad_theta = grad_u * bounds * (1.0 - np.tanh(theta) ** 2)
+        grad_theta = grad_u * bounds * (1.0 - t ** 2)
         m1 = beta1 * m1 + (1 - beta1) * grad_theta
         m2 = beta2 * m2 + (1 - beta2) * grad_theta ** 2
         mhat = m1 / (1 - beta1 ** it)
@@ -318,7 +318,7 @@ WARM_POLISH_STEP_FACTOR = 0.1
 
 def fingerprint(u: np.ndarray, extra: tuple = ()) -> tuple:
     """Cache key: matrix rounded to 1e-6 plus structural context."""
-    return (u.shape[0], np.round(u, 6).tobytes()) + extra
+    return (u.shape[0], (np.round(u, 6) + 0.0).tobytes()) + extra
 
 
 def min_time(v_target: np.ndarray, m: HamiltonianModel,

@@ -66,17 +66,25 @@ def chain_walk_can_contract(g, node_ids) -> tuple[bool, str]:
     return True, ""
 
 
-def einsum_gradient(u_amp: np.ndarray, m, v_target: np.ndarray) -> np.ndarray:
-    """Reference GRAPE gradient: the multi-operand einsum contraction through
-    the K x N x d x d tensor of channel operators in every step's eigenbasis.
-    Its divided differences are zero on degenerate pairs, so compare it only
-    at amplitudes whose step Hamiltonians have distinct eigenvalues."""
-    n, d = u_amp.shape[1], m.dim
+def einsum_steps(u_amp: np.ndarray, m):
+    """Reference step propagators U_j = Q_j diag(e^{-i lam_j dt}) Q_j^dag by
+    einsum over the channel operators; returns (steps, lam, q, phase, ops)."""
     ops = np.stack([2 * np.pi * ch.op for ch in m.channels])
     h = np.einsum("kn,kab->nab", u_amp, ops) + m.drift[None, :, :]
     lam, q = np.linalg.eigh(h)
     phase = np.exp(-1j * lam * m.dt)
     steps = np.einsum("nab,nb,ncb->nac", q, phase, q.conj())
+    return steps, lam, q, phase, ops
+
+
+def einsum_gradient(u_amp: np.ndarray, m, v_target: np.ndarray) -> np.ndarray:
+    """Reference GRAPE gradient: the multi-operand einsum contraction through
+    the K x N x d x d tensor of channel operators in every step's eigenbasis,
+    with backward products built step by step. Its divided differences are
+    zero on degenerate pairs, so compare it only at amplitudes whose step
+    Hamiltonians have distinct eigenvalues."""
+    n, d = u_amp.shape[1], m.dim
+    steps, lam, q, phase, ops = einsum_steps(u_amp, m)
     fwd = np.empty((n + 1, d, d), dtype=complex)
     fwd[0] = np.eye(d)
     for j in range(n):

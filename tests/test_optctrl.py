@@ -9,10 +9,10 @@ from pulsecc.gdg import AggregatedInstruction
 from pulsecc.optctrl import (BISECT_RESOLUTION_STEPS, ControlError,
                              ControlPulses, ConvergenceError, GrapeResult,
                              HamiltonianModel, OptimalControlUnit,
-                             OptimizerConfig, evolve, gradient, grape_optimize,
-                             infidelity, min_time)
+                             OptimizerConfig, evolve, fingerprint, gradient,
+                             grape_optimize, infidelity, min_time)
 
-from conftest import einsum_gradient
+from conftest import einsum_gradient, einsum_steps
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +57,31 @@ def test_evolve_unitary(model2):
     p = ControlPulses(rng.uniform(-0.02, 0.02, size=(7, 12)), model2.dt)
     u = evolve(p, model2)
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-8
+
+
+def _model(nq, coupling, rng):
+    """Line, all-to-all, or line-coupled with a random Hermitian drift."""
+    pairs = None if coupling == "all" else [(i, i + 1) for i in range(nq - 1)]
+    m = HamiltonianModel.build(nq, pairs)
+    if coupling == "drift":
+        h0 = rng.normal(size=(m.dim, m.dim)) + 1j * rng.normal(size=(m.dim, m.dim))
+        m = HamiltonianModel(nq, m.channels, m.dt, 0.05 * (h0 + h0.conj().T))
+    return m
+
+
+@pytest.mark.parametrize("nq", [1, 2, 3, 4])
+@pytest.mark.parametrize("coupling", ["line", "all", "drift"])
+def test_evolve_matches_einsum_steps(nq, coupling):
+    # every verification runs evolve, so it is pinned to the ordered
+    # product of the reference step propagators
+    rng = np.random.default_rng([nq, len(coupling), 1])
+    m = _model(nq, coupling, rng)
+    amps = rng.uniform(-1, 1, size=(len(m.channels), 40)) * m.bounds[:, None]
+    steps = einsum_steps(amps, m)[0]
+    ref = np.eye(m.dim, dtype=complex)
+    for s in steps:
+        ref = s @ ref
+    assert np.max(np.abs(evolve(ControlPulses(amps, m.dt), m) - ref)) <= 1e-12
 
 
 def central_fd(p, m, target, eps=1e-6):
@@ -105,23 +130,39 @@ def test_gradient_matches_finite_differences_with_idle_qubits(nq):
         assert np.max(np.abs(exact - approx)) / scale <= 1e-6
 
 
+def test_gradient_matches_finite_differences_near_degeneracy(model2):
+    # qubit 1 is driven by sz1 alone at 1e-11 GHz, so every step has
+    # eigenvalue pairs split by ~1e-10 rad/ns: the plain divided difference
+    # (e^{-i la dt} - e^{-i lb dt}) / (la - lb) cancels there
+    target = gate_unitary(Gate(GateName.CNOT, (0, 1)))
+    rng = np.random.default_rng(13)
+    amps = np.zeros((len(model2.channels), 6))
+    amps[:3] = rng.uniform(-0.05, 0.05, size=(3, 6))
+    amps[5] = 1e-11
+    p = ControlPulses(amps, model2.dt)
+    exact = gradient(p, model2, target)
+    approx = central_fd(p, model2, target)
+    assert np.max(np.abs(exact - approx)) / np.max(np.abs(approx)) <= 1e-8
+
+
 def _random_unitary(d, rng):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-@pytest.mark.parametrize("nq", [1, 2, 3, 4])
+# 220 steps is qaoa-triangle's 3-qubit fallback: the gradient derives its
+# backward products from the forward ones, and long pulses build up the
+# rounding error of that most
+@pytest.mark.parametrize("nq, steps", [(1, 12), (2, 12), (3, 12), (4, 12),
+                                       (3, 220), (4, 220)],
+                         ids=["1", "2", "3", "4", "3x220", "4x220"])
 @pytest.mark.parametrize("coupling", ["line", "all", "drift"])
-def test_gradient_matches_einsum_reference(nq, coupling):
-    pairs = None if coupling == "all" else [(i, i + 1) for i in range(nq - 1)]
-    m = HamiltonianModel.build(nq, pairs)
+def test_gradient_matches_einsum_reference(nq, steps, coupling):
     rng = np.random.default_rng([nq, len(coupling)])
-    if coupling == "drift":
-        h0 = rng.normal(size=(m.dim, m.dim)) + 1j * rng.normal(size=(m.dim, m.dim))
-        m = HamiltonianModel(nq, m.channels, m.dt, 0.05 * (h0 + h0.conj().T))
+    m = _model(nq, coupling, rng)
     target = _random_unitary(m.dim, rng)
-    amps = rng.uniform(-1, 1, size=(len(m.channels), 12)) * m.bounds[:, None]
+    amps = rng.uniform(-1, 1, size=(len(m.channels), steps)) * m.bounds[:, None]
     exact = gradient(ControlPulses(amps, m.dt), m, target)
     ref = einsum_gradient(amps, m, target)
     assert np.max(np.abs(exact - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -259,6 +300,15 @@ def test_pulse_json_roundtrip(model1):
     q = ControlPulses.from_json(p.to_json(model1))
     assert q.dt == p.dt
     assert np.allclose(q.amplitudes, p.amplitudes)
+
+
+def test_fingerprint_ignores_the_sign_of_zero():
+    # rounding maps -1e-17 to -0.0, whose bytes differ from 0.0's
+    eye = np.eye(2, dtype=complex)
+    tiny = eye.copy()
+    tiny[0, 1] = -1e-17 - 1e-17j
+    assert fingerprint(tiny) == fingerprint(eye)
+    assert fingerprint(eye + 1e-5) != fingerprint(eye)
 
 
 def test_ocu_caches_repeated_instructions():
