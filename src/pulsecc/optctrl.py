@@ -27,6 +27,9 @@ TWO_PI = 2.0 * math.pi
 PLATEAU_RATE_FACTOR = 3.0
 
 _XY = 0.5 * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y))
+# magic basis: local unitaries turn real orthogonal, local Hermitians imaginary
+_MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1],
+                   [1, -1j, 0, 0]]) / math.sqrt(2)
 
 
 class ControlError(RuntimeError):
@@ -321,6 +324,51 @@ def fingerprint(u: np.ndarray, extra: tuple = ()) -> tuple:
     return (u.shape[0], (np.round(u, 6) + 0.0).tobytes()) + extra
 
 
+def _weyl_coordinates(u: np.ndarray) -> np.ndarray:
+    """Weyl coordinates c1 >= c2 >= |c3|, c1 <= pi/4, of a 2-qubit unitary:
+    pair sums of lambda / 2, 2 lambda the eigenphases of M^T M for M = u /
+    det(u)^(1/4) in the magic basis, folded by local equivalences."""
+    mm = _MAGIC.conj().T @ (u / np.linalg.det(u) ** 0.25) @ _MAGIC
+    lam = np.angle(np.linalg.eigvals(mm.T @ mm)) / 2
+    lam[3] = -lam[:3].sum()
+    c = (lam[[0, 1, 0]] + lam[[1, 2, 2]]) / 2
+    return np.sort(np.abs(c - math.pi / 2 * np.round(c / (math.pi / 2))))[::-1]
+
+
+def min_time_bound(v_target: np.ndarray, m: HamiltonianModel,
+                   fidelity: float) -> float:
+    """Duration (ns) below which no pulse on m reaches fidelity with v_target.
+
+    0 unless m has 2 qubits, zero drift and only 1-qubit and XY channels: a
+    member's bound is no bound for a merge (CNOT.CNOT = I). With free local
+    control the least time to U is theta(U) / (pi mu), theta = max(c1,
+    (c1 + c2 + |c3|) / 2): U's Weyl coordinates must be special-majorized
+    by t (pi mu, pi mu, 0), the Cartan coefficients of H = pi mu (XX + YY)
+    (Khaneja et al., PRA 63, 032308, 2001; Vidal et al., PRL 88, 237902,
+    2002). A D ns pulse reaching U with F(U, V) >= f gives theta(V) <= pi mu
+    D + theta(W), W = U^dag V, F(W, I) >= f. Over W's local class |Tr W|^2
+    / 16 peaks at the canonical gate (Horn's theorem on diagonals of SO(4)),
+    at 1 - S + P <= 1 - S + S^2 / 3, S = sum sin^2 c_i, so S <= S* = (3 -
+    sqrt(9 - 12 (1 - f))) / 2 and theta(W) <= delta = arcsin(sqrt(S*)) by
+    concavity, or pi/2 > every theta if S* > 1. So D >= (theta(V) - delta)
+    / (pi mu): 0.503 ns under the exact bound at f = 0.999, mu = 0.02 GHz.
+    """
+    if m.num_qubits != 2 or np.any(m.drift):
+        return 0.0
+    mu = 0.0
+    for ch in m.channels:
+        if np.allclose(ch.op, _XY):
+            mu = max(mu, ch.bound)
+        elif np.abs((_MAGIC.conj().T @ ch.op @ _MAGIC).real).max() > 1e-9:
+            return 0.0
+    c = _weyl_coordinates(v_target)
+    s = (3.0 - math.sqrt(max(0.0, 9.0 - 12.0 * (1.0 - fidelity)))) / 2.0
+    angle = max(c[0], c.sum() / 2) - math.asin(min(1.0, math.sqrt(s)))
+    if angle <= 0:
+        return 0.0
+    return angle / (math.pi * mu) if mu > 0 else math.inf
+
+
 def min_time(v_target: np.ndarray, m: HamiltonianModel,
              cfg: OptimizerConfig | None = None,
              fallback_amplitudes: np.ndarray | None = None
@@ -342,6 +390,10 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     and the result can exceed it. The schedule-level guarantee that
     aggregation never lengthens a compile comes from compile_circuit, which
     keeps the unaggregated schedule when it is shorter.
+
+    A trial shorter than min_time_bound cannot converge, so it counts as
+    failed without running; the search path and result are unchanged. A
+    bound over cap_ns, inf with no coupling, raises ConvergenceError at once.
     """
     cfg = cfg or OptimizerConfig()
     fid0 = 1.0 - infidelity(np.eye(m.dim, dtype=complex), v_target)
@@ -349,23 +401,28 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
         return 0.0, GrapeResult(ControlPulses(
             np.zeros((len(m.channels), 0)), m.dt), fid0, 0, True)
 
+    t_min = min_time_bound(v_target, m, cfg.fidelity_threshold)
+    if t_min > cfg.cap_ns:
+        raise ConvergenceError(f"the {t_min:.2f} ns minimum-time bound exceeds "
+                               f"the {cfg.cap_ns} ns cap", fid0)
     fb = fallback_amplitudes
     polish_cfg = replace(cfg, step_size=cfg.step_size * WARM_POLISH_STEP_FACTOR)
     fb_steps = fb.shape[1] if fb is not None else None
     steps = BISECT_RESOLUTION_STEPS
-    best_fail = -1.0
+    best_fail = fid0
     success = None
     while steps * m.dt <= cfg.cap_ns:
         n_try, init, trial_cfg = steps, None, cfg
         if fb is not None and fb_steps <= steps:
             n_try, init, trial_cfg = fb_steps, fb, polish_cfg
             fb = None
-        res = grape_optimize(v_target, m, n_try * m.dt, trial_cfg,
-                             init_amplitudes=init)
-        if res.converged:
-            success = (n_try, res)
-            break
-        best_fail = max(best_fail, res.fidelity)
+        if n_try * m.dt >= t_min:
+            res = grape_optimize(v_target, m, n_try * m.dt, trial_cfg,
+                                 init_amplitudes=init)
+            if res.converged:
+                success = (n_try, res)
+                break
+            best_fail = max(best_fail, res.fidelity)
         if init is None:
             steps *= 2
     if success is None:
@@ -379,6 +436,9 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     while hi - lo > res_steps:
         # on the grid, and short of hi even when a fallback's hi is not
         mid = lo + max(1, (hi - lo) // (2 * res_steps)) * res_steps
+        if mid * m.dt < t_min:
+            lo = mid
+            continue
         warm = best.pulses.amplitudes[:, :mid]
         res = grape_optimize(v_target, m, mid * m.dt, cfg, init_amplitudes=warm)
         if res.converged:

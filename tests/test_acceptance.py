@@ -19,7 +19,8 @@ from pulsecc.mapper import (Topology, build_interaction_graph, initial_mapping,
                             permutation_operator, route_swaps)
 from pulsecc.optctrl import (ControlPulses, HamiltonianModel,
                              OptimalControlUnit, OptimizerConfig, evolve,
-                             gradient, infidelity, min_time)
+                             gradient, infidelity, min_time,
+                             min_time_bound)
 from pulsecc.pipeline import CompileOptions, compile_circuit
 from pulsecc.scheduler import (ComputationalGraph, cls_schedule, list_schedule,
                                max_matching)
@@ -116,6 +117,23 @@ def test_criterion_3_bench_speedups_and_ordering(capfd, line_ocu,
     elapsed = time.time() - t0
     report(capfd, 3, "bench speedups >= 1.5x and isa >= cls >= cls+agg "
            f"({', '.join(detail)})", ok and elapsed < 1800, elapsed)
+
+
+def test_two_qubit_pulses_respect_min_time_bound(line_ocu):
+    # after criteria 2 and 3 the shared cache holds every 2-qubit pulse they
+    # synthesized; none may beat the relaxed minimum-time bound of its target,
+    # whose rounded matrix the cache key carries
+    if not line_ocu.cache:
+        compile_circuit(qaoa_triangle(), CompileOptions(
+            strategy="cls+agg", max_width=3), ocu=line_ocu)
+    checked = 0
+    for key, (duration, _, model) in line_ocu.cache.items():
+        if model.num_qubits == 2:
+            target = np.frombuffer(key[1], dtype=complex).reshape(4, 4)
+            bound = min_time_bound(target, model, 0.999)
+            assert duration >= bound, (duration, bound)
+            checked += 1
+    assert checked > 0
 
 
 def test_criterion_4_commutation_oracle(capfd, rng):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from pulsecc import optctrl
-from pulsecc.gates import Gate, GateName, gate_unitary
+from pulsecc.gates import Gate, GateName, gate_unitary, gates_unitary
 from pulsecc.gdg import AggregatedInstruction
 from pulsecc.optctrl import (BISECT_RESOLUTION_STEPS, ControlError,
                              ControlPulses, ConvergenceError, GrapeResult,
                              HamiltonianModel, OptimalControlUnit,
-                             OptimizerConfig, evolve, fingerprint, gradient,
-                             grape_optimize, infidelity, min_time)
+                             OptimizerConfig, _weyl_coordinates, evolve,
+                             fingerprint, gradient, grape_optimize,
+                             infidelity, min_time, min_time_bound)
 
 from conftest import einsum_gradient, einsum_steps
 
@@ -239,12 +240,14 @@ def test_plateau_stop_without_anchor_or_reachable_target(model2, max_iters,
     assert not res.converged and res.iterations == max_iters
 
 
-@pytest.mark.parametrize("gates", [
-    [Gate(GateName.CNOT, (0, 1))],
-    [Gate(GateName.SWAP, (0, 1))],
-    [Gate(GateName.CNOT, (0, 1)), Gate(GateName.RZ, (1,), (5.67,)),
-     Gate(GateName.CNOT, (0, 1))],
-], ids=["cnot", "swap", "cnot-rz-cnot"])
+ZZ_BLOCK = [Gate(GateName.CNOT, (0, 1)), Gate(GateName.RZ, (1,), (5.67,)),
+            Gate(GateName.CNOT, (0, 1))]
+CRITERION_9 = pytest.mark.parametrize(
+    "gates", [[Gate(GateName.CNOT, (0, 1))], [Gate(GateName.SWAP, (0, 1))],
+              ZZ_BLOCK], ids=["cnot", "swap", "cnot-rz-cnot"])
+
+
+@CRITERION_9
 def test_plateau_stop_changes_no_min_time_result(monkeypatch, gates):
     # criterion 9's instructions: the same duration and pulse with the stop
     # on and off, although the stop ends failed trials early
@@ -263,6 +266,9 @@ def test_plateau_stop_changes_no_min_time_result(monkeypatch, gates):
         t, res, _ = ocu.synthesize(AggregatedInstruction(list(gates), 0))
         return t, res
 
+    # the minimum-time bound skips every failing SWAP trial, so it is off
+    # here to leave failed trials for the stop to end
+    monkeypatch.setattr(optctrl, "min_time_bound", lambda *args: 0.0)
     t_on, res_on = synthesize()
     max_iters = OptimizerConfig().max_iters
     assert any(not ok and its < max_iters for ok, its in trials)
@@ -271,6 +277,143 @@ def test_plateau_stop_changes_no_min_time_result(monkeypatch, gates):
     assert t_on == t_off
     assert res_on.iterations == res_off.iterations
     assert np.array_equal(res_on.pulses.amplitudes, res_off.pulses.amplitudes)
+
+
+@CRITERION_9
+def test_min_time_bound_changes_no_min_time_result(monkeypatch, gates):
+    # the bound only skips trials that cannot converge: the same duration,
+    # iterations and pulse with it on and off, in fewer GRAPE runs
+    calls = []
+
+    def counting_grape(*args, **kwargs):
+        calls.append(args[2])
+        return real_grape(*args, **kwargs)
+
+    real_grape = optctrl.grape_optimize
+    monkeypatch.setattr(optctrl, "grape_optimize", counting_grape)
+
+    def synthesize():
+        calls.clear()
+        ocu = OptimalControlUnit(adjacency=lambda a, b: abs(a - b) == 1)
+        t, res, _ = ocu.synthesize(AggregatedInstruction(list(gates), 0))
+        return t, res, len(calls)
+
+    t_on, res_on, runs_on = synthesize()
+    monkeypatch.setattr(optctrl, "min_time_bound", lambda *args: 0.0)
+    t_off, res_off, runs_off = synthesize()
+    assert t_on == t_off
+    assert res_on.iterations == res_off.iterations
+    assert np.array_equal(res_on.pulses.amplitudes, res_off.pulses.amplitudes)
+    assert runs_on < runs_off
+
+
+def _haar(n, rng):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+QUARTER = math.pi / 4
+
+
+@pytest.mark.parametrize("gates, coords, exact, relaxed", [
+    ([Gate(GateName.CNOT, (0, 1))], (QUARTER, 0, 0), 12.5, 11.99654),
+    ([Gate(GateName.SWAP, (0, 1))], (QUARTER,) * 3, 18.75, 18.24654),
+    ([Gate(GateName.ISWAP, (0, 1))], (QUARTER, QUARTER, 0), 12.5, 11.99654),
+    (ZZ_BLOCK, (math.pi - 2.835, 0, 0), 4.87957, 4.37611),
+    ([Gate(GateName.H, (0,)), Gate(GateName.RX, (1,), (0.3,))], (0, 0, 0),
+     0.0, 0.0),
+], ids=["cnot", "swap", "iswap", "zz-5.67", "local"])
+def test_min_time_bound_reference_values(model2, gates, coords, exact,
+                                         relaxed):
+    # c1 / (pi mu) for CNOT and iSWAP, (c1 + c2 + c3) / (2 pi mu) for SWAP,
+    # and 0.50346 ns less in the 0.999 fidelity ball
+    u = gates_unitary(gates, [0, 1])
+    assert np.allclose(_weyl_coordinates(u), coords, atol=1e-9)
+    assert min_time_bound(u, model2, 1.0) == pytest.approx(exact, abs=1e-5)
+    assert min_time_bound(u, model2, 0.999) == pytest.approx(relaxed, abs=1e-5)
+
+
+def test_weyl_coordinates_invariant_under_local_unitaries():
+    rng = np.random.default_rng(9)
+    targets = [_haar(4, rng) for _ in range(4)] + [
+        gate_unitary(Gate(name, (0, 1)))
+        for name in (GateName.CNOT, GateName.SWAP, GateName.ISWAP)]
+    for i in range(200):
+        u = targets[i % len(targets)]
+        k1 = np.kron(_haar(2, rng), _haar(2, rng))
+        k2 = np.kron(_haar(2, rng), _haar(2, rng))
+        v = np.exp(2j * math.pi * rng.random()) * k1 @ u @ k2
+        assert np.allclose(_weyl_coordinates(v), _weyl_coordinates(u),
+                           atol=1e-7)
+
+
+def test_min_time_bound_is_zero_off_two_qubit_xy_models():
+    # with drift the coordinates bound nothing, and a member's bound is no
+    # bound for a wider merge: CNOT.CNOT = I
+    rng = np.random.default_rng(4)
+    cnot = gate_unitary(Gate(GateName.CNOT, (0, 1)))
+    drifted = _model(2, "drift", rng)
+    assert min_time_bound(cnot, drifted, 0.999) == 0.0
+    m3 = HamiltonianModel.build(3)
+    assert min_time_bound(np.kron(cnot, np.eye(2)), m3, 0.999) == 0.0
+    zz = HamiltonianModel(2, HamiltonianModel.build(2, []).channels + [
+        optctrl.Channel("zz", (0, 1), np.diag([1, -1, -1, 1]).astype(complex),
+                        0.02)])
+    assert min_time_bound(cnot, zz, 0.999) == 0.0
+    assert min_time_bound(cnot, HamiltonianModel.build(2, []), 0.999) \
+        == math.inf
+
+
+@pytest.mark.parametrize("f", [0.99, 0.999])
+def test_fidelity_ball_needs_at_most_delta(model2, f):
+    # every W = exp(iG) with F(W, I) >= f has an exact bound of at most
+    # delta(f), which is how much the relaxed bound gives up
+    s_star = (3 - math.sqrt(9 - 12 * (1 - f))) / 2
+    delta = math.asin(math.sqrt(s_star)) / (math.pi * optctrl.MU_MAX_DEFAULT)
+    rng = np.random.default_rng(int(f * 1000))
+    worst = 0.0
+    for _ in range(2000):
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        lam, q = np.linalg.eigh(h + h.conj().T)
+
+        def fid(r):
+            return abs(np.exp(1j * r * lam).sum()) ** 2 / 16
+
+        lo, hi = 0.0, 0.01
+        while fid(hi) >= f:
+            lo, hi = hi, 2 * hi
+        for _ in range(40):   # onto the sphere F(W, I) = f
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if fid(mid) >= f else (lo, mid)
+        w = (q * np.exp(1j * lo * lam)) @ q.conj().T
+        assert 1 - infidelity(w, np.eye(4)) >= f - 1e-12
+        worst = max(worst, min_time_bound(w, model2, 1.0))
+    assert 0 < worst <= delta
+
+
+def test_unreachable_target_fails_before_any_trial(monkeypatch, model2):
+    def boom(*args, **kwargs):
+        raise AssertionError("GRAPE ran for an unreachable target")
+
+    monkeypatch.setattr(optctrl, "grape_optimize", boom)
+    ocu = OptimalControlUnit(adjacency=lambda a, b: False)
+    with pytest.raises(ConvergenceError, match="inf ns minimum-time bound"):
+        ocu.latency(AggregatedInstruction([Gate(GateName.CNOT, (0, 1))], 0))
+    cnot = gate_unitary(Gate(GateName.CNOT, (0, 1)))
+    with pytest.raises(ConvergenceError, match="12.00 ns minimum-time bound"
+                       ) as exc:
+        min_time(cnot, model2, OptimizerConfig(cap_ns=10.0))
+    assert exc.value.best_fidelity == pytest.approx(0.25)
+
+
+def test_failure_without_trials_reports_identity_fidelity(model1):
+    # a cap below the first rung runs no trial: the best fidelity is the
+    # zero pulse's, not a placeholder
+    x = gate_unitary(Gate(GateName.X, (0,)))
+    with pytest.raises(ConvergenceError) as exc:
+        min_time(x, model1, OptimizerConfig(cap_ns=1.0))
+    assert exc.value.best_fidelity == 0.0
 
 
 def test_synthesis_failure_names_best_fidelity_once():
