@@ -67,7 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _options(args) -> CompileOptions:
-    topo = Topology.parse(args.topology) if args.topology else None
+    try:
+        topo = Topology.parse(args.topology) if args.topology else None
+    except MappingError as e:  # a malformed spec is a bad option, not a routing error
+        raise ValueError(str(e)) from None
     return CompileOptions(
         strategy=args.strategy, topology=topo, max_width=args.max_width,
         latency_mode=args.latency, dt=args.dt, mu_max=args.mu_max,

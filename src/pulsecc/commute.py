@@ -46,6 +46,15 @@ def commutes(a, b, tol: float = TOL_COMMUTE,
     return CommutationVerdict(residual <= tol, residual)
 
 
+def _shape(gates, pos: dict[int, int]) -> tuple:
+    """Everything embed reads of each gate, operands as positions in the
+    sorted context: equal shapes embed to equal matrices entry for entry."""
+    return tuple((gt.name, gt.params, tuple(pos[q] for q in gt.qubits),
+                  None if gt.custom_matrix is None
+                  else np.asarray(gt.custom_matrix, dtype=complex).tobytes())
+                 for gt in gates)
+
+
 def is_diagonal(u: np.ndarray, tol: float = TOL_DIAG) -> bool:
     off = u - np.diag(np.diag(u))
     return bool(np.max(np.abs(off)) <= tol)
@@ -74,16 +83,28 @@ def build_commutation_groups(g: GDG, tol: float = TOL_COMMUTE) -> CommutationGro
     """Greedy left-to-right grouping per qubit.
 
     A gate joins the current group iff it commutes (on the joint context)
-    with every member; otherwise a new group starts.
+    with every member; otherwise a new group starts.  The oracle is asked
+    once per pair of shapes; later pairs of the same shapes reuse its verdict.
     """
+    verdicts: dict[tuple, bool] = {}
+
+    def commute(a: AggregatedInstruction, b: AggregatedInstruction) -> bool:
+        qa, qb = set(a.qubits), set(b.qubits)
+        if not qa & qb:
+            return True
+        pos = {q: i for i, q in enumerate(sorted(qa | qb))}
+        key = (len(pos), _shape(a.gates, pos), _shape(b.gates, pos))
+        if key not in verdicts:
+            verdicts[key] = commutes(a, b, tol).commutes
+        return verdicts[key]
+
     groups: dict[int, list[list[int]]] = {}
     for q, path in g.qubit_paths().items():
         qgroups: list[list[int]] = []
         for nid in path:
             ins = g.nodes[nid].instruction
-            if qgroups and all(
-                    commutes(g.nodes[m].instruction, ins, tol).commutes
-                    for m in qgroups[-1]):
+            if qgroups and all(commute(g.nodes[m].instruction, ins)
+                               for m in qgroups[-1]):
                 qgroups[-1].append(nid)
             else:
                 qgroups.append([nid])
@@ -138,10 +159,12 @@ def detect_diagonal_blocks(g: GDG, window_cap: int = DIAG_WINDOW_CAP,
     One pass per interacting qubit pair: from each node of a run, the longest
     window of 2 or more nodes and at most window_cap gates whose product is
     diagonal becomes a single node, and the scan resumes after it.  A slice
-    of a legal run is legal.  Mutates and returns g.
+    of a legal run is legal.  Each gate shape is embedded once.  Mutates and
+    returns g.
     """
+    embedded: dict[tuple, np.ndarray] = {}
     for pair in _interacting_pairs(g):
-        ctx = list(pair)
+        ctx, pos = list(pair), {pair[0]: 0, pair[1]: 1}
         for run in _pair_runs(g, pair):
             i = 0
             while i < len(run):
@@ -151,8 +174,10 @@ def detect_diagonal_blocks(g: GDG, window_cap: int = DIAG_WINDOW_CAP,
                     count += len(gates)
                     if count > window_cap:
                         break
-                    for gt in gates:
-                        u = embed(gt, ctx) @ u
+                    for gt, key in zip(gates, _shape(gates, pos)):
+                        if key not in embedded:
+                            embedded[key] = embed(gt, ctx)
+                        u = embedded[key] @ u
                     if j > i and is_diagonal(u, tol):
                         end = j + 1
                 if end:

@@ -68,6 +68,8 @@ class Gate:
     def __post_init__(self):
         if len(set(self.qubits)) != len(self.qubits):
             raise GateError(f"{self.name.value}: duplicate qubit operands {self.qubits}")
+        if not all(math.isfinite(p) for p in self.params):
+            raise GateError(f"{self.name.value}: non-finite parameter in {self.params}")
         if self.name is GateName.CUSTOM:
             if self.custom_matrix is None:
                 raise GateError("CUSTOM gate requires an explicit matrix")

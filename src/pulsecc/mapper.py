@@ -23,6 +23,10 @@ class Topology:
     rows: int
     cols: int
 
+    def __post_init__(self):
+        if self.rows < 1 or self.cols < 1:
+            raise MappingError(f"grid {self.rows}x{self.cols} needs rows and cols >= 1")
+
     @property
     def num_sites(self) -> int:
         return self.rows * self.cols

@@ -46,6 +46,13 @@ def test_parse_errors_carry_position():
         parse_asm("")
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_non_finite_angle_is_parse_error(angle):
+    with pytest.raises(ParseError, match="non-finite") as e:
+        parse_asm(f"qubits 2;\nh q1;  rz({angle}) q0;")
+    assert (e.value.line, e.value.col) == (2, 8)
+
+
 def test_roundtrip_preserves_semantics(rng):
     for _ in range(10):
         c = random_circuit(3, 12, rng)

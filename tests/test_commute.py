@@ -205,3 +205,78 @@ def test_detection_matches_restart_loop_reference(rng):
         assert graph_signature(got) == graph_signature(want)
         merged += len(c.gates) - len(got.real_nodes())
     assert merged > 100
+
+
+def greedy_groups_reference(g):
+    """Reference grouping: per qubit, a node joins the current group iff the
+    oracle says it commutes with every member, asked afresh for every pair."""
+    groups = {}
+    for q, path in g.qubit_paths().items():
+        qgroups = []
+        for nid in path:
+            ins = g.nodes[nid].instruction
+            if qgroups and all(commutes(g.nodes[m].instruction, ins).commutes
+                               for m in qgroups[-1]):
+                qgroups[-1].append(nid)
+            else:
+                qgroups.append([nid])
+        groups[q] = qgroups
+    return groups
+
+
+def shape_rich_circuit(n, num_gates, rng):
+    """Few gate shapes on many wires: the same gate on different wires and
+    with different params (at 2 pi, rx and rz are -I and cphase is I),
+    CNOT(a, b) beside CNOT(b, a), and CUSTOM gates, one of them a CNOT
+    matrix and one a diagonal given as a real array."""
+    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    phases = np.diag(np.exp(1j * np.array([0.0, 0.3, 0.3, 1.2])))
+    haar = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    c = Circuit(n)
+    for _ in range(num_gates):
+        a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
+        kind = int(rng.integers(10))
+        if kind == 0:
+            c.add(GateName.CNOT, a, b)
+            c.add(GateName.CNOT, b, a)
+        elif kind == 1:
+            c.add(GateName.CNOT, a, b)
+        elif kind == 2:
+            c.add(GateName.RZ, a, params=(float(rng.choice([0.5, 2.0, 2 * np.pi])),))
+        elif kind == 3:
+            c.add(GateName.RX, a, params=(float(rng.choice([0.5, 2 * np.pi])),))
+        elif kind == 4:
+            c.add(GateName.CPHASE, a, b, params=(float(rng.choice([0.5, 1.5, 2 * np.pi])),))
+        elif kind == 5:
+            c.add(GateName.H, a)
+        elif kind == 6:
+            c.add(GateName.CUSTOM, a, b, matrix=cnot)
+        elif kind == 7:
+            c.add(GateName.CUSTOM, a, b, matrix=phases)
+        elif kind == 8:
+            c.add(GateName.CUSTOM, a, b, matrix=haar)
+        else:
+            c.add(GateName.CUSTOM, a, matrix=np.diag([1.0, -1.0]))
+    return c
+
+
+def test_groups_match_pairwise_oracle_reference(rng):
+    # the same pattern on two wire pairs; only the rx angle tells them apart
+    twins = Circuit(4)
+    for a, b, angle in ((0, 1, 0.5), (2, 3, 2 * np.pi)):
+        twins.add(GateName.H, a)
+        twins.add(GateName.RX, a, params=(angle,))
+        twins.add(GateName.CNOT, a, b)
+    circuits = [qaoa_triangle(), twins]
+    for _ in range(30):
+        circuits.append(shape_rich_circuit(int(rng.integers(2, 7)),
+                                           int(rng.integers(8, 40)), rng))
+    shared = 0
+    for i, c in enumerate(circuits):
+        g = build_gdg(c)
+        if i % 2:
+            detect_diagonal_blocks(g)  # multi-gate instructions too
+        got = build_commutation_groups(g).groups
+        assert got == greedy_groups_reference(g)
+        shared += sum(len(grp) - 1 for grps in got.values() for grp in grps)
+    assert shared > 100

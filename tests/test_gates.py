@@ -53,6 +53,11 @@ def test_gate_validation():
         Gate(GateName.CUSTOM, (0,))      # missing matrix
     with pytest.raises(GateError):
         Gate(GateName.CUSTOM, (0, 1), (), np.eye(2))  # wrong shape
+    for angle in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(GateError, match="non-finite"):
+            Gate(GateName.RX, (0,), (angle,))
+        with pytest.raises(GateError, match="non-finite"):
+            Gate(GateName.CPHASE, (0, 1), (angle,))
 
 
 def test_embed_matches_kron_for_msb_gate():

@@ -38,6 +38,10 @@ def test_topology_parse():
         Topology.parse("ring:5")
     with pytest.raises(MappingError):
         Topology.parse("grid:2")
+    with pytest.raises(MappingError):
+        Topology.parse("grid:-2x-3")
+    with pytest.raises(MappingError):
+        Topology(0, 3)
 
 
 def brute_min_cut(gr, k):

@@ -175,11 +175,24 @@ def test_cli_compile_table(tmp_path, capsys):
     assert "makespan" in capsys.readouterr().out
 
 
-def test_cli_parse_error(tmp_path):
+def test_cli_parse_error(tmp_path, capsys):
     src = tmp_path / "bad.qasm"
     src.write_text("qubits 2;\nwarp q0;\n")
     assert cli.main(["compile", str(src)]) == cli.EXIT_PARSE
     assert cli.main(["compile", str(tmp_path / "missing.qasm")]) == cli.EXIT_PARSE
+    src.write_text("qubits 2;\nrx(nan) q0; cnot q0 q1;\n")
+    rc = cli.main(["compile", str(src), "--strategy", "cls", "--latency", "table"])
+    assert rc == cli.EXIT_PARSE
+    assert "line 2, col 1: rx: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["grid:3", "ring:2x2", "grid:0x3", "grid:-2x-3"])
+def test_cli_bad_topology_is_parse_error(tmp_path, spec):
+    src = tmp_path / "prog.qasm"
+    src.write_text("qubits 2;\nh q0; cnot q0 q1;\n")
+    rc = cli.main(["compile", str(src), "--latency", "table",
+                   "--strategy", "isa", "--topology", spec])
+    assert rc == cli.EXIT_PARSE
 
 
 def test_cli_routing_error(tmp_path):
