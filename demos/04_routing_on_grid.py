@@ -46,7 +46,7 @@ def main():
                            list(range(n)))
     p = permutation_operator(n, [result.initial_mapping[q] for q in range(6)],
                              [result.final_mapping[q] for q in range(6)])
-    ok = phases_equal(circuit_unitary(result.circuit), p @ u_init)
+    ok = phases_equal(circuit_unitary(result.gdg.flatten()), p @ u_init)
     print(f"semantics preserved up to the reported permutation: {ok}")
 
 

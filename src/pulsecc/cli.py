@@ -3,8 +3,9 @@
 `pulsecc compile <file.qasm>` compiles an assembly file; `pulsecc bench
 <name>` generates and compiles a named benchmark circuit.
 
-Exit codes: 0 success, 2 parse error or invalid option, 3 mapping/routing
-error, 4 pulse-optimizer non-convergence, 5 verification failure.
+Exit codes: 0 success, 2 parse error or invalid option (aggregation with
+table latency and a qubit count below 1 included), 3 mapping/routing error,
+4 pulse-optimizer non-convergence, 5 verification failure.
 """
 from __future__ import annotations
 

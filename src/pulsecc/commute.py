@@ -60,23 +60,10 @@ def is_diagonal(u: np.ndarray, tol: float = TOL_DIAG) -> bool:
     return bool(np.max(np.abs(off)) <= tol)
 
 
+@dataclass
 class CommutationGroupTable:
     """Per qubit, an ordered list of groups of mutually commuting node ids."""
-
-    def __init__(self, groups: dict[int, list[list[int]]]):
-        self.groups = groups
-        self._index: dict[int, dict[int, int]] = {
-            q: {nid: gi for gi, grp in enumerate(lst) for nid in grp}
-            for q, lst in groups.items()
-        }
-
-    def group_index(self, qubit: int, nid: int) -> int:
-        return self._index[qubit][nid]
-
-    def co_grouped(self, a: int, b: int, shared_qubits) -> bool:
-        """Two gates commute iff co-grouped on every qubit they share."""
-        return all(self.group_index(q, a) == self.group_index(q, b)
-                   for q in shared_qubits)
+    groups: dict[int, list[list[int]]]
 
 
 def build_commutation_groups(g: GDG, tol: float = TOL_COMMUTE) -> CommutationGroupTable:

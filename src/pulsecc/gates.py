@@ -184,6 +184,9 @@ class Circuit:
     name: str = ""
 
     def __post_init__(self):
+        if self.num_qubits < 1:
+            raise GateError(f"a circuit needs at least 1 qubit, "
+                            f"not {self.num_qubits}")
         for g in self.gates:
             self._check(g)
 

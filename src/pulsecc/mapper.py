@@ -289,7 +289,6 @@ def permutation_operator(n: int, src: list[int], dst: list[int]) -> np.ndarray:
 @dataclass
 class RoutingResult:
     gdg: GDG                      # routed GDG over physical sites
-    circuit: Circuit              # routed circuit over physical sites
     initial_mapping: dict[int, int]
     final_mapping: dict[int, int]
     swap_count: int
@@ -305,7 +304,6 @@ def route_swaps(sched: Schedule, g: GDG, mapping: dict[int, int],
     """
     log2phys = dict(mapping)
     phys2log = {s: q for q, s in log2phys.items()}
-    routed = Circuit(topo.num_sites)
     out = GDG(topo.num_sites)
     last: dict[int, int] = {}
     swap_count = 0
@@ -320,7 +318,6 @@ def route_swaps(sched: Schedule, g: GDG, mapping: dict[int, int],
             log2phys[lb] = sa
         phys2log[sa], phys2log[sb] = lb, la
         gate = Gate(GateName.SWAP, (sa, sb))
-        routed.append(gate)
         out.add_instruction(AggregatedInstruction([gate], seq=seq), last)
         seq += 1
         swap_count += 1
@@ -343,8 +340,7 @@ def route_swaps(sched: Schedule, g: GDG, mapping: dict[int, int],
                 sa, sb = log2phys[qs[0]], log2phys[qs[1]]
         remapped = ins.remap({q: log2phys[q] for q in qs})
         remapped.seq = seq
-        routed.gates.extend(remapped.gates)
         out.add_instruction(remapped, last)
         seq += 1
 
-    return RoutingResult(out, routed, dict(mapping), dict(log2phys), swap_count)
+    return RoutingResult(out, dict(mapping), dict(log2phys), swap_count)

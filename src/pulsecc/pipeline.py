@@ -2,9 +2,11 @@
 latency comparison, and artifact emission.
 
 Stages: parse -> dependence graph -> [diagonal-block detection] ->
-commutation groups -> logical schedule -> placement -> SWAP routing ->
-[instruction aggregation] -> final durations -> final schedule -> pulse
-synthesis -> verification of every pulse.
+commutation groups -> placement -> logical schedule -> SWAP routing ->
+final durations -> [instruction aggregation] -> final schedule -> pulse
+synthesis -> verification of every pulse -> isa baseline.  The isa
+baseline is the source's own dependence graph with singleton groups, routed
+from the same placement, priced the same way and list-scheduled.
 """
 from __future__ import annotations
 
@@ -56,6 +58,9 @@ class CompileOptions:
         if self.latency_mode not in LATENCY_MODES:
             raise ValueError(f"unknown latency mode {self.latency_mode!r}; "
                              f"choose from {LATENCY_MODES}")
+        if self.use_agg and self.latency_mode != "oracle":
+            raise ValueError(f"strategy {self.strategy!r} needs latency mode "
+                             f"'oracle', not {self.latency_mode!r}")
         if not (0 < self.fidelity <= 1 and self.dt > 0 and self.mu_max > 0):
             raise ValueError("fidelity must be in (0, 1]; dt and mu_max must be positive")
         if self.max_iters < 1:
@@ -108,6 +113,16 @@ def make_ocu(opts: CompileOptions, topo: Topology) -> OptimalControlUnit:
                               adjacency=topo.adjacent)
 
 
+def _route_and_price(g: GDG, groups, mapping: dict[int, int], topo: Topology,
+                     table, price) -> RoutingResult:
+    """Schedule g on table estimates with its commutation groups, route that
+    schedule from mapping, and price the routed graph."""
+    g.set_durations(table)
+    routing = route_swaps(cls_schedule(g, groups), g, mapping, topo)
+    routing.gdg.set_durations(price)
+    return routing
+
+
 def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
                     ocu: OptimalControlUnit | None = None) -> CompileResult:
     opts = opts or CompileOptions()
@@ -127,33 +142,25 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
 
     groups = build_commutation_groups(gdg) if opts.use_cls else singleton_groups(gdg)
 
-    # logical schedule on table estimates (true pulse times come post-routing)
+    # the logical schedule runs on table estimates; true pulse times come
+    # post-routing: table mode prices an instruction by its member-gate sum,
+    # oracle mode by its synthesized pulse
     table = table_price(opts.table_override)
-    gdg.set_durations(table)
-    logical_sched = cls_schedule(gdg, groups)
-
-    graph = build_interaction_graph(gdg.flatten())
-    mapping = initial_mapping(graph, topo, seed=opts.seed)
-    routing = route_swaps(logical_sched, gdg, mapping, topo)
-    final_gdg = routing.gdg
-    stages["routed"] = _gdg_stats(final_gdg)
-
-    # table mode prices an instruction by its member-gate sum; oracle mode
-    # by its synthesized pulse
     if opts.latency_mode == "oracle":
-        if ocu is None:
-            ocu = make_ocu(opts, topo)
+        ocu = ocu or make_ocu(opts, topo)
         price = ocu.latency
     else:
         ocu, price = None, table
-    final_gdg.set_durations(price)
+
+    mapping = initial_mapping(build_interaction_graph(circuit), topo,
+                              seed=opts.seed)
+    routing = _route_and_price(gdg, groups, mapping, topo, table, price)
+    final_gdg = routing.gdg
+    stages["routed"] = _gdg_stats(final_gdg)
 
     trace: list = []
     unaggregated = None
     if opts.use_agg:
-        if ocu is None:
-            raise PipelineError("aggregation",
-                                "aggregation requires --latency oracle")
         unaggregated = final_gdg.copy()
         aggregate_loop(final_gdg, price, max_width=opts.max_width,
                        trace=trace, cached=ocu.cached_duration)
@@ -173,19 +180,19 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
         stages["aggregated"] = _gdg_stats(final_gdg)
 
     instructions = []
-    report = None
     if ocu is not None:
         for node in final_gdg.real_nodes():
             duration, res, model = ocu.synthesize(node.instruction)
             instructions.append((node.id, node.instruction, res.pulses, model))
-        report = sample_verify(instructions, threshold=opts.fidelity)
+    report = (sample_verify(instructions, threshold=opts.fidelity)
+              if instructions else None)
 
     baseline_makespan = schedule.makespan_ns
     if opts.compare_baseline and opts.strategy != "isa":
-        base_opts = replace(opts, strategy="isa", topology=topo,
-                            compare_baseline=False)
-        baseline = compile_circuit(circuit, base_opts, ocu=ocu)
-        baseline_makespan = baseline.makespan_ns
+        isa = build_gdg(circuit)
+        isa_routing = _route_and_price(isa, singleton_groups(isa), mapping,
+                                       topo, table, price)
+        baseline_makespan = list_schedule(isa_routing.gdg).makespan_ns
 
     digest = hashlib.sha256(
         "\n".join(repr(g) for g in circuit.gates).encode()).hexdigest()[:16]

@@ -210,14 +210,15 @@ def test_criterion_7_routing_legality_semantics(capfd, rng):
         sched = list_schedule(g)
         mp = initial_mapping(build_interaction_graph(c), topo, seed=trial)
         r = route_swaps(sched, g, mp, topo)
+        routed = r.gdg.flatten()
         ok = ok and all(topo.adjacent(*gt.qubits)
-                        for gt in r.circuit.gates if len(gt.qubits) == 2)
+                        for gt in routed.gates if len(gt.qubits) == 2)
         u_init = permute_wires(circuit_unitary(c),
                                [r.initial_mapping[q] for q in range(n)],
                                list(range(n)))
         p = permutation_operator(n, [r.initial_mapping[q] for q in range(n)],
                                  [r.final_mapping[q] for q in range(n)])
-        ok = ok and phases_equal(circuit_unitary(r.circuit), p @ u_init,
+        ok = ok and phases_equal(circuit_unitary(routed), p @ u_init,
                                  tol=1e-8)
     elapsed = time.time() - t0
     report(capfd, 7, "100 routed circuits adjacent-only and permutation-"

@@ -115,6 +115,12 @@ def test_phases_equal_rejects_different_unitaries():
     assert not phases_equal(x, z)
 
 
+def test_circuit_needs_a_qubit():
+    for n in (0, -1):
+        with pytest.raises(GateError, match="at least 1 qubit"):
+            Circuit(n)
+
+
 def test_qubit_range_checked():
     c = Circuit(2)
     with pytest.raises(GateError):

@@ -128,25 +128,18 @@ def test_routing_adjacency_and_semantics(rng):
         n = topo.num_sites
         c = random_circuit(n, 12, rng)
         r = route(c, topo, seed=trial)
-        for gate in r.circuit.gates:
+        r.gdg.audit()
+        routed = r.gdg.flatten()
+        for gate in routed.gates:
             if len(gate.qubits) == 2:
                 assert topo.adjacent(*gate.qubits)
         u_src = circuit_unitary(c)
-        u_routed = circuit_unitary(r.circuit)
+        u_routed = circuit_unitary(routed)
         u_init = permute_wires(u_src, [r.initial_mapping[q] for q in range(n)],
                                list(range(n)))
         p = permutation_operator(n, [r.initial_mapping[q] for q in range(n)],
                                  [r.final_mapping[q] for q in range(n)])
         assert phases_equal(u_routed, p @ u_init)
-
-
-def test_routing_gdg_matches_circuit(rng):
-    topo = Topology(2, 3)
-    c = random_circuit(6, 15, rng)
-    r = route(c, topo)
-    assert phases_equal(circuit_unitary(r.gdg.flatten()),
-                        circuit_unitary(r.circuit))
-    r.gdg.audit()
 
 
 def test_no_swaps_when_already_adjacent():

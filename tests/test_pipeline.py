@@ -1,10 +1,13 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pulsecc import cli
-from pulsecc.bench import ising_chain, make_bench, maxcut_line, qaoa_triangle, uccsd
+from pulsecc.bench import (ising_chain, make_bench, maxcut_line, qaoa_circuit,
+                           qaoa_triangle, uccsd)
 from pulsecc.gates import Circuit, Gate, GateName, circuit_unitary, phases_equal
 from pulsecc.gdg import AggregatedInstruction
 from pulsecc.optctrl import OptimalControlUnit
@@ -52,10 +55,10 @@ def test_table_mode_cls_reduces_depth():
 
 
 def test_agg_requires_oracle():
-    from pulsecc.pipeline import PipelineError
-    with pytest.raises(PipelineError):
-        compile_circuit(qaoa_triangle(),
-                        CompileOptions(strategy="agg", latency_mode="table"))
+    for strategy in ("agg", "cls+agg"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"strategy {strategy!r}") + ".*'oracle', not 'table'"):
+            CompileOptions(strategy=strategy, latency_mode="table")
 
 
 def test_unknown_strategy_rejected():
@@ -80,15 +83,62 @@ def test_invalid_pulse_options_rejected(flag, value):
     assert rc == cli.EXIT_PARSE
 
 
-def test_table_override_reaches_baseline():
-    override = {"cnot": 40.0, "h": 20.0}
-    cls = compile_circuit(qaoa_triangle(), CompileOptions(
-        strategy="cls", latency_mode="table", table_override=override))
-    isa = compile_circuit(qaoa_triangle(), CompileOptions(
-        strategy="isa", latency_mode="table", table_override=override))
-    assert cls.manifest["baseline_makespan_ns"] == isa.makespan_ns
-    assert isa.makespan_ns != compile_circuit(qaoa_triangle(), CompileOptions(
-        strategy="isa", latency_mode="table")).makespan_ns
+def swap_heavy_grid_qaoa() -> Circuit:
+    """QAOA on K(3,3): nine interacting pairs cannot all sit on the seven
+    edges of a 2x3 grid, so every routing inserts SWAPs."""
+    return qaoa_circuit(6, [(a, b) for a in range(3) for b in range(3, 6)])
+
+
+def cnot_triangle() -> Circuit:
+    c = Circuit(3, name="cnot-triangle")
+    for a, b in ((0, 1), (1, 2), (0, 2)):
+        c.add(GateName.CNOT, a, b)
+    return c
+
+
+GRID = CompileOptions(strategy="cls", latency_mode="table",
+                      topology=Topology(2, 3))
+
+
+@pytest.mark.parametrize("circuit, opts", [
+    (swap_heavy_grid_qaoa, GRID),
+    (swap_heavy_grid_qaoa, replace(GRID, table_override={"cnot": 40.0,
+                                                         "h": 20.0})),
+    (qaoa_triangle, CompileOptions(strategy="cls", latency_mode="table",
+                                   table_override={"cnot": 40.0, "h": 20.0})),
+    (cnot_triangle, CompileOptions(strategy="cls")),
+], ids=["grid", "grid-override", "line-override", "line-oracle"])
+def test_table_override_reaches_baseline(circuit, opts):
+    # the baseline inside a compile is exactly the stand-alone isa compile:
+    # same placement, same routing and same prices, table override included;
+    # under the oracle both compiles share one pulse cache
+    c = circuit()
+    ocu = (OptimalControlUnit(adjacency=Topology.line(3).adjacent)
+           if opts.latency_mode == "oracle" else None)
+    res = compile_circuit(c, opts, ocu=ocu)
+    isa = compile_circuit(c, replace(opts, strategy="isa",
+                                     compare_baseline=False), ocu=ocu)
+    assert res.manifest["baseline_makespan_ns"] == isa.makespan_ns
+    # qaoa-triangle is pre-routed for a line; every other case routes SWAPs
+    assert isa.manifest["swap_count"] > 0 or c.name == "qaoa-triangle"
+    if opts.table_override:
+        assert isa.makespan_ns != compile_circuit(c, replace(
+            opts, strategy="isa", table_override=None)).makespan_ns
+
+
+def test_baseline_shares_the_one_placement(monkeypatch):
+    from pulsecc import pipeline
+    calls = dict.fromkeys(("initial_mapping", "sample_verify",
+                           "compile_circuit"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(pipeline, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(pipeline, name, counted)
+    pipeline.compile_circuit(ising_chain(3), CompileOptions(strategy="cls+agg",
+                                                            max_width=2))
+    assert calls == {"initial_mapping": 1, "sample_verify": 1,
+                     "compile_circuit": 1}
 
 
 def test_oracle_compile_small_end_to_end(tmp_path):
@@ -159,7 +209,7 @@ def test_topology_capacity_checked():
     from pulsecc.pipeline import PipelineError
     with pytest.raises(PipelineError):
         compile_circuit(maxcut_line(6),
-                        CompileOptions(latency_mode="table",
+                        CompileOptions(strategy="cls", latency_mode="table",
                                        topology=Topology(2, 2)))
 
 
@@ -213,3 +263,22 @@ def test_cli_bench_table(capsys):
                    "--strategy", "cls", "--latency", "table"])
     assert rc == 0
     assert "speedup" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("latency", ["table", "oracle"])
+def test_cli_gate_free_program_compiles(tmp_path, latency):
+    src = tmp_path / "empty.qasm"
+    src.write_text("qubits 2;\n")
+    strategy = "cls+agg" if latency == "oracle" else "cls"
+    rc = cli.main(["compile", str(src), "--latency", latency,
+                   "--strategy", strategy, "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "3", "--latency", "table"],    # the default cls+agg needs the oracle
+    ["--n", "0", "--strategy", "cls", "--latency", "table"],
+    ["--n", "-2", "--strategy", "cls", "--latency", "table"],
+], ids=["agg-table", "n0", "n-2"])
+def test_cli_bench_invalid_option_is_parse_error(argv):
+    assert cli.main(["bench", "maxcut-line", *argv]) == cli.EXIT_PARSE
