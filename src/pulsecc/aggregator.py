@@ -1,10 +1,13 @@
 """Final instruction aggregation: monotonic-action selection iterated with
 the optimal-control latency oracle.
 
-An action merges two instructions that share qubits and sit adjacent on every
-shared qubit chain (so the merged pulses are continuous).  An action is
-monotonic when the merge cannot increase the critical path even if the merged
-duration is conservatively the sum of the member durations.
+An action merges a set of instructions into one: a parent-child pair, a node
+with all its real parents, or a node with all its children.  The set must be
+contractible (contiguous on every qubit chain it touches, so the merged pulses
+are continuous, and acyclic) and fit the width limit.  An action is monotonic
+when the merge cannot increase the critical path even if the merged duration
+is conservatively the set's internal critical path: the longest path through
+its members alone, at their current durations.
 """
 from __future__ import annotations
 
@@ -19,9 +22,25 @@ OUTER_LOOP_CAP = 10
 
 @dataclass(frozen=True)
 class Action:
-    node_a: int
-    node_b: int
+    """Merge of members (ascending node ids) into one instruction.
+
+    span_ns is the members' internal critical path, the merged node's
+    provisional duration.  sort_key orders actions totally: larger predicted
+    gain first, then the lexicographically smallest member tuple, a tuple
+    before its own extensions; aggregate_loop applies the first.
+    """
+    members: tuple[int, ...]
+    span_ns: float
     predicted_gain_ns: float
+
+    def sort_key(self) -> tuple:
+        return (-self.predicted_gain_ns, self.members)
+
+
+def _fits(members, g: GDG, max_width: int) -> bool:
+    """Merged width within the limit and a legal contraction."""
+    qubits = {q for m in members for q in g.nodes[m].qubits}
+    return len(qubits) <= max_width and g.can_contract(set(members))[0]
 
 
 def can_aggregate(a: int, b: int, g: GDG, max_width: int = DEFAULT_MAX_WIDTH) -> bool:
@@ -37,17 +56,15 @@ def can_aggregate(a: int, b: int, g: GDG, max_width: int = DEFAULT_MAX_WIDTH) ->
     na, nb = g.nodes.get(a), g.nodes.get(b)
     if na is None or nb is None:
         return False
-    qa, qb = set(na.qubits), set(nb.qubits)
-    if not qa & qb:
+    if not set(na.qubits) & set(nb.qubits):
         return False
-    if len(qa | qb) > max_width:
-        return False
-    return g.can_contract({a, b})[0]
+    return _fits((a, b), g, max_width)
 
 
-def _heads_tails(g: GDG) -> tuple[dict, dict, float]:
+def _heads_tails(g: GDG) -> tuple[dict, dict, float, dict]:
     """Earliest finish (head) and longest path to a sink (tail) of every node,
-    each counting the node's own duration, and the makespan."""
+    each counting the node's own duration, the makespan, and every real
+    node's position in the topological order."""
     order = g.topological_order()
     head = {g.ROOT: 0.0}
     for nid in order:
@@ -57,50 +74,65 @@ def _heads_tails(g: GDG) -> tuple[dict, dict, float]:
     for nid in reversed(order):
         end = max((tail[c] for c in g.successors(nid)), default=0.0)
         tail[nid] = end + (g.nodes[nid].duration or 0.0)
-    return head, tail, max(head.values())
+    return head, tail, max(head.values()), {nid: i for i, nid in enumerate(order)}
+
+
+def _candidates(g: GDG):
+    """Ascending member tuples, each once: every parent-child pair, every
+    node with all its real parents and every node with all its children."""
+    seen = set()
+    for n in g.real_nodes():
+        children = set(n.children.values())
+        parents = set(n.parents.values()) - {g.ROOT}
+        for others in [*({c} for c in children), parents, children]:
+            members = tuple(sorted(others | {n.id}))
+            if len(members) > 1 and members not in seen:
+                seen.add(members)
+                yield members
 
 
 def enumerate_actions(g: GDG, max_width: int = DEFAULT_MAX_WIDTH,
                       duration_hint=None) -> list[Action]:
     """All monotonic merge actions, with predicted critical-path gain.
 
-    Merging parent a into child b at the summed duration is monotonic when
-    the longest path through the merged node, max head of its outside parents
-    + d_a + d_b + max tail of its outside children, fits the makespan: every
-    path avoiding a and b keeps its length.  Such a merge never shortens the
-    critical path, so its gain is zero unless duration_hint(instruction) -> ns
-    or None prices the merged instruction from cached oracle durations.
+    Merging a set at its internal critical path is monotonic when the longest
+    path through the merged node, max head of its outside parents + that path
+    + max tail of its outside children, fits the makespan: every path avoiding
+    the set keeps its length.  For a parent-child pair the internal path is
+    d_a + d_b.  Such a merge never shortens the critical path, so its gain is
+    zero unless duration_hint(instruction) -> ns or None prices the merged
+    instruction from cached oracle durations.
     """
-    head, tail, makespan = _heads_tails(g)
-    seen = set()
+    head, tail, makespan, pos = _heads_tails(g)
     actions = []
-    for a in g.real_nodes():
-        for child in a.children.values():
-            pair = (min(a.id, child), max(a.id, child))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            b = g.nodes[child]
-            start = max(head[p] for n in (a, b) for p in n.parents.values()
-                        if p not in pair)
-            end = max((tail[c] for n in (a, b) for c in n.children.values()
-                       if c not in pair), default=0.0)
-            through = start + (a.duration or 0.0) + (b.duration or 0.0) + end
-            if through > makespan + 1e-9:
-                continue
-            if not can_aggregate(pair[0], pair[1], g, max_width):
-                continue
-            gain = 0.0
-            if duration_hint is not None:
-                merged_ins = AggregatedInstruction(
-                    a.instruction.gates + b.instruction.gates,
-                    min(a.instruction.seq, b.instruction.seq))
-                hint = duration_hint(merged_ins)
-                if hint is not None:
-                    trial = g.copy()
-                    trial.contract(set(pair)).duration = hint
-                    gain = max(0.0, makespan - trial.critical_path()[0])
-            actions.append(Action(pair[0], pair[1], gain))
+    for members in _candidates(g):
+        nodes = [g.nodes[m] for m in sorted(members, key=pos.__getitem__)]
+        start = max(head[p] for n in nodes for p in n.parents.values()
+                    if p not in members)
+        end = max((tail[c] for n in nodes for c in n.children.values()
+                   if c not in members), default=0.0)
+        finish: dict[int, float] = {}
+        for n in nodes:
+            inner = max((finish[p] for p in n.parents.values() if p in finish),
+                        default=0.0)
+            finish[n.id] = inner + (n.duration or 0.0)
+        span = max(finish.values())
+        if start + span + end > makespan + 1e-9:
+            continue
+        if not _fits(members, g, max_width):
+            continue
+        gain = 0.0
+        if duration_hint is not None:
+            # gates in contract()'s order: members in topological order
+            merged_ins = AggregatedInstruction(
+                [gate for n in nodes for gate in n.instruction.gates],
+                min(n.instruction.seq for n in nodes))
+            hint = duration_hint(merged_ins)
+            if hint is not None:
+                trial = g.copy()
+                trial.contract(set(members)).duration = hint
+                gain = max(0.0, makespan - trial.critical_path()[0])
+        actions.append(Action(members, span, gain))
     return actions
 
 
@@ -112,7 +144,8 @@ def aggregate_loop(g: GDG, price, max_width: int = DEFAULT_MAX_WIDTH,
     price(instruction) -> ns must accept any instruction of width
     <= max_width. cached(instruction) -> ns or None, when given, returns the
     price of an already synthesized instruction without synthesizing; it
-    ranks actions by true predicted gain.
+    ranks actions by true predicted gain.  A merged node without a cached
+    price takes its members' internal critical path until re-priced.
     """
     for _outer in range(OUTER_LOOP_CAP):
         changed: set[int] = set()
@@ -120,16 +153,13 @@ def aggregate_loop(g: GDG, price, max_width: int = DEFAULT_MAX_WIDTH,
             actions = enumerate_actions(g, max_width, duration_hint=cached)
             if not actions:
                 break
-            best = max(actions, key=lambda a: (a.predicted_gain_ns,
-                                               -a.node_a, -a.node_b))
-            dur = (g.nodes[best.node_a].duration or 0.0) + \
-                  (g.nodes[best.node_b].duration or 0.0)
-            merged = g.contract({best.node_a, best.node_b})
+            best = min(actions, key=Action.sort_key)
+            merged = g.contract(set(best.members))
             known = cached(merged.instruction) if cached else None
-            merged.duration = known if known is not None else dur
+            merged.duration = known if known is not None else best.span_ns
             changed.add(merged.id)
             if trace is not None:
-                trace.append({"merged": [best.node_a, best.node_b],
+                trace.append({"merged": list(best.members),
                               "into": merged.id,
                               "predicted_gain_ns": best.predicted_gain_ns})
         max_delta = 0.0

@@ -12,6 +12,7 @@ import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,20 +25,18 @@ class GDGError(ValueError):
 
 @dataclass
 class AggregatedInstruction:
-    """A contiguous sub-circuit on a bounded qubit set with one target unitary."""
+    """A contiguous sub-circuit on a bounded qubit set with one target unitary.
+
+    The gate list never changes after construction, so qubits is computed once.
+    """
     gates: list[Gate] = field(default_factory=list)
     seq: int = 0  # min original gate index, for deterministic ordering
     _unitary: np.ndarray | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def qubits(self) -> tuple[int, ...]:
         """Operand qubits in order of first appearance."""
-        seen: list[int] = []
-        for g in self.gates:
-            for q in g.qubits:
-                if q not in seen:
-                    seen.append(q)
-        return tuple(seen)
+        return tuple(dict.fromkeys(q for g in self.gates for q in g.qubits))
 
     @property
     def width(self) -> int:

@@ -1,9 +1,10 @@
 """Table pricing of instructions.
 
 An instruction is priced by a callable instruction -> ns. table_price()
-sums the member gates' times from a named-gate table (defaults match the
-published per-gate times for the worked example); the optimal-control
-unit's latency() prices by the true minimum pulse time instead.
+takes the critical path of the member gates' times from a named-gate table
+(defaults match the published per-gate times for the worked example); the
+optimal-control unit's latency() prices by the true minimum pulse time
+instead.
 """
 from __future__ import annotations
 
@@ -21,21 +22,25 @@ def default_table() -> dict[str, float]:
 
 
 def table_price(override: dict[str, float] | None = None):
-    """Price an instruction as the sum of its member gates' table times.
+    """Price an instruction as the critical path of its member gates' table
+    times, each gate starting as soon as its qubits are free.
 
-    override maps gate names to ns and takes precedence over default_table().
+    That equals the sum of the times for a single gate and for a chain whose
+    every gate shares a qubit with the one before.  override maps gate names
+    to ns and takes precedence over default_table().
     """
     table = default_table()
     if override:
         table.update({k.lower(): float(v) for k, v in override.items()})
 
     def price(ins) -> float:
-        total = 0.0
+        free: dict[int, float] = {}
         for gate in ins.gates:
             name = gate.name.value
             if name not in table:
                 raise LatencyError(f"no table entry for gate {name!r}")
-            total += table[name]
-        return total
+            end = max(free.get(q, 0.0) for q in gate.qubits) + table[name]
+            free.update(dict.fromkeys(gate.qubits, end))
+        return max(free.values(), default=0.0)
 
     return price

@@ -427,7 +427,7 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     unless it is the fallback's own duration and that is not.
 
     fallback_amplitudes, when given, is a pulse table that approximates the
-    target, e.g. the concatenated member pulses of a merged instruction. Its
+    target, e.g. the layered member pulses of a merged instruction. Its
     fidelity is roughly the product of the member fidelities, so it can sit
     below the threshold: it is a warm start, not a proven upper bound. The
     doubling search polishes it at its own duration with the same optimizer
@@ -529,38 +529,57 @@ class OptimalControlUnit:
         return fingerprint(ins.target_unitary, (self._pairs(ins.context),
                                                 self.cfg.fidelity_threshold))
 
+    def _embed_member(self, gate, model: HamiltonianModel,
+                      qubits: list[int]) -> np.ndarray | None:
+        """The gate's own pulse on model's channels, the others at zero, or
+        None if its operand pair is not coupled in model."""
+        from .gdg import AggregatedInstruction
+        sub = AggregatedInstruction([gate])
+        _, res, sub_model = self.synthesize(sub)
+        amps = res.pulses.amplitudes
+        name_to_idx = {ch.name: i for i, ch in enumerate(model.channels)}
+        seg = np.zeros((len(model.channels), amps.shape[1]))
+        pos = [qubits.index(s) for s in sub.context]
+        for k, ch in enumerate(sub_model.channels):
+            if ch.name.startswith("xy"):
+                la, lb = sorted(pos[q] for q in ch.qubits)
+                target = f"xy{la}_{lb}"
+            else:
+                target = ch.name[:2] + str(pos[ch.qubits[0]])
+            idx = name_to_idx.get(target)
+            if idx is None:
+                return None
+            seg[idx] = amps[k]
+        return seg
+
     def _concat_fallback(self, ins, model: HamiltonianModel,
                          qubits: list[int]) -> np.ndarray | None:
-        """Member pulses embedded and concatenated: a warm start for min_time.
+        """Member pulses embedded and laid out in layers: a warm start for
+        min_time.
 
-        With zero drift, idle channels stay at zero, so each member's pulse
-        acts exactly as its gate tensored with identity; the concatenation
-        approximates the merged target at roughly the product of the member
-        fidelities, which can fall below the threshold.
+        Each member starts as soon as its qubits are free, so members on
+        disjoint qubits share time steps and the table lasts the members'
+        critical path.  With zero drift, idle channels stay at zero and
+        channels on disjoint qubits commute, so each member's pulse acts
+        exactly as its gate tensored with identity and the layers have the
+        unitary of the sequential concatenation.  That approximates the merged
+        target at roughly the product of the member fidelities, which can fall
+        below the threshold.
         """
         if len(ins.gates) < 2:
             return None
-        from .gdg import AggregatedInstruction
-        name_to_idx = {ch.name: i for i, ch in enumerate(model.channels)}
-        segments = []
+        placed, free = [], {}
         for g in ins.gates:
-            sub = AggregatedInstruction([g])
-            _, res, sub_model = self.synthesize(sub)
-            amps = res.pulses.amplitudes
-            seg = np.zeros((len(model.channels), amps.shape[1]))
-            pos = [qubits.index(s) for s in sub.context]
-            for k, ch in enumerate(sub_model.channels):
-                if ch.name.startswith("xy"):
-                    la, lb = sorted(pos[q] for q in ch.qubits)
-                    target = f"xy{la}_{lb}"
-                else:
-                    target = ch.name[:2] + str(pos[ch.qubits[0]])
-                idx = name_to_idx.get(target)
-                if idx is None:
-                    return None  # operand pair not coupled in this model
-                seg[idx] = amps[k]
-            segments.append(seg)
-        return np.concatenate(segments, axis=1)
+            seg = self._embed_member(g, model, qubits)
+            if seg is None:
+                return None
+            start = max(free.get(q, 0) for q in g.qubits)
+            free.update(dict.fromkeys(g.qubits, start + seg.shape[1]))
+            placed.append((start, seg))
+        table = np.zeros((len(model.channels), max(free.values())))
+        for start, seg in placed:
+            table[:, start:start + seg.shape[1]] += seg
+        return table
 
     def synthesize(self, ins) -> tuple[float, GrapeResult, HamiltonianModel]:
         """min_time on the instruction's target unitary over its sub-lattice."""

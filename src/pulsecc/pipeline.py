@@ -143,8 +143,8 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
     groups = build_commutation_groups(gdg) if opts.use_cls else singleton_groups(gdg)
 
     # the logical schedule runs on table estimates; true pulse times come
-    # post-routing: table mode prices an instruction by its member-gate sum,
-    # oracle mode by its synthesized pulse
+    # post-routing: table mode prices an instruction by its member gates'
+    # critical path, oracle mode by its synthesized pulse
     table = table_price(opts.table_override)
     if opts.latency_mode == "oracle":
         ocu = ocu or make_ocu(opts, topo)

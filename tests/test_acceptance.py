@@ -27,7 +27,7 @@ from pulsecc.scheduler import (ComputationalGraph, cls_schedule, list_schedule,
 from pulsecc.verify import verify_instruction
 
 from conftest import random_circuit
-from test_aggregator import toy_instance
+from test_aggregator import toy_action_sets, toy_instance
 from test_scheduler import (brute_max_matching_size, schedule_is_valid,
                             scheduled_unitary)
 
@@ -88,14 +88,18 @@ def test_criterion_2_triangle_speedup(capfd, line_ocu, compiled_store):
     compiled_store.append(res)
     speedup = res.manifest["speedup"]
     elapsed = time.time() - t0
-    report(capfd, 2, f"QAOA-triangle cls+agg speedup {speedup:.2f}x >= 2.0x",
-           speedup >= 2.0 and elapsed < 600, elapsed)
+    report(capfd, 2, f"QAOA-triangle cls+agg speedup {speedup:.2f}x >= 2.0x, "
+           f"makespan {res.makespan_ns} <= 22 ns",
+           speedup >= 2.0 and res.makespan_ns <= 22.0 and elapsed < 600,
+           elapsed)
 
 
 def test_criterion_3_bench_speedups_and_ordering(capfd, line_ocu,
                                                  compiled_store):
     t0 = time.time()
     benches = [maxcut_line(6), ising_chain(6), uccsd(4)]
+    # cls+agg makespans at seed 1, reached by merging instruction sets
+    limits = {"maxcut-line-6": 16.0, "ising-chain-6": 32.0, "uccsd-4": 82.0}
     ok = True
     detail = []
     for circ in benches:
@@ -114,9 +118,11 @@ def test_criterion_3_bench_speedups_and_ordering(capfd, line_ocu,
         speedup = makespans[("isa", 1)] / makespans[("cls+agg", 1)]
         detail.append(f"{circ.name} {speedup:.2f}x")
         ok = ok and speedup >= 1.5
+        ok = ok and makespans[("cls+agg", 1)] <= limits[circ.name]
     elapsed = time.time() - t0
-    report(capfd, 3, "bench speedups >= 1.5x and isa >= cls >= cls+agg "
-           f"({', '.join(detail)})", ok and elapsed < 1800, elapsed)
+    report(capfd, 3, "bench speedups >= 1.5x, isa >= cls >= cls+agg and "
+           f"cls+agg within 16/32/82 ns ({', '.join(detail)})",
+           ok and elapsed < 1800, elapsed)
 
 
 def test_two_qubit_pulses_respect_min_time_bound(line_ocu):
@@ -293,13 +299,14 @@ def test_criterion_10_monotonic_aggregation(capfd, rng):
         aggregate_loop(routed, price)
         after, _ = routed.critical_path()
         ok = ok and after <= before + 1e-9
-    # the toy instance admits exactly the final-pair merge
+    # the toy instance admits exactly the final pair and the set that
+    # gathers both 100 ns branches into the first 10 ns gate
     g, ids = toy_instance()
-    merges = {frozenset((a.node_a, a.node_b)) for a in enumerate_actions(g)}
-    ok = ok and merges == {frozenset((ids["g3"], ids["g6"]))}
+    merges = {frozenset(a.members) for a in enumerate_actions(g)}
+    ok = ok and merges == toy_action_sets(ids)
     elapsed = time.time() - t0
     report(capfd, 10, "aggregation never raises critical path (100 routed "
-           "GDGs); toy instance has exactly one monotonic action", ok, elapsed)
+           "GDGs); toy instance has exactly two monotonic actions", ok, elapsed)
 
 
 def test_criterion_11_verification_closure(capfd, compiled_store):

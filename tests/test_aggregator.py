@@ -9,16 +9,18 @@ from pulsecc.mapper import (Topology, build_interaction_graph, initial_mapping,
                             route_swaps)
 from pulsecc.scheduler import list_schedule
 
-from conftest import random_circuit
+from conftest import chain_walk_can_contract, random_circuit
 
 
 def toy_instance():
     """Long chain C1 parallel to two 100 ns branches feeding a 10 ns pair.
 
     C1 on q0 (120 ns); G1 on q1 and G2 on q2 (100 ns each) feed G3 on
-    (q1, q2) (10 ns), followed by G6 on (q1, q2) (10 ns).  Only the
-    (G3, G6) merge is monotonic: pulling G3 into G1 or G2 serializes the
-    other 100 ns branch behind it.
+    (q1, q2) (10 ns), followed by G6 on (q1, q2) (10 ns).  Exactly two merges
+    are monotonic: {G3, G6}, and {G1, G2, G3}, where G1 and G2 run side by
+    side for 100 ns, then G3 takes 10 ns, and 110 + 10 = 120 ns is the
+    makespan.  Pulling G3 into G1 or G2 alone serializes the other 100 ns
+    branch behind it.
     """
     g = GDG(3)
     last = {}
@@ -47,24 +49,42 @@ def test_can_aggregate_respects_width():
     assert not can_aggregate(ids["g3"], ids["g6"], g, max_width=1)
 
 
-def action_pairs(g, **kw) -> set[frozenset]:
-    return {frozenset((a.node_a, a.node_b)) for a in enumerate_actions(g, **kw)}
+def action_sets(g, **kw) -> set[frozenset]:
+    return {frozenset(a.members) for a in enumerate_actions(g, **kw)}
+
+
+def toy_action_sets(ids) -> set[frozenset]:
+    return {frozenset((ids["g3"], ids["g6"])),
+            frozenset((ids["g1"], ids["g2"], ids["g3"]))}
 
 
 def test_toy_instance_monotonic_actions():
     g, ids = toy_instance()
-    assert action_pairs(g) == {frozenset((ids["g3"], ids["g6"]))}
-    # the rejected merges are aggregable but not monotonic
+    assert action_sets(g) == toy_action_sets(ids)
+    # the rejected pair merges are aggregable but not monotonic
     for other in ("g1", "g2"):
         assert can_aggregate(ids[other], ids["g3"], g)
 
 
-def test_monotonicity_uses_sum_of_durations():
+def test_monotonicity_uses_internal_critical_path():
     g, ids = toy_instance()
     before, _ = g.critical_path()
     assert before == pytest.approx(120.0)
     # merging g1+g3 would put 100+10 in front of g2's 100 -> 210 path
-    assert frozenset((ids["g1"], ids["g3"])) not in action_pairs(g)
+    assert frozenset((ids["g1"], ids["g3"])) not in action_sets(g)
+    # g1 and g2 side by side, then g3: 110 ns, not the 210 ns sum
+    spans = {a.members: a.span_ns for a in enumerate_actions(g)}
+    assert spans[(ids["g1"], ids["g2"], ids["g3"])] == pytest.approx(110.0)
+    assert spans[(ids["g3"], ids["g6"])] == pytest.approx(20.0)
+
+
+def test_actions_order_by_gain_then_members():
+    acts = [aggregator.Action((4, 5), 20.0, 0.0),
+            aggregator.Action((2, 3, 4), 110.0, 0.0),
+            aggregator.Action((2, 3), 1.0, 0.0),
+            aggregator.Action((7, 8), 1.0, 3.0)]
+    assert [a.members for a in sorted(acts, key=aggregator.Action.sort_key)] \
+        == [(7, 8), (2, 3), (2, 3, 4), (4, 5)]
 
 
 def routed_gdg(c, topo, seed):
@@ -85,16 +105,42 @@ def aggregable_pairs(g, max_width) -> list[tuple[int, int]]:
                    if can_aggregate(n.id, c, g, max_width)})
 
 
+def candidate_sets(g, max_width) -> list[tuple[int, ...]]:
+    """The aggregable pairs, and every node with all its real parents or with
+    all its children where that set is contractible and within max_width."""
+    out = set(aggregable_pairs(g, max_width))
+    for n in g.real_nodes():
+        for group in (set(n.parents.values()) - {g.ROOT},
+                      set(n.children.values())):
+            members = group | {n.id}
+            width = len({q for m in members for q in g.nodes[m].qubits})
+            if len(members) > 1 and width <= max_width and \
+                    chain_walk_can_contract(g, members)[0]:
+                out.add(tuple(sorted(members)))
+    return sorted(out)
+
+
+def internal_critical_path(g, members) -> float:
+    """The critical path with every non-member at zero duration: no outside
+    path runs from one member of a contractible set to another."""
+    z = g.copy()
+    for nid, node in z.nodes.items():
+        if nid not in members:
+            node.duration = 0.0
+    return z.critical_path()[0]
+
+
 def copy_and_contract_actions(g, max_width) -> set[frozenset]:
-    """Reference rule: the aggregable pairs whose trial contraction at the
-    summed duration leaves the critical path no longer."""
+    """Reference rule: the candidate sets whose trial contraction at their
+    internal critical path leaves the critical path no longer."""
     before, _ = g.critical_path()
     out = set()
-    for a, b in aggregable_pairs(g, max_width):
+    for members in candidate_sets(g, max_width):
         trial = g.copy()
-        trial.contract({a, b}).duration = g.nodes[a].duration + g.nodes[b].duration
+        trial.contract(set(members)).duration = \
+            internal_critical_path(g, members)
         if trial.critical_path()[0] <= before + 1e-9:
-            out.add(frozenset((a, b)))
+            out.add(frozenset(members))
     return out
 
 
@@ -107,16 +153,16 @@ def test_enumerate_actions_matches_copy_and_contract(rng):
                        topo, seed=trial)
         width = int(rng.integers(2, 5))
         while True:
-            assert action_pairs(g, max_width=width) == \
+            assert action_sets(g, max_width=width) == \
                 copy_and_contract_actions(g, width)
             states += 1
-            pairs = aggregable_pairs(g, width)
-            if not pairs:
+            sets = candidate_sets(g, width)
+            if not sets:
                 break
-            # any legal merge, priced at or below its parts' sum
-            a, b = pairs[int(rng.integers(len(pairs)))]
-            dur = g.nodes[a].duration + g.nodes[b].duration
-            g.contract({a, b}).duration = dur * float(rng.uniform(0.5, 1.0))
+            # any legal merge, priced at or below its internal critical path
+            members = sets[int(rng.integers(len(sets)))]
+            dur = internal_critical_path(g, members)
+            g.contract(set(members)).duration = dur * float(rng.uniform(0.5, 1.0))
     assert states > 100
 
 
@@ -139,27 +185,28 @@ def test_gain_is_zero_without_hint(rng, monkeypatch):
 
 def test_hint_gain_matches_trial_contraction(rng):
     price = table_price()
-    hits = 0
+    hits = set_hits = 0
     for trial in range(20):
         topo = Topology(1, 4) if trial % 2 == 0 else Topology(2, 2)
         g = routed_gdg(random_circuit(4, int(rng.integers(6, 16)), rng),
                        topo, seed=trial)
         before, _ = g.critical_path()
-        # a cache of every contracted pair, in contract()'s gate order,
-        # priced at half its parts
+        # a cache of every contracted candidate set, in contract()'s gate
+        # order, priced at half its table price
         cached = {}
-        for pair in aggregable_pairs(g, aggregator.DEFAULT_MAX_WIDTH):
-            ins = g.copy().contract(set(pair)).instruction
+        for members in candidate_sets(g, aggregator.DEFAULT_MAX_WIDTH):
+            ins = g.copy().contract(set(members)).instruction
             cached[tuple(ins.gates)] = 0.5 * price(ins)
         hint = lambda ins: cached.get(tuple(ins.gates))
         for act in enumerate_actions(g, duration_hint=hint):
             trial_g = g.copy()
-            merged = trial_g.contract({act.node_a, act.node_b})
+            merged = trial_g.contract(set(act.members))
             merged.duration = hint(merged.instruction)
             expected = max(0.0, before - trial_g.critical_path()[0])
             assert act.predicted_gain_ns == pytest.approx(expected, abs=1e-9)
             hits += act.predicted_gain_ns > 0
-    assert hits > 0
+            set_hits += act.predicted_gain_ns > 0 and len(act.members) > 2
+    assert hits > 0 and set_hits > 0
 
 
 def test_aggregate_loop_never_increases_makespan(rng):
@@ -181,8 +228,12 @@ def test_aggregate_loop_applies_toy_merge():
     g, ids = toy_instance()
     trace = []
     aggregate_loop(g, table_price(), trace=trace)
-    assert len(trace) == 1
-    assert set(trace[0]["merged"]) == {ids["g3"], ids["g6"]}
+    # both toy actions tie at zero gain and the smaller member tuple goes
+    # first; the merged 110 ns node and G6 then fit the makespan as a pair
+    first = sorted((ids["g1"], ids["g2"], ids["g3"]))
+    second = sorted((trace[0]["into"], ids["g6"]))
+    assert [t["merged"] for t in trace] == [first, second]
+    assert ids["c1"] in g.nodes and len(g.real_nodes()) == 2
 
 
 def test_width_cap_respected(rng):

@@ -32,6 +32,14 @@ def test_estimate_sums_members():
     assert price(ins) == pytest.approx(2 * 47.1 + 9.8)
 
 
+def test_estimate_is_critical_path_of_members():
+    # gates on disjoint qubits overlap; each starts when its qubits are free
+    price = table_price()
+    ins = ins_of(Gate(GateName.H, (0,)), Gate(GateName.RX, (1,), (1.0,)),
+                 Gate(GateName.CNOT, (0, 1)), Gate(GateName.H, (2,)))
+    assert price(ins) == pytest.approx(13.7 + 47.1)
+
+
 def test_table_override():
     price = table_price({"cnot": 40.0})
     assert price(ins_of(Gate(GateName.CNOT, (0, 1)))) == 40.0

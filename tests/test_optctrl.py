@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pulsecc import optctrl
+from pulsecc.bench import qaoa_triangle
 from pulsecc.gates import Gate, GateName, gate_unitary, gates_unitary
 from pulsecc.gdg import AggregatedInstruction
 from pulsecc.optctrl import (BISECT_RESOLUTION_STEPS, ControlError,
@@ -549,6 +550,23 @@ def test_merged_instruction_never_slower_than_parts():
     parts = sum(ocu.latency(AggregatedInstruction([g], 0)) for g in gates)
     merged = ocu.latency(AggregatedInstruction(list(gates), 0))
     assert merged <= parts + 1e-9
+
+
+def test_layered_fallback_matches_sequential():
+    # members on disjoint qubits share time steps; under zero drift their
+    # channels commute, so the layers keep the concatenation's unitary
+    ocu = OptimalControlUnit()
+    ins = AggregatedInstruction(list(qaoa_triangle().gates), 0)
+    qubits = ins.context
+    model, _ = ocu._model_for(qubits)
+    assert not np.any(model.drift)
+    layered = ocu._concat_fallback(ins, model, qubits)
+    sequential = np.concatenate(
+        [ocu._embed_member(g, model, qubits) for g in ins.gates], axis=1)
+    assert layered.shape[1] < sequential.shape[1]
+    u_layered = evolve(ControlPulses(layered, model.dt), model)
+    u_sequential = evolve(ControlPulses(sequential, model.dt), model)
+    assert np.abs(u_layered - u_sequential).max() < 1e-12
 
 
 def test_ocu_respects_adjacency():
