@@ -7,13 +7,15 @@ contractible (contiguous on every qubit chain it touches, so the merged pulses
 are continuous, and acyclic) and fit the width limit.  An action is monotonic
 when the merge cannot increase the critical path even if the merged duration
 is conservatively the set's internal critical path: the longest path through
-its members alone, at their current durations.
+its members alone, at their current durations.  The loop applies one such
+merge at a time, then re-prices every merged instruction with the oracle and
+repeats until the prices settle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gdg import GDG, AggregatedInstruction
+from .gdg import GDG
 
 DEFAULT_MAX_WIDTH = 4       # q_L at desk scale; configurable up to 10
 CONVERGENCE_TOL_NS = 0.1
@@ -25,16 +27,11 @@ class Action:
     """Merge of members (ascending node ids) into one instruction.
 
     span_ns is the members' internal critical path, the merged node's
-    provisional duration.  sort_key orders actions totally: larger predicted
-    gain first, then the lexicographically smallest member tuple, a tuple
-    before its own extensions; aggregate_loop applies the first.
+    duration until it is re-priced.  aggregate_loop applies the action with
+    the lexicographically smallest member tuple.
     """
     members: tuple[int, ...]
     span_ns: float
-    predicted_gain_ns: float
-
-    def sort_key(self) -> tuple:
-        return (-self.predicted_gain_ns, self.members)
 
 
 def _fits(members, g: GDG, max_width: int) -> bool:
@@ -91,17 +88,14 @@ def _candidates(g: GDG):
                 yield members
 
 
-def enumerate_actions(g: GDG, max_width: int = DEFAULT_MAX_WIDTH,
-                      duration_hint=None) -> list[Action]:
-    """All monotonic merge actions, with predicted critical-path gain.
+def enumerate_actions(g: GDG, max_width: int = DEFAULT_MAX_WIDTH) -> list[Action]:
+    """All monotonic merge actions.
 
     Merging a set at its internal critical path is monotonic when the longest
     path through the merged node, max head of its outside parents + that path
     + max tail of its outside children, fits the makespan: every path avoiding
     the set keeps its length.  For a parent-child pair the internal path is
-    d_a + d_b.  Such a merge never shortens the critical path, so its gain is
-    zero unless duration_hint(instruction) -> ns or None prices the merged
-    instruction from cached oracle durations.
+    d_a + d_b.
     """
     head, tail, makespan, pos = _heads_tails(g)
     actions = []
@@ -119,49 +113,33 @@ def enumerate_actions(g: GDG, max_width: int = DEFAULT_MAX_WIDTH,
         span = max(finish.values())
         if start + span + end > makespan + 1e-9:
             continue
-        if not _fits(members, g, max_width):
-            continue
-        gain = 0.0
-        if duration_hint is not None:
-            # gates in contract()'s order: members in topological order
-            merged_ins = AggregatedInstruction(
-                [gate for n in nodes for gate in n.instruction.gates],
-                min(n.instruction.seq for n in nodes))
-            hint = duration_hint(merged_ins)
-            if hint is not None:
-                trial = g.copy()
-                trial.contract(set(members)).duration = hint
-                gain = max(0.0, makespan - trial.critical_path()[0])
-        actions.append(Action(members, span, gain))
+        if _fits(members, g, max_width):
+            actions.append(Action(members, span))
     return actions
 
 
 def aggregate_loop(g: GDG, price, max_width: int = DEFAULT_MAX_WIDTH,
-                   trace: list | None = None, cached=None) -> GDG:
-    """Apply global-best monotonic actions until none remain, re-price the
-    merged nodes, and repeat until durations converge.
+                   trace: list | None = None) -> GDG:
+    """Apply monotonic actions, smallest member tuple first, until none
+    remain, re-price the merged nodes, and repeat until durations converge.
 
     price(instruction) -> ns must accept any instruction of width
-    <= max_width. cached(instruction) -> ns or None, when given, returns the
-    price of an already synthesized instruction without synthesizing; it
-    ranks actions by true predicted gain.  A merged node without a cached
-    price takes its members' internal critical path until re-priced.
+    <= max_width.  A merged node takes its members' internal critical path
+    until re-priced; every node the loop creates is re-priced before it
+    returns.
     """
     for _outer in range(OUTER_LOOP_CAP):
         changed: set[int] = set()
         while True:
-            actions = enumerate_actions(g, max_width, duration_hint=cached)
+            actions = enumerate_actions(g, max_width)
             if not actions:
                 break
-            best = min(actions, key=Action.sort_key)
+            best = min(actions, key=lambda a: a.members)
             merged = g.contract(set(best.members))
-            known = cached(merged.instruction) if cached else None
-            merged.duration = known if known is not None else best.span_ns
+            merged.duration = best.span_ns
             changed.add(merged.id)
             if trace is not None:
-                trace.append({"merged": list(best.members),
-                              "into": merged.id,
-                              "predicted_gain_ns": best.predicted_gain_ns})
+                trace.append({"merged": list(best.members), "into": merged.id})
         max_delta = 0.0
         for nid in sorted(changed):
             node = g.nodes.get(nid)

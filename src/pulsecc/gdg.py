@@ -223,7 +223,7 @@ class GDG:
                     stack.append(c)
         return True, ""
 
-    def contract(self, node_ids: set[int], max_width: int | None = None) -> GDGNode:
+    def contract(self, node_ids: set[int]) -> GDGNode:
         """Replace node_ids by one node concatenating their gates topologically."""
         members = set(node_ids)
         if len(members) == 1:
@@ -235,8 +235,6 @@ class GDG:
         gates = [g for nid in order for g in self.nodes[nid].instruction.gates]
         seq = min(self.nodes[nid].instruction.seq for nid in members)
         merged = AggregatedInstruction(gates, seq)
-        if max_width is not None and merged.width > max_width:
-            raise GDGError(f"contracted width {merged.width} exceeds limit {max_width}")
 
         node = GDGNode(self._next_id, merged)
         self._next_id += 1

@@ -600,8 +600,3 @@ class OptimalControlUnit:
 
     def latency(self, ins) -> float:
         return self.synthesize(ins)[0]
-
-    def cached_duration(self, ins) -> float | None:
-        """Duration if this instruction's unitary was already synthesized."""
-        hit = self.cache.get(self._key(ins))
-        return hit[0] if hit else None

@@ -162,9 +162,7 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
     unaggregated = None
     if opts.use_agg:
         unaggregated = final_gdg.copy()
-        aggregate_loop(final_gdg, price, max_width=opts.max_width,
-                       trace=trace, cached=ocu.cached_duration)
-        final_gdg.set_durations(price)
+        aggregate_loop(final_gdg, price, max_width=opts.max_width, trace=trace)
 
     schedule = _schedule(final_gdg, opts.use_cls)
     if unaggregated is not None:

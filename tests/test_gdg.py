@@ -5,7 +5,7 @@ import pytest
 
 from pulsecc.bench import qaoa_triangle
 from pulsecc.gates import circuit_unitary, phases_equal
-from pulsecc.gdg import GDG, AggregatedInstruction, GDGError, build_gdg
+from pulsecc.gdg import GDG, AggregatedInstruction, build_gdg
 from pulsecc.latency import table_price
 
 from conftest import chain_walk_can_contract, random_circuit
@@ -90,12 +90,6 @@ def test_contract_preserves_semantics_and_structure(rng):
                 break
         g.audit()
         assert phases_equal(before, circuit_unitary(g.flatten()))
-
-
-def test_contract_width_limit():
-    g = build_gdg(qaoa_triangle())
-    with pytest.raises(GDGError):
-        g.contract({4, 5, 6}, max_width=1)
 
 
 def test_critical_path_worked_example():

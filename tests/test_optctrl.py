@@ -525,22 +525,8 @@ def test_ocu_caches_repeated_instructions():
     ins_b = AggregatedInstruction([Gate(GateName.RZ, (5,), (1.1,))], 3)
     d1 = ocu.latency(ins_a)
     assert len(ocu.cache) == 1
-    assert ocu.cached_duration(ins_b) == d1   # same local unitary
-    assert ocu.latency(ins_b) == d1
+    assert ocu.latency(ins_b) == d1   # same local unitary
     assert len(ocu.cache) == 1
-
-
-def test_cached_duration_miss_synthesizes_nothing(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("cache lookup did synthesis work")
-
-    monkeypatch.setattr(optctrl.HamiltonianModel, "__init__", boom)
-    monkeypatch.setattr(optctrl, "min_time", boom)
-    ocu = OptimalControlUnit(adjacency=lambda a, b: abs(a - b) == 1)
-    ins = AggregatedInstruction([Gate(GateName.CNOT, (0, 1)),
-                                 Gate(GateName.CNOT, (1, 2))], 0)
-    assert ocu.cached_duration(ins) is None
-    assert ocu.cache == {}
 
 
 def test_merged_instruction_never_slower_than_parts():

@@ -179,9 +179,6 @@ class SlowMergeOCU(OptimalControlUnit):
         parts = [AggregatedInstruction([g], ins.seq) for g in ins.gates]
         return 10.0 + sum(map(super().latency, parts))
 
-    def cached_duration(self, ins):
-        return self.latency(ins)
-
     def synthesize(self, ins):
         assert len(ins.gates) == 1, f"merged {ins.label()} reached synthesis"
         return super().synthesize(ins)
@@ -203,6 +200,18 @@ def test_aggregation_undone_when_merges_lengthen_schedule():
     assert agg.report.passed
     stages, emitted = agg.manifest["stages"], agg.manifest["instructions"]
     assert stages["aggregated"]["nodes"] == len(emitted)
+
+
+def test_compile_ignores_what_the_oracle_cached_before():
+    # the second compile finds every pulse of the first cached; it must still
+    # take the same merges in the same order
+    ocu = OptimalControlUnit(adjacency=Topology.line(6).adjacent)
+    opts = CompileOptions(strategy="cls+agg", max_width=3,
+                          compare_baseline=False)
+    cold, warm = (compile_circuit(maxcut_line(6), opts, ocu=ocu).manifest
+                  for _ in range(2))
+    assert cold["aggregation_trace"]
+    assert warm == cold
 
 
 def test_topology_capacity_checked():
