@@ -184,6 +184,31 @@ def test_aggregate_loop_applies_toy_merge():
     assert ids["c1"] in g.nodes and len(g.real_nodes()) == 2
 
 
+def test_actions_order_by_gain_then_members(rng):
+    # no gain is ranked: every monotonic action ties, and the smallest member
+    # tuple goes first, even where another action spans less
+    g, ids = toy_instance()
+    acts = {a.members: a.span_ns for a in enumerate_actions(g)}
+    big = tuple(sorted((ids["g1"], ids["g2"], ids["g3"])))
+    small = tuple(sorted((ids["g3"], ids["g6"])))
+    assert acts == {big: 110.0, small: 20.0}
+    trace = []
+    aggregate_loop(g, table_price(), trace=trace)
+    assert trace[0]["merged"] == list(big)
+    price = table_price()
+    applied = 0
+    for _ in range(20):
+        g = build_gdg(random_circuit(4, int(rng.integers(5, 16)), rng))
+        g.set_durations(price)
+        acts = enumerate_actions(g)
+        trace = []
+        aggregate_loop(g, price, trace=trace)
+        if acts:
+            assert trace[0]["merged"] == list(min(a.members for a in acts))
+            applied += 1
+    assert applied > 0
+
+
 def test_width_cap_respected(rng):
     price = table_price()
     for _ in range(10):
