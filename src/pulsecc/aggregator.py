@@ -27,35 +27,20 @@ class Action:
     """Merge of members (ascending node ids) into one instruction.
 
     span_ns is the members' internal critical path, the merged node's
-    duration until it is re-priced.  aggregate_loop applies the action with
-    the lexicographically smallest member tuple.
+    duration until it is re-priced.  order lists the members in the graph's
+    topological order, the order in which their gates are joined.
+    aggregate_loop applies the action with the lexicographically smallest
+    member tuple.
     """
     members: tuple[int, ...]
     span_ns: float
+    order: tuple[int, ...]
 
 
 def _fits(members, g: GDG, max_width: int) -> bool:
     """Merged width within the limit and a legal contraction."""
     qubits = {q for m in members for q in g.nodes[m].qubits}
     return len(qubits) <= max_width and g.can_contract(set(members))[0]
-
-
-def can_aggregate(a: int, b: int, g: GDG, max_width: int = DEFAULT_MAX_WIDTH) -> bool:
-    """True iff merging a and b keeps pulses continuous and width bounded.
-
-    Requires shared qubits, a merged width within the instruction-width
-    limit, and a legal contraction: on a shared qubit, contiguity is chain
-    adjacency, and no outside path may run between the two (which would
-    force a cycle).
-    """
-    if a == b or a == g.ROOT or b == g.ROOT:
-        return False
-    na, nb = g.nodes.get(a), g.nodes.get(b)
-    if na is None or nb is None:
-        return False
-    if not set(na.qubits) & set(nb.qubits):
-        return False
-    return _fits((a, b), g, max_width)
 
 
 def _heads_tails(g: GDG) -> tuple[dict, dict, float, dict]:
@@ -100,7 +85,8 @@ def enumerate_actions(g: GDG, max_width: int = DEFAULT_MAX_WIDTH) -> list[Action
     head, tail, makespan, pos = _heads_tails(g)
     actions = []
     for members in _candidates(g):
-        nodes = [g.nodes[m] for m in sorted(members, key=pos.__getitem__)]
+        order = tuple(sorted(members, key=pos.__getitem__))
+        nodes = [g.nodes[m] for m in order]
         start = max(head[p] for n in nodes for p in n.parents.values()
                     if p not in members)
         end = max((tail[c] for n in nodes for c in n.children.values()
@@ -114,7 +100,7 @@ def enumerate_actions(g: GDG, max_width: int = DEFAULT_MAX_WIDTH) -> list[Action
         if start + span + end > makespan + 1e-9:
             continue
         if _fits(members, g, max_width):
-            actions.append(Action(members, span))
+            actions.append(Action(members, span, order))
     return actions
 
 
@@ -135,7 +121,7 @@ def aggregate_loop(g: GDG, price, max_width: int = DEFAULT_MAX_WIDTH,
             if not actions:
                 break
             best = min(actions, key=lambda a: a.members)
-            merged = g.contract(set(best.members))
+            merged = g.contract(best.order)
             merged.duration = best.span_ns
             changed.add(merged.id)
             if trace is not None:

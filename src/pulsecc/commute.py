@@ -66,7 +66,7 @@ class CommutationGroupTable:
     groups: dict[int, list[list[int]]]
 
 
-def build_commutation_groups(g: GDG, tol: float = TOL_COMMUTE) -> CommutationGroupTable:
+def build_commutation_groups(g: GDG) -> CommutationGroupTable:
     """Greedy left-to-right grouping per qubit.
 
     A gate joins the current group iff it commutes (on the joint context)
@@ -82,7 +82,7 @@ def build_commutation_groups(g: GDG, tol: float = TOL_COMMUTE) -> CommutationGro
         pos = {q: i for i, q in enumerate(sorted(qa | qb))}
         key = (len(pos), _shape(a.gates, pos), _shape(b.gates, pos))
         if key not in verdicts:
-            verdicts[key] = commutes(a, b, tol).commutes
+            verdicts[key] = commutes(a, b).commutes
         return verdicts[key]
 
     groups: dict[int, list[list[int]]] = {}
@@ -139,15 +139,15 @@ def _pair_runs(g: GDG, pair: tuple[int, int]) -> list[list[int]]:
     return [run for run in runs if len(run) >= 2]
 
 
-def detect_diagonal_blocks(g: GDG, window_cap: int = DIAG_WINDOW_CAP,
-                           tol: float = TOL_DIAG) -> GDG:
+def detect_diagonal_blocks(g: GDG) -> GDG:
     """Contract maximal runs of 2-qubit-supported gates with diagonal product.
 
     One pass per interacting qubit pair: from each node of a run, the longest
-    window of 2 or more nodes and at most window_cap gates whose product is
-    diagonal becomes a single node, and the scan resumes after it.  A slice
-    of a legal run is legal.  Each gate shape is embedded once.  Mutates and
-    returns g.
+    window of 2 or more nodes and at most DIAG_WINDOW_CAP gates whose product
+    is diagonal becomes a single node, and the scan resumes after it.  A
+    slice of a legal run is legal, and the run's topological order is the
+    order contract joins the slice's gates in.  Each gate shape is embedded
+    once.  Mutates and returns g.
     """
     embedded: dict[tuple, np.ndarray] = {}
     for pair in _interacting_pairs(g):
@@ -159,15 +159,15 @@ def detect_diagonal_blocks(g: GDG, window_cap: int = DIAG_WINDOW_CAP,
                 for j in range(i, len(run)):
                     gates = g.nodes[run[j]].instruction.gates
                     count += len(gates)
-                    if count > window_cap:
+                    if count > DIAG_WINDOW_CAP:
                         break
                     for gt, key in zip(gates, _shape(gates, pos)):
                         if key not in embedded:
                             embedded[key] = embed(gt, ctx)
                         u = embedded[key] @ u
-                    if j > i and is_diagonal(u, tol):
+                    if j > i and is_diagonal(u):
                         end = j + 1
                 if end:
-                    g.contract(set(run[i:end]))
+                    g.contract(run[i:end])
                 i = end or i + 1
     return g

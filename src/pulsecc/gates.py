@@ -15,8 +15,6 @@ from enum import Enum
 
 import numpy as np
 
-UNITARY_TOL = 1e-10
-
 
 class GateName(Enum):
     H = "h"
@@ -204,14 +202,6 @@ class Circuit:
             matrix: np.ndarray | None = None):
         self.append(Gate(name, tuple(qubits), tuple(params), matrix))
 
-    def inverse(self) -> "Circuit":
-        """Gate-wise inverse in reverse order."""
-        inv = Circuit(self.num_qubits, name=self.name + "_inv")
-        for g in reversed(self.gates):
-            u = gate_unitary(g)
-            inv.append(Gate(GateName.CUSTOM, g.qubits, (), u.conj().T))
-        return inv
-
     def __len__(self):
         return len(self.gates)
 
@@ -233,10 +223,6 @@ def gates_unitary(gates: list[Gate], context: list[int],
     """circuit_unitary over an explicit gate list and wire context."""
     c = Circuit(max(context, default=0) + 1 if context else 1, list(gates))
     return circuit_unitary(c, context=context, max_qubits=max_qubits)
-
-
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)
 
 
 def phases_equal(u: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> bool:

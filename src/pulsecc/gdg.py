@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,10 +38,6 @@ class AggregatedInstruction:
     def qubits(self) -> tuple[int, ...]:
         """Operand qubits in order of first appearance."""
         return tuple(dict.fromkeys(q for g in self.gates for q in g.qubits))
-
-    @property
-    def width(self) -> int:
-        return len(self.qubits)
 
     @property
     def target_unitary(self) -> np.ndarray:
@@ -76,10 +73,6 @@ class GDGNode:
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.instruction.qubits
-
-    @property
-    def is_root(self) -> bool:
-        return self.id == 0
 
 
 class GDG:
@@ -164,23 +157,6 @@ class GDG:
                 c.append(g)
         return c
 
-    def audit(self):
-        """Raise GDGError on any parent/child map inconsistency."""
-        for nid, node in self.nodes.items():
-            for q, cid in node.children.items():
-                child = self.nodes.get(cid)
-                if child is None or child.parents.get(q) != nid:
-                    raise GDGError(f"child link {nid}-[q{q}]->{cid} not mirrored")
-            for q, pid in node.parents.items():
-                parent = self.nodes.get(pid)
-                if parent is None or parent.children.get(q) != nid:
-                    raise GDGError(f"parent link {nid}<-[q{q}]-{pid} not mirrored")
-            if not node.is_root:
-                for q in node.qubits:
-                    if q not in node.parents:
-                        raise GDGError(f"node {nid} missing parent on q{q}")
-        self.topological_order()  # raises on cycles
-
     # -- mutation ----------------------------------------------------------
 
     def copy(self) -> "GDG":
@@ -223,15 +199,24 @@ class GDG:
                     stack.append(c)
         return True, ""
 
-    def contract(self, node_ids: set[int]) -> GDGNode:
-        """Replace node_ids by one node concatenating their gates topologically."""
-        members = set(node_ids)
+    def contract(self, order: Sequence[int]) -> GDGNode:
+        """Replace the members, listed by the caller in topological order, by
+        one node joining their gates in that order.
+
+        Raises GDGError when the set cannot be contracted, or when a member is
+        listed before one of its parents in the set.
+        """
+        members = set(order)
         if len(members) == 1:
-            return self.nodes[next(iter(members))]
+            return self.nodes[order[0]]
         ok, why = self.can_contract(members)
         if not ok:
             raise GDGError(why)
-        order = [nid for nid in self.topological_order() if nid in members]
+        pos = {nid: i for i, nid in enumerate(order)}
+        if len(pos) != len(order) or any(pos.get(p, -1) > i
+                                         for i, nid in enumerate(order)
+                                         for p in self.nodes[nid].parents.values()):
+            raise GDGError("members not listed in topological order")
         gates = [g for nid in order for g in self.nodes[nid].instruction.gates]
         seq = min(self.nodes[nid].instruction.seq for nid in members)
         merged = AggregatedInstruction(gates, seq)

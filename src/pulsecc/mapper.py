@@ -12,6 +12,8 @@ from .gates import Circuit, Gate, GateName
 from .gdg import GDG, AggregatedInstruction, build_gdg
 from .scheduler import Schedule
 
+BISECT_RESTARTS = 8  # seeded random starts per Kernighan-Lin bisection
+
 
 class MappingError(ValueError):
     pass
@@ -46,16 +48,6 @@ class Topology:
         ra, ca = self.coords(a)
         rb, cb = self.coords(b)
         return abs(ra - rb) + abs(ca - cb)
-
-    def adjacency(self) -> list[tuple[int, int]]:
-        edges = []
-        for r in range(self.rows):
-            for c in range(self.cols):
-                if c + 1 < self.cols:
-                    edges.append((self.site(r, c), self.site(r, c + 1)))
-                if r + 1 < self.rows:
-                    edges.append((self.site(r, c), self.site(r + 1, c)))
-        return edges
 
     def shortest_path(self, a: int, b: int) -> list[int]:
         """Deterministic L-shaped path: reduce row distance first."""
@@ -140,8 +132,7 @@ def _kl_refine(gr: InteractionGraph, part_a: list[int], part_b: list[int]) -> No
             improved = True
 
 
-def bisect(gr: InteractionGraph, seed: int = 0,
-           restarts: int = 8) -> tuple[list[int], list[int]]:
+def bisect(gr: InteractionGraph, seed: int = 0) -> tuple[list[int], list[int]]:
     """Balanced partition (sizes differ <= 1) minimizing crossing weight.
 
     Kernighan-Lin refinement from seeded random starts; deterministic.
@@ -152,7 +143,7 @@ def bisect(gr: InteractionGraph, seed: int = 0,
     k = (len(verts) + 1) // 2
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
+    for _ in range(BISECT_RESTARTS):
         order = list(rng.permutation(verts))
         part_a, part_b = [int(v) for v in order[:k]], [int(v) for v in order[k:]]
         _kl_refine(gr, part_a, part_b)

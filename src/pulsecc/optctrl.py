@@ -142,11 +142,6 @@ class ControlPulses:
             "amplitudes": [list(map(float, row)) for row in self.amplitudes],
         }, indent=2)
 
-    @staticmethod
-    def from_json(text: str) -> "ControlPulses":
-        doc = json.loads(text)
-        return ControlPulses(np.array(doc["amplitudes"], dtype=float), doc["dt"])
-
 
 @dataclass
 class OptimizerConfig:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -19,12 +19,6 @@ from .gdg import GDG
 
 class ScheduleError(RuntimeError):
     """Deadlock: the scheduling frontier cannot make progress."""
-
-
-@dataclass
-class ComputationalGraph:
-    edges: list[tuple[int, int, int]] = field(default_factory=list)      # (qa, qb, node)
-    self_loops: list[tuple[int, int]] = field(default_factory=list)      # (q, node)
 
 
 @dataclass
@@ -63,14 +57,16 @@ class Schedule:
         return "\n".join(lines)
 
 
-def max_matching(gc: ComputationalGraph) -> set[int]:
-    """Maximum-cardinality matching over edges, then self-loops on free vertices.
+def max_matching(edges: list[tuple[int, int, int]],
+                 self_loops: list[tuple[int, int]]) -> set[int]:
+    """Maximum-cardinality matching over edges (qa, qb, node) of the
+    computational graph, then self-loops (q, node) on free vertices.
 
     Parallel edges on one vertex pair keep the lowest node id.  Among
     self-loops competing for one vertex, the lowest node id wins.
     """
     best_edge: dict[tuple[int, int], int] = {}
-    for qa, qb, nid in sorted(gc.edges, key=lambda e: e[2]):
+    for qa, qb, nid in sorted(edges, key=lambda e: e[2]):
         key = (min(qa, qb), max(qa, qb))
         best_edge.setdefault(key, nid)
     graph = nx.Graph()
@@ -82,7 +78,7 @@ def max_matching(gc: ComputationalGraph) -> set[int]:
     for qa, qb in matching:
         chosen.add(graph.edges[qa, qb]["node"])
         used.update((qa, qb))
-    for q, nid in sorted(gc.self_loops, key=lambda s: s[1]):
+    for q, nid in sorted(self_loops, key=lambda s: s[1]):
         if q not in used:
             chosen.add(nid)
             used.add(q)
@@ -110,16 +106,17 @@ def _run(g: GDG, groups: CommutationGroupTable) -> Schedule:
             if all(busy_until[q] <= now + 1e-12 and nid in current[q]
                    for q in node.qubits):
                 candidates.append(nid)
+        instant = False  # a zero-duration placement may free successors now
         if candidates:
-            gc = ComputationalGraph()
+            edges, self_loops = [], []
             for nid in candidates:
                 qs = g.nodes[nid].qubits
                 if len(qs) == 1:
-                    gc.self_loops.append((qs[0], nid))
+                    self_loops.append((qs[0], nid))
                 else:
-                    gc.edges.append((qs[0], qs[1], nid))
+                    edges.append((qs[0], qs[1], nid))
             claimed: set[int] = set()
-            for nid in sorted(max_matching(gc)):
+            for nid in sorted(max_matching(edges, self_loops)):
                 node = g.nodes[nid]
                 if node.duration is None:
                     raise ScheduleError(f"node {nid} has no duration")
@@ -129,14 +126,13 @@ def _run(g: GDG, groups: CommutationGroupTable) -> Schedule:
                 claimed.update(node.qubits)
                 entries.append((nid, now))
                 unscheduled.discard(nid)
+                instant = instant or node.duration <= 1e-12
                 for q in node.qubits:
                     busy_until[q] = now + node.duration
                     current[q].discard(nid)
-        if unscheduled:
+        if unscheduled and not instant:
             future = [t for t in busy_until.values() if t > now + 1e-12]
             if not future:
-                if candidates:
-                    continue  # zero-duration progress; groups may refill
                 frontier = sorted(unscheduled)[:10]
                 raise ScheduleError(
                     f"scheduling deadlock; stuck frontier (first 10): {frontier}")

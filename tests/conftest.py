@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pulsecc.gates import Circuit, Gate, GateName
+from pulsecc.gdg import GDGError
 
 
 ONE_QUBIT = [
@@ -64,6 +65,31 @@ def chain_walk_can_contract(g, node_ids) -> tuple[bool, str]:
             seen.add(c)
             stack.append(c)
     return True, ""
+
+
+def audit(g):
+    """Raise GDGError on any parent/child map inconsistency or cycle."""
+    for nid, node in g.nodes.items():
+        for q, cid in node.children.items():
+            child = g.nodes.get(cid)
+            if child is None or child.parents.get(q) != nid:
+                raise GDGError(f"child link {nid}-[q{q}]->{cid} not mirrored")
+        for q, pid in node.parents.items():
+            parent = g.nodes.get(pid)
+            if parent is None or parent.children.get(q) != nid:
+                raise GDGError(f"parent link {nid}<-[q{q}]-{pid} not mirrored")
+        if nid != g.ROOT:
+            for q in node.qubits:
+                if q not in node.parents:
+                    raise GDGError(f"node {nid} missing parent on q{q}")
+    g.topological_order()  # raises on cycles
+
+
+def contract(g, members):
+    """Contract members, handing GDG.contract the graph's topological order
+    restricted to them."""
+    members = set(members)
+    return g.contract([nid for nid in g.topological_order() if nid in members])
 
 
 def einsum_steps(u_amp: np.ndarray, m):

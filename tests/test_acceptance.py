@@ -22,8 +22,7 @@ from pulsecc.optctrl import (ControlPulses, HamiltonianModel,
                              gradient, infidelity, min_time,
                              min_time_bound)
 from pulsecc.pipeline import CompileOptions, compile_circuit
-from pulsecc.scheduler import (ComputationalGraph, cls_schedule, list_schedule,
-                               max_matching)
+from pulsecc.scheduler import cls_schedule, list_schedule, max_matching
 from pulsecc.verify import verify_instruction
 
 from conftest import random_circuit
@@ -178,7 +177,7 @@ def test_criterion_5_matching_optimality(capfd, rng):
                  if a != b]
         if not edges:
             continue
-        got = max_matching(ComputationalGraph(edges=list(edges)))
+        got = max_matching(edges, [])
         chosen = [e for e in edges if e[2] in got]
         verts = [v for (a, b, _) in chosen for v in (a, b)]
         ok = ok and len(verts) == len(set(verts))

@@ -1,6 +1,7 @@
 import pytest
 
-from pulsecc.aggregator import aggregate_loop, can_aggregate, enumerate_actions
+from pulsecc.aggregator import (DEFAULT_MAX_WIDTH, _fits, aggregate_loop,
+                                enumerate_actions)
 from pulsecc.gates import Gate, GateName, circuit_unitary, phases_equal
 from pulsecc.gdg import GDG, AggregatedInstruction, build_gdg
 from pulsecc.latency import table_price
@@ -8,7 +9,7 @@ from pulsecc.mapper import (Topology, build_interaction_graph, initial_mapping,
                             route_swaps)
 from pulsecc.scheduler import list_schedule
 
-from conftest import chain_walk_can_contract, random_circuit
+from conftest import audit, chain_walk_can_contract, contract, random_circuit
 
 
 def toy_instance():
@@ -36,16 +37,10 @@ def toy_instance():
                "g3": g3.id, "g6": g6.id}
 
 
-def test_can_aggregate_requires_shared_qubits():
-    g, ids = toy_instance()
-    assert not can_aggregate(ids["c1"], ids["g1"], g)     # disjoint
-    assert can_aggregate(ids["g3"], ids["g6"], g)
-    assert can_aggregate(ids["g1"], ids["g3"], g)         # adjacent on q1
-
-
 def test_can_aggregate_respects_width():
     g, ids = toy_instance()
-    assert not can_aggregate(ids["g3"], ids["g6"], g, max_width=1)
+    assert _fits((ids["g3"], ids["g6"]), g, 2)
+    assert not _fits((ids["g3"], ids["g6"]), g, 1)
 
 
 def action_sets(g, **kw) -> set[frozenset]:
@@ -62,7 +57,7 @@ def test_toy_instance_monotonic_actions():
     assert action_sets(g) == toy_action_sets(ids)
     # the rejected pair merges are aggregable but not monotonic
     for other in ("g1", "g2"):
-        assert can_aggregate(ids[other], ids["g3"], g)
+        assert _fits((ids[other], ids["g3"]), g, DEFAULT_MAX_WIDTH)
 
 
 def test_monotonicity_uses_internal_critical_path():
@@ -92,7 +87,7 @@ def routed_gdg(c, topo, seed):
 def aggregable_pairs(g, max_width) -> list[tuple[int, int]]:
     return sorted({tuple(sorted((n.id, c))) for n in g.real_nodes()
                    for c in n.children.values()
-                   if can_aggregate(n.id, c, g, max_width)})
+                   if _fits((n.id, c), g, max_width)})
 
 
 def candidate_sets(g, max_width) -> list[tuple[int, ...]]:
@@ -127,7 +122,7 @@ def copy_and_contract_actions(g, max_width) -> set[frozenset]:
     out = set()
     for members in candidate_sets(g, max_width):
         trial = g.copy()
-        trial.contract(set(members)).duration = \
+        contract(trial, members).duration = \
             internal_critical_path(g, members)
         if trial.critical_path()[0] <= before + 1e-9:
             out.add(frozenset(members))
@@ -152,7 +147,7 @@ def test_enumerate_actions_matches_copy_and_contract(rng):
             # any legal merge, priced at or below its internal critical path
             members = sets[int(rng.integers(len(sets)))]
             dur = internal_critical_path(g, members)
-            g.contract(set(members)).duration = dur * float(rng.uniform(0.5, 1.0))
+            contract(g, members).duration = dur * float(rng.uniform(0.5, 1.0))
     assert states > 100
 
 
@@ -165,7 +160,7 @@ def test_aggregate_loop_never_increases_makespan(rng):
         before, _ = g.critical_path()
         before_u = circuit_unitary(g.flatten())
         aggregate_loop(g, price)
-        g.audit()
+        audit(g)
         after, _ = g.critical_path()
         assert after <= before + 1e-9
         assert phases_equal(before_u, circuit_unitary(g.flatten()))
@@ -216,4 +211,4 @@ def test_width_cap_respected(rng):
         g = build_gdg(c)
         g.set_durations(price)
         aggregate_loop(g, price, max_width=2)
-        assert all(n.instruction.width <= 2 for n in g.real_nodes())
+        assert all(len(n.qubits) <= 2 for n in g.real_nodes())

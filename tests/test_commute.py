@@ -9,7 +9,8 @@ from pulsecc.gates import (Circuit, Gate, GateName, circuit_unitary, embed,
                            gates_unitary, phases_equal)
 from pulsecc.gdg import build_gdg
 
-from conftest import chain_walk_can_contract, random_circuit, random_gate
+from conftest import (audit, chain_walk_can_contract, contract, random_circuit,
+                      random_gate)
 
 
 def brute_commutes(a: Gate, b: Gate) -> bool:
@@ -79,7 +80,7 @@ def test_diagonal_block_detection_on_worked_example():
     g = build_gdg(qaoa_triangle())
     before = circuit_unitary(g.flatten())
     detect_diagonal_blocks(g)
-    g.audit()
+    audit(g)
     # three CNOT-Rz-CNOT blocks collapse: 16 gates -> 10 nodes
     assert len(g.real_nodes()) == 10
     blocks = [n for n in g.real_nodes() if len(n.instruction.gates) == 3]
@@ -106,7 +107,7 @@ def test_detection_preserves_semantics_random(rng):
         g = build_gdg(c)
         before = circuit_unitary(g.flatten())
         detect_diagonal_blocks(g)
-        g.audit()
+        audit(g)
         assert phases_equal(before, circuit_unitary(g.flatten()))
 
 
@@ -149,7 +150,7 @@ def restart_loop_detect(g, window_cap=10, tol=1e-8):
                         if (len(gates) <= window_cap
                                 and is_diagonal(gates_unitary(gates, list(pair)), tol)
                                 and chain_walk_can_contract(g, members)[0]):
-                            g.contract(set(members))
+                            contract(g, members)
                             changed = True
                             break
                     if changed:

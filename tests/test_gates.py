@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pulsecc.gates import (Circuit, Gate, GateError, GateName, circuit_unitary,
-                           embed, gate_unitary, is_unitary, permute_wires,
+                           embed, gate_unitary, permute_wires,
                            phases_equal)
 
 from conftest import random_circuit
@@ -39,7 +39,7 @@ def test_all_library_gates_unitary():
                   if name in (GateName.RX, GateName.RY, GateName.RZ,
                               GateName.CPHASE, GateName.XX) else ())
         u = gate_unitary(Gate(name, tuple(range(arity)), params))
-        assert is_unitary(u), name
+        assert np.allclose(u.conj().T @ u, np.eye(len(u)), atol=1e-10), name
 
 
 def test_gate_validation():
@@ -92,13 +92,6 @@ def test_circuit_unitary_program_order():
     h = gate_unitary(Gate(GateName.H, (0,)))
     z = gate_unitary(Gate(GateName.Z, (0,)))
     assert np.allclose(u, z @ h)   # first gate applied first
-
-
-def test_circuit_inverse(rng):
-    c = random_circuit(3, 10, rng)
-    u = circuit_unitary(c)
-    v = circuit_unitary(c.inverse())
-    assert np.allclose(v @ u, np.eye(8), atol=1e-10)
 
 
 @given(st.floats(0, 2 * math.pi))

@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from pulsecc.aggregator import aggregate_loop
 from pulsecc.bench import qaoa_triangle
+from pulsecc.commute import detect_diagonal_blocks
 from pulsecc.gates import circuit_unitary, phases_equal
-from pulsecc.gdg import GDG, AggregatedInstruction, build_gdg
+from pulsecc.gdg import GDG, AggregatedInstruction, GDGError, build_gdg
 from pulsecc.latency import table_price
 
-from conftest import chain_walk_can_contract, random_circuit
+from conftest import audit, chain_walk_can_contract, contract, random_circuit
 
 
 def table_durations(g):
@@ -22,7 +24,7 @@ def test_build_structure():
     for q in range(3):
         first = g.qubit_path(q)[0]
         assert g.nodes[first].parents[q] == GDG.ROOT
-    g.audit()
+    audit(g)
 
 
 def test_chain_end_is_implicit_sink():
@@ -73,6 +75,40 @@ def test_contract_cycle_rejected():
     assert not ok and "cycle" in why
 
 
+def test_contract_rejects_member_listed_before_its_parent():
+    g = build_gdg(qaoa_triangle())
+    # node 5 (rz) is node 4's child and node 6's parent on qubit 1's chain
+    with pytest.raises(GDGError, match="topological order"):
+        g.contract([4, 6, 5])
+    with pytest.raises(GDGError, match="topological order"):
+        g.contract([5, 4])
+    assert len(g.real_nodes()) == 16
+    merged = g.contract([4, 5, 6])
+    assert [repr(gt) for gt in merged.instruction.gates] == \
+        ["cnot q0 q1", "rz(5.67) q1", "cnot q0 q1"]
+
+
+def test_callers_contract_in_the_graph_topological_order(rng, monkeypatch):
+    # the order each caller hands contract is the whole graph's topological
+    # order restricted to the members, so joined gate lists stay as they were
+    real_contract, calls = GDG.contract, []
+
+    def checked(g, order):
+        members = set(order)
+        assert list(order) == [n for n in g.topological_order() if n in members]
+        calls.append(len(order))
+        return real_contract(g, order)
+
+    monkeypatch.setattr(GDG, "contract", checked)
+    price = table_price()
+    for _ in range(30):
+        c = random_circuit(int(rng.integers(2, 6)), int(rng.integers(6, 30)), rng)
+        g = detect_diagonal_blocks(build_gdg(c))
+        g.set_durations(price)
+        aggregate_loop(g, price, max_width=int(rng.integers(2, 5)))
+    assert len(calls) > 100
+
+
 def test_contract_preserves_semantics_and_structure(rng):
     for _ in range(10):
         c = random_circuit(3, 10, rng)
@@ -83,12 +119,12 @@ def test_contract_preserves_semantics_and_structure(rng):
         for node in g.real_nodes():
             for q, child in node.children.items():
                 if g.can_contract({node.id, child})[0]:
-                    g.contract({node.id, child})
+                    contract(g, {node.id, child})
                     done = True
                     break
             if done:
                 break
-        g.audit()
+        audit(g)
         assert phases_equal(before, circuit_unitary(g.flatten()))
 
 
@@ -170,7 +206,7 @@ def test_can_contract_matches_chain_walk(rng):
                 checked[ok] += 1
             if ok and rng.random() < 0.5:
                 before = circuit_unitary(g.flatten())
-                g.contract(members)
-                g.audit()
+                contract(g, members)
+                audit(g)
                 assert phases_equal(before, circuit_unitary(g.flatten()))
     assert min(checked.values()) > 100

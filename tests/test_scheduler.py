@@ -5,11 +5,10 @@ import pytest
 
 from pulsecc.bench import qaoa_triangle
 from pulsecc.commute import build_commutation_groups, singleton_groups
-from pulsecc.gates import circuit_unitary, phases_equal
+from pulsecc.gates import Circuit, GateName, circuit_unitary, phases_equal
 from pulsecc.gdg import build_gdg
 from pulsecc.latency import table_price
-from pulsecc.scheduler import (ComputationalGraph, cls_schedule, list_schedule,
-                               max_matching)
+from pulsecc.scheduler import cls_schedule, list_schedule, max_matching
 
 from conftest import random_circuit
 
@@ -33,7 +32,7 @@ def test_matching_matches_exhaustive(rng):
         for i in range(n_edges):
             a, b = rng.choice(n_verts, size=2, replace=False)
             edges.append((int(a), int(b), i))
-        got = max_matching(ComputationalGraph(edges=list(edges)))
+        got = max_matching(edges, [])
         # count vertex-disjoint chosen edges
         chosen = [e for e in edges if e[2] in got]
         verts = [v for (a, b, _) in chosen for v in (a, b)]
@@ -42,9 +41,7 @@ def test_matching_matches_exhaustive(rng):
 
 
 def test_matching_self_loops_fill_free_vertices():
-    gc = ComputationalGraph(edges=[(0, 1, 5)],
-                            self_loops=[(2, 7), (2, 9), (0, 3)])
-    got = max_matching(gc)
+    got = max_matching([(0, 1, 5)], [(2, 7), (2, 9), (0, 3)])
     assert 5 in got          # the edge
     assert 7 in got          # lowest node id wins vertex 2
     assert 9 not in got
@@ -68,7 +65,6 @@ def schedule_is_valid(sched, g):
 
 def scheduled_unitary(sched, g):
     """Unitary of the instructions applied in scheduled start order."""
-    from pulsecc.gates import Circuit
     c = Circuit(g.num_qubits)
     order = sorted(sched.entries, key=lambda e: (e[1], e[0]))
     for nid, _ in order:
@@ -91,6 +87,23 @@ def test_list_schedule_worked_example_makespan():
     sched = list_schedule(g)
     total, _ = g.critical_path()
     assert sched.makespan_ns == pytest.approx(total, abs=1e-9)
+
+
+def test_zero_duration_gate_does_not_delay_its_successors():
+    # each rz(0) takes 0 ns, so the cnot behind it may start at once; the
+    # x gates on q2 must not decide when the next cnot starts
+    c = Circuit(3)
+    for _ in range(3):
+        c.add(GateName.RZ, 0, params=(0.0,))
+        c.add(GateName.CNOT, 0, 1)
+        c.add(GateName.X, 2)
+    g = build_gdg(c)
+    g.set_durations(table_price({"rz": 0}))
+    sched = list_schedule(g)
+    total, _ = g.critical_path()
+    assert total == pytest.approx(141.3)
+    assert sched.makespan_ns == pytest.approx(total, abs=1e-9)
+    assert schedule_is_valid(sched, g)
 
 
 def test_cls_not_slower_on_worked_example():
