@@ -24,17 +24,20 @@ OUTER_LOOP_CAP = 10
 
 @dataclass(frozen=True)
 class Action:
-    """Merge of members (ascending node ids) into one instruction.
+    """Merge of the nodes in order, listed in the graph's topological order
+    (the order their gates are joined in), into one instruction.
 
     span_ns is the members' internal critical path, the merged node's
-    duration until it is re-priced.  order lists the members in the graph's
-    topological order, the order in which their gates are joined.
-    aggregate_loop applies the action with the lexicographically smallest
-    member tuple.
+    duration until it is re-priced.  aggregate_loop applies the action with
+    the lexicographically smallest member tuple.
     """
-    members: tuple[int, ...]
-    span_ns: float
     order: tuple[int, ...]
+    span_ns: float
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The merged node ids, ascending."""
+        return tuple(sorted(self.order))
 
 
 def _fits(members, g: GDG, max_width: int) -> bool:
@@ -100,7 +103,7 @@ def enumerate_actions(g: GDG, max_width: int = DEFAULT_MAX_WIDTH) -> list[Action
         if start + span + end > makespan + 1e-9:
             continue
         if _fits(members, g, max_width):
-            actions.append(Action(members, span, order))
+            actions.append(Action(order, span))
     return actions
 
 

@@ -1,10 +1,11 @@
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from pulsecc.aggregator import aggregate_loop
-from pulsecc.bench import qaoa_triangle
+from pulsecc.bench import qaoa_circuit, qaoa_triangle
 from pulsecc.commute import detect_diagonal_blocks
 from pulsecc.gates import circuit_unitary, phases_equal
 from pulsecc.gdg import GDG, AggregatedInstruction, GDGError, build_gdg
@@ -101,8 +102,13 @@ def test_callers_contract_in_the_graph_topological_order(rng, monkeypatch):
 
     monkeypatch.setattr(GDG, "contract", checked)
     price = table_price()
-    for _ in range(30):
-        c = random_circuit(int(rng.integers(2, 6)), int(rng.integers(6, 30)), rng)
+    circuits = [random_circuit(int(rng.integers(2, 6)), int(rng.integers(6, 30)), rng)
+                for _ in range(30)]
+    # two-layer QAOA on seeded 3-regular graphs, the benchmark's front-end input
+    for n, seed in [(10, 6), (12, 11), (16, 6)]:
+        edges = nx.random_regular_graph(3, n, seed=seed).edges()
+        circuits.append(qaoa_circuit(n, sorted(map(sorted, edges)), layers=2))
+    for c in circuits:
         g = detect_diagonal_blocks(build_gdg(c))
         g.set_durations(price)
         aggregate_loop(g, price, max_width=int(rng.integers(2, 5)))
