@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .gdg import GDG
 
-DEFAULT_MAX_WIDTH = 4       # q_L at desk scale; configurable up to 10
+MAX_WIDTH_LIMIT = 10        # widest merge a compile may ask for
+DEFAULT_MAX_WIDTH = 4       # q_L at desk scale; configurable up to the limit
 CONVERGENCE_TOL_NS = 0.1
 OUTER_LOOP_CAP = 10
 

@@ -11,39 +11,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import embed, gates_unitary
-from .gdg import GDG, AggregatedInstruction, GDGError
+from .gdg import GDG, AggregatedInstruction
 
 TOL_COMMUTE = 1e-8
 TOL_DIAG = 1e-8
 DIAG_WINDOW_CAP = 10  # gates per 2-qubit detection window
 
 
-@dataclass(frozen=True)
-class CommutationVerdict:
-    commutes: bool
-    residual: float
-
-
-def _as_instruction(x) -> AggregatedInstruction:
-    if isinstance(x, AggregatedInstruction):
-        return x
-    return AggregatedInstruction([x])
-
-
-def commutes(a, b, tol: float = TOL_COMMUTE,
-             max_width: int = 12) -> CommutationVerdict:
-    """Embed both operators on the union context and compare AB with BA."""
-    ia, ib = _as_instruction(a), _as_instruction(b)
+def commutes(a, b) -> bool:
+    """Embed both operators (gates or instructions) on the union context and
+    compare AB with BA."""
+    ia, ib = (x if isinstance(x, AggregatedInstruction)
+              else AggregatedInstruction([x]) for x in (a, b))
     qa, qb = set(ia.qubits), set(ib.qubits)
     if not qa & qb:
-        return CommutationVerdict(True, 0.0)
+        return True
     ctx = sorted(qa | qb)
-    if len(ctx) > max_width:
-        raise GDGError(f"joint support {len(ctx)} qubits exceeds width limit")
     ua = gates_unitary(ia.gates, ctx)
     ub = gates_unitary(ib.gates, ctx)
-    residual = float(np.max(np.abs(ua @ ub - ub @ ua)))
-    return CommutationVerdict(residual <= tol, residual)
+    return bool(np.max(np.abs(ua @ ub - ub @ ua)) <= TOL_COMMUTE)
 
 
 def _shape(gates, pos: dict[int, int]) -> tuple:
@@ -82,7 +68,7 @@ def build_commutation_groups(g: GDG) -> CommutationGroupTable:
         pos = {q: i for i, q in enumerate(sorted(qa | qb))}
         key = (len(pos), _shape(a.gates, pos), _shape(b.gates, pos))
         if key not in verdicts:
-            verdicts[key] = commutes(a, b).commutes
+            verdicts[key] = commutes(a, b)
         return verdicts[key]
 
     groups: dict[int, list[list[int]]] = {}

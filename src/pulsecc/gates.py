@@ -51,6 +51,8 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+DENSE_LIMIT = 12  # widest wire context, in qubits, given a dense matrix
+
 
 class GateError(ValueError):
     """Invalid gate construction or use."""
@@ -87,10 +89,6 @@ class Gate:
                 raise GateError(
                     f"{self.name.value} expects {_NUM_PARAMS.get(self.name, 0)} "
                     f"parameter(s), got {len(self.params)}")
-
-    @property
-    def arity(self) -> int:
-        return len(self.qubits)
 
     def remap(self, perm: dict[int, int]) -> "Gate":
         """Return the same gate with qubit indices rewritten through perm."""
@@ -160,19 +158,21 @@ def permute_wires(u: np.ndarray, src_order: list[int], dst_order: list[int]) -> 
     return np.ascontiguousarray(t.reshape(2 ** k, 2 ** k))
 
 
-def embed(g: Gate, qubit_context: list[int] | tuple[int, ...]) -> np.ndarray:
-    """Tensor g's unitary with identity over the remaining context wires.
-
-    The output wire ordering matches qubit_context (first entry = MSB).
-    """
-    ctx = list(qubit_context)
-    for q in g.qubits:
+def embed_operator(op: np.ndarray, wires, context) -> np.ndarray:
+    """Tensor an operator on wires with identity over the remaining context
+    wires.  The output wire ordering matches context (first entry = MSB)."""
+    ctx = list(context)
+    for q in wires:
         if q not in ctx:
             raise GateError(f"operand q{q} not in context {ctx}")
-    rest = [q for q in ctx if q not in g.qubits]
-    u = gate_unitary(g)
-    full = np.kron(u, np.eye(2 ** len(rest), dtype=complex))
-    return permute_wires(full, list(g.qubits) + rest, ctx)
+    rest = [q for q in ctx if q not in wires]
+    full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
+    return permute_wires(full, list(wires) + rest, ctx)
+
+
+def embed(g: Gate, qubit_context) -> np.ndarray:
+    """g's unitary tensored with identity over the remaining context wires."""
+    return embed_operator(gate_unitary(g), g.qubits, qubit_context)
 
 
 @dataclass
@@ -206,23 +206,20 @@ class Circuit:
         return len(self.gates)
 
 
-def circuit_unitary(c: Circuit, context: list[int] | None = None,
-                    max_qubits: int = 12) -> np.ndarray:
-    """Program-order product of embedded gate matrices (first gate applied first)."""
-    ctx = list(range(c.num_qubits)) if context is None else list(context)
-    if len(ctx) > max_qubits:
-        raise GateError(f"{len(ctx)} qubits exceeds dense-matrix limit {max_qubits}")
+def gates_unitary(gates: list[Gate], context) -> np.ndarray:
+    """Product of the gates embedded on context, first gate applied first."""
+    ctx = list(context)
+    if len(ctx) > DENSE_LIMIT:
+        raise GateError(f"{len(ctx)} qubits exceeds dense-matrix limit {DENSE_LIMIT}")
     u = np.eye(2 ** len(ctx), dtype=complex)
-    for g in c.gates:
+    for g in gates:
         u = embed(g, ctx) @ u
     return u
 
 
-def gates_unitary(gates: list[Gate], context: list[int],
-                  max_qubits: int = 12) -> np.ndarray:
-    """circuit_unitary over an explicit gate list and wire context."""
-    c = Circuit(max(context, default=0) + 1 if context else 1, list(gates))
-    return circuit_unitary(c, context=context, max_qubits=max_qubits)
+def circuit_unitary(c: Circuit) -> np.ndarray:
+    """gates_unitary of the whole circuit on wires 0 .. num_qubits - 1."""
+    return gates_unitary(c.gates, range(c.num_qubits))
 
 
 def phases_equal(u: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> bool:

@@ -1,10 +1,10 @@
 """GRAPE optimal control over a 2-level transmon model with XY coupling.
 
-Model: zero drift in the rotating frame; per qubit sigma_x/y/z drives bounded
-at 5*mu_max, per coupled pair one XY exchange channel (s+s- + s-s+) bounded
-at mu_max = 0.02 GHz.  Piecewise-constant amplitudes u_k(j) in GHz enter the
-step Hamiltonian as H_j = sum_k 2*pi*u_k(j)*H_k (hbar = 1, angular
-frequencies in rad/ns), and U_j = exp(-i H_j dt).
+The one model: zero drift in the rotating frame; per qubit sigma_x/y/z
+drives bounded at 5*mu_max, per coupled pair one XY exchange channel (s+s- +
+s-s+) bounded at mu_max = 0.02 GHz.  Piecewise-constant amplitudes u_k(j) in
+GHz enter the step Hamiltonian as H_j = sum_k 2*pi*u_k(j)*H_k (hbar = 1,
+angular frequencies in rad/ns), and U_j = exp(-i H_j dt).
 """
 from __future__ import annotations
 
@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import SIGMA_X, SIGMA_Y, SIGMA_Z, permute_wires
+from .gates import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_operator
 
 MU_MAX_DEFAULT = 0.02   # GHz, XY coupling limit
 SINGLE_QUBIT_FACTOR = 5.0
 DT_DEFAULT = 0.5        # ns
+CAP_NS = 2000.0         # min_time's longest trial duration
 TWO_PI = 2.0 * math.pi
 # From max_iters // 4 on, a GRAPE trial stops unconverged once ln(loss),
 # extrapolated to max_iters at this many times its mean rate since
@@ -34,7 +35,7 @@ ARMIJO_C1 = 1e-4
 STEEPEST_STEP_NORM = 1.0
 
 _XY = 0.5 * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y))
-# magic basis: local unitaries turn real orthogonal, local Hermitians imaginary
+# magic basis: local unitaries turn real orthogonal
 _MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1],
                    [1, -1j, 0, 0]]) / math.sqrt(2)
 
@@ -50,13 +51,6 @@ class ConvergenceError(ControlError):
         self.best_fidelity = best_fidelity
 
 
-def _embed_op(op: np.ndarray, wires: list[int], num_qubits: int) -> np.ndarray:
-    """Tensor an operator (not necessarily unitary) with identity on the rest."""
-    rest = [q for q in range(num_qubits) if q not in wires]
-    full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
-    return permute_wires(full, list(wires) + rest, list(range(num_qubits)))
-
-
 @dataclass(frozen=True)
 class Channel:
     name: str
@@ -67,27 +61,31 @@ class Channel:
 
 @dataclass
 class HamiltonianModel:
+    """The module's model on num_qubits qubits with an XY channel on each pair
+    (a, b), a < b; channels and ops are derived from the fields."""
     num_qubits: int
-    channels: list[Channel]
+    pairs: tuple[tuple[int, int], ...]
+    mu_max: float = MU_MAX_DEFAULT
     dt: float = DT_DEFAULT
-    drift: np.ndarray | None = None
+    channels: list[Channel] = field(init=False, repr=False, compare=False)
     # 2*pi*H_k stacked over channels, K x d x d: the step Hamiltonian per unit
     # amplitude, shared by the propagators and the gradient
     ops: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ControlError("dt must be positive")
-        d = 2 ** self.num_qubits
-        if self.drift is None:
-            self.drift = np.zeros((d, d), dtype=complex)
-        for ch in self.channels:
-            if np.max(np.abs(ch.op - ch.op.conj().T)) > 1e-12:
-                raise ControlError(f"channel {ch.name} operator is not Hermitian")
-            if ch.bound <= 0:
-                raise ControlError(f"channel {ch.name} bound must be positive")
-        self.ops = np.array([TWO_PI * ch.op for ch in self.channels],
-                            dtype=complex).reshape(len(self.channels), d, d)
+        if self.dt <= 0 or self.mu_max <= 0:
+            raise ControlError(f"dt and mu_max must be positive, not "
+                               f"{self.dt} and {self.mu_max}")
+        wires = range(self.num_qubits)
+        u1 = SINGLE_QUBIT_FACTOR * self.mu_max
+        self.channels = [
+            Channel(f"s{label}{q}", (q,), embed_operator(sig, [q], wires), u1)
+            for q in wires
+            for label, sig in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z))]
+        self.channels += [
+            Channel(f"xy{a}_{b}", (a, b), embed_operator(_XY, [a, b], wires),
+                    self.mu_max) for a, b in self.pairs]
+        self.ops = np.array([TWO_PI * ch.op for ch in self.channels])
 
     @property
     def dim(self) -> int:
@@ -100,24 +98,13 @@ class HamiltonianModel:
     @classmethod
     def build(cls, num_qubits: int, coupled_pairs=None,
               mu_max: float = MU_MAX_DEFAULT, dt: float = DT_DEFAULT):
-        """Standard control set: x/y/z drive per qubit, XY channel per pair.
-
-        coupled_pairs=None couples every qubit pair (all-to-all).
-        """
+        """The model with each coupled pair stored as (min, max);
+        coupled_pairs=None couples every qubit pair (all-to-all)."""
         if coupled_pairs is None:
             coupled_pairs = [(a, b) for a in range(num_qubits)
                              for b in range(a + 1, num_qubits)]
-        u1 = SINGLE_QUBIT_FACTOR * mu_max
-        channels = []
-        for q in range(num_qubits):
-            for label, sig in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z)):
-                channels.append(Channel(f"s{label}{q}", (q,),
-                                        _embed_op(sig, [q], num_qubits), u1))
-        for a, b in coupled_pairs:
-            a, b = min(a, b), max(a, b)
-            channels.append(Channel(f"xy{a}_{b}", (a, b),
-                                    _embed_op(_XY, [a, b], num_qubits), mu_max))
-        return cls(num_qubits, channels, dt)
+        pairs = tuple((min(a, b), max(a, b)) for a, b in coupled_pairs)
+        return cls(num_qubits, pairs, mu_max, dt)
 
 
 @dataclass
@@ -148,23 +135,18 @@ class OptimizerConfig:
     max_iters: int = 600
     fidelity_threshold: float = 0.999
     seed: int = 7
-    cap_ns: float = 2000.0           # min_time upper-bound search limit
 
     def __post_init__(self):
         if not 0 < self.fidelity_threshold <= 1:
             raise ControlError("fidelity threshold must be in (0, 1]")
         if self.max_iters < 1:
             raise ControlError("max_iters must be at least 1")
-        if self.cap_ns <= 0:
-            raise ControlError(f"cap_ns must be positive, got {self.cap_ns}")
 
 
 def _step_propagators(u: np.ndarray, m: HamiltonianModel):
     """Batched eigendecomposition of every step Hamiltonian."""
     (k, n), d = u.shape, m.dim
     h = (u.T @ m.ops.reshape(k, d * d)).reshape(n, d, d)
-    if np.max(np.abs(m.drift)) > 0:
-        h = h + m.drift
     lam, q = np.linalg.eigh(h)
     phase = np.exp(-1j * lam * m.dt)
     steps = (q * phase[:, None, :]) @ np.swapaxes(q.conj(), 1, 2)
@@ -234,13 +216,13 @@ def _loss_and_gradient(u_amp: np.ndarray, m: HamiltonianModel,
     mm = q.conj() @ (np.swapaxes(x, 1, 2) * phi) @ qt
     dtau = m.ops.reshape(-1, d * d) @ mm.reshape(n, d * d).T
     grad = (-2.0 / d ** 2) * np.real(np.conj(tau) * dtau)
-    return loss, grad, fwd[n]
+    return loss, grad
 
 
 def gradient(p: ControlPulses, m: HamiltonianModel,
              v_target: np.ndarray) -> np.ndarray:
     """d(infidelity)/d u_k(j) as a channels x steps matrix."""
-    _, grad, _ = _loss_and_gradient(p.amplitudes, m, v_target)
+    _, grad = _loss_and_gradient(p.amplitudes, m, v_target)
     return grad
 
 
@@ -310,7 +292,7 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
     def evaluate(th):
         t = np.tanh(th)
         u = bounds * t
-        loss, grad_u, _ = _loss_and_gradient(u, m, v_target)
+        loss, grad_u = _loss_and_gradient(u, m, v_target)
         return u, loss, grad_u * bounds * (1.0 - t ** 2)
 
     target_loss = 1.0 - cfg.fidelity_threshold
@@ -380,11 +362,12 @@ def min_time_bound(v_target: np.ndarray, m: HamiltonianModel,
                    fidelity: float) -> float:
     """Duration (ns) below which no pulse on m reaches fidelity with v_target.
 
-    0 unless m has 2 qubits, zero drift and only 1-qubit and XY channels: a
-    member's bound is no bound for a merge (CNOT.CNOT = I). With free local
-    control the least time to U is theta(U) / (pi mu), theta = max(c1,
-    (c1 + c2 + |c3|) / 2): U's Weyl coordinates must be special-majorized
-    by t (pi mu, pi mu, 0), the Cartan coefficients of H = pi mu (XX + YY)
+    0 unless m has 2 qubits: a member's bound is no bound for a merge
+    (CNOT.CNOT = I). With no drift, free local control and mu = mu_max on
+    the one XY pair (0 if uncoupled), the least time to U is theta(U) / (pi
+    mu), theta = max(c1, (c1 + c2 + |c3|) / 2): U's Weyl coordinates must be
+    special-majorized by t (pi mu, pi mu, 0), the Cartan coefficients of H =
+    pi mu (XX + YY)
     (Khaneja et al., PRA 63, 032308, 2001; Vidal et al., PRL 88, 237902,
     2002). A D ns pulse reaching U with F(U, V) >= f gives theta(V) <= pi mu
     D + theta(W), W = U^dag V, F(W, I) >= f. Over W's local class |Tr W|^2
@@ -394,14 +377,9 @@ def min_time_bound(v_target: np.ndarray, m: HamiltonianModel,
     concavity, or pi/2 > every theta if S* > 1. So D >= (theta(V) - delta)
     / (pi mu): 0.503 ns under the exact bound at f = 0.999, mu = 0.02 GHz.
     """
-    if m.num_qubits != 2 or np.any(m.drift):
+    if m.num_qubits != 2:
         return 0.0
-    mu = 0.0
-    for ch in m.channels:
-        if np.allclose(ch.op, _XY):
-            mu = max(mu, ch.bound)
-        elif np.abs((_MAGIC.conj().T @ ch.op @ _MAGIC).real).max() > 1e-9:
-            return 0.0
+    mu = m.mu_max if m.pairs else 0.0
     c = _weyl_coordinates(v_target)
     s = (3.0 - math.sqrt(max(0.0, 9.0 - 12.0 * (1.0 - fidelity)))) / 2.0
     angle = max(c[0], c.sum() / 2) - math.asin(min(1.0, math.sqrt(s)))
@@ -435,7 +413,7 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
 
     A trial shorter than min_time_bound cannot converge, so it counts as
     failed without running; the search path and result are unchanged. A
-    bound over cap_ns, inf with no coupling, raises ConvergenceError at once.
+    bound over CAP_NS, inf with no coupling, raises ConvergenceError at once.
     """
     cfg = cfg or OptimizerConfig()
     fid0 = 1.0 - infidelity(np.eye(m.dim, dtype=complex), v_target)
@@ -444,15 +422,15 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
             np.zeros((len(m.channels), 0)), m.dt), fid0, 0, True)
 
     t_min = min_time_bound(v_target, m, cfg.fidelity_threshold)
-    if t_min > cfg.cap_ns:
+    if t_min > CAP_NS:
         raise ConvergenceError(f"the {t_min:.2f} ns minimum-time bound exceeds "
-                               f"the {cfg.cap_ns} ns cap", fid0)
+                               f"the {CAP_NS} ns cap", fid0)
     fb = fallback_amplitudes
     fb_steps = fb.shape[1] if fb is not None else None
     steps = BISECT_RESOLUTION_STEPS
     best_fail = fid0
     success = None
-    while steps * m.dt <= cfg.cap_ns:
+    while steps * m.dt <= CAP_NS:
         n_try, init = steps, None
         if fb is not None and fb_steps <= steps:
             n_try, init = fb_steps, fb
@@ -468,7 +446,7 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
             steps *= 2
     if success is None:
         raise ConvergenceError(
-            f"no pulse under {cfg.cap_ns} ns reached fidelity "
+            f"no pulse under {CAP_NS} ns reached fidelity "
             f"{cfg.fidelity_threshold}", best_fail)
 
     hi, best = success
@@ -512,11 +490,9 @@ class OptimalControlUnit:
                     pairs.append((i, j))
         return tuple(pairs)
 
-    def _model_for(self, qubits: list[int]) -> tuple[HamiltonianModel, tuple]:
-        pairs = self._pairs(qubits)
-        model = HamiltonianModel.build(len(qubits), pairs,
-                                       mu_max=self.mu_max, dt=self.dt)
-        return model, pairs
+    def _model_for(self, qubits: list[int]) -> HamiltonianModel:
+        return HamiltonianModel(len(qubits), self._pairs(qubits),
+                                mu_max=self.mu_max, dt=self.dt)
 
     def _key(self, ins) -> tuple:
         """The channel set is fixed by the qubit count and the coupled pairs,
@@ -581,7 +557,7 @@ class OptimalControlUnit:
         key = self._key(ins)
         if key not in self.cache:
             qubits = ins.context
-            model, _ = self._model_for(qubits)
+            model = self._model_for(qubits)
             fallback = self._concat_fallback(ins, model, qubits)
             try:
                 duration, res = min_time(ins.target_unitary, model, self.cfg,

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .aggregator import DEFAULT_MAX_WIDTH, aggregate_loop
+from .aggregator import DEFAULT_MAX_WIDTH, MAX_WIDTH_LIMIT, aggregate_loop
 from .commute import build_commutation_groups, singleton_groups
 from .gates import Circuit
 from .gdg import GDG, build_gdg
@@ -61,6 +61,9 @@ class CompileOptions:
         if self.use_agg and self.latency_mode != "oracle":
             raise ValueError(f"strategy {self.strategy!r} needs latency mode "
                              f"'oracle', not {self.latency_mode!r}")
+        if not 1 <= self.max_width <= MAX_WIDTH_LIMIT:
+            raise ValueError(f"max_width must be in 1..{MAX_WIDTH_LIMIT}, "
+                             f"not {self.max_width}")
         if not (0 < self.fidelity <= 1 and self.dt > 0 and self.mu_max > 0):
             raise ValueError("fidelity must be in (0, 1]; dt and mu_max must be positive")
         if self.max_iters < 1:
@@ -136,6 +139,7 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
     stages["flattened"] = _gdg_stats(gdg)
 
     if opts.use_cls:
+        # local, so a wrapper set on commute.detect_diagonal_blocks sees it
         from .commute import detect_diagonal_blocks
         detect_diagonal_blocks(gdg)
         stages["commutativity_detection"] = _gdg_stats(gdg)

@@ -96,7 +96,7 @@ def einsum_steps(u_amp: np.ndarray, m):
     """Reference step propagators U_j = Q_j diag(e^{-i lam_j dt}) Q_j^dag by
     einsum over the channel operators; returns (steps, lam, q, phase, ops)."""
     ops = np.stack([2 * np.pi * ch.op for ch in m.channels])
-    h = np.einsum("kn,kab->nab", u_amp, ops) + m.drift[None, :, :]
+    h = np.einsum("kn,kab->nab", u_amp, ops)
     lam, q = np.linalg.eigh(h)
     phase = np.exp(-1j * lam * m.dt)
     steps = np.einsum("nab,nb,ncb->nac", q, phase, q.conj())

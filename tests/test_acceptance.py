@@ -150,7 +150,7 @@ def test_criterion_4_commutation_oracle(capfd, rng):
         ctx = sorted(set(a.qubits) | set(b.qubits))
         ua, ub = embed(a, ctx), embed(b, ctx)
         brute = np.max(np.abs(ua @ ub - ub @ ua)) <= 1e-8
-        ok = ok and (commutes(a, b).commutes == brute)
+        ok = ok and (commutes(a, b) == brute)
     # the four named relations
     named = [
         (Gate(GateName.RZ, (0,), (1.3,)), Gate(GateName.CNOT, (0, 1)), True),
@@ -159,7 +159,7 @@ def test_criterion_4_commutation_oracle(capfd, rng):
         (Gate(GateName.CNOT, (0, 2)), Gate(GateName.CNOT, (1, 2)), True),
     ]
     for a, b, expect in named:
-        ok = ok and commutes(a, b).commutes == expect
+        ok = ok and commutes(a, b) == expect
     elapsed = time.time() - t0
     report(capfd, 4, "commutation oracle matches brute force on 500 pairs "
            "+ 4 named relations", ok and elapsed < 10, elapsed)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pulsecc.gates import (Circuit, Gate, GateError, GateName, circuit_unitary,
-                           embed, gate_unitary, permute_wires,
+from pulsecc.gates import (DENSE_LIMIT, Circuit, Gate, GateError, GateName,
+                           circuit_unitary, embed, embed_operator,
+                           gate_unitary, gates_unitary, permute_wires,
                            phases_equal)
 
 from conftest import random_circuit
@@ -75,6 +76,24 @@ def test_embed_reversed_operands():
     fwd = embed(Gate(GateName.CNOT, (0, 1)), [0, 1])
     rev = embed(Gate(GateName.CNOT, (1, 0)), [0, 1])
     assert np.allclose(rev, swap @ fwd @ swap)
+
+
+def test_embed_operator_places_any_operator_on_its_wires(rng):
+    # not unitary: the model's channel operators take the same route
+    op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    full = embed_operator(op, [2, 0], [0, 1, 2])
+    assert np.allclose(full, permute_wires(np.kron(op, np.eye(2)),
+                                           [2, 0, 1], [0, 1, 2]))
+    with pytest.raises(GateError, match="not in context"):
+        embed_operator(op, [3, 0], [0, 1, 2])
+
+
+def test_gates_unitary_stops_at_the_dense_limit():
+    wires = range(DENSE_LIMIT + 1)
+    with pytest.raises(GateError, match="dense-matrix limit"):
+        gates_unitary([Gate(GateName.H, (0,))], wires)
+    with pytest.raises(GateError, match="dense-matrix limit"):
+        circuit_unitary(Circuit(DENSE_LIMIT + 1))
 
 
 def test_permute_wires_roundtrip(rng):

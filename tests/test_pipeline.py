@@ -10,6 +10,7 @@ from pulsecc.bench import (ising_chain, make_bench, maxcut_line, qaoa_circuit,
                            qaoa_triangle, uccsd)
 from pulsecc.gates import Circuit, Gate, GateName, circuit_unitary, phases_equal
 from pulsecc.gdg import AggregatedInstruction
+from pulsecc.aggregator import MAX_WIDTH_LIMIT
 from pulsecc.optctrl import OptimalControlUnit
 from pulsecc.pipeline import (CompileOptions, compile_circuit, write_artifacts)
 from pulsecc.mapper import Topology
@@ -81,6 +82,21 @@ def test_invalid_pulse_options_rejected(flag, value):
     rc = cli.main(["bench", "maxcut-line", "--n", "2", "--strategy", "isa",
                    flag, value])
     assert rc == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("width", [0, -3, 11, 13])
+def test_max_width_outside_range_rejected(width, capsys):
+    with pytest.raises(ValueError, match="max_width"):
+        CompileOptions(max_width=width)
+    rc = cli.main(["bench", "maxcut-line", "--n", "3", "--strategy", "cls+agg",
+                   "--max-width", str(width)])
+    assert rc == cli.EXIT_PARSE
+    assert "max_width" in capsys.readouterr().err
+
+
+def test_max_width_range_ends_accepted():
+    for width in (1, MAX_WIDTH_LIMIT):
+        assert CompileOptions(max_width=width).max_width == width
 
 
 def swap_heavy_grid_qaoa() -> Circuit:
