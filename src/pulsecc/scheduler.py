@@ -1,9 +1,14 @@
 """Commutativity-aware logical scheduling.
 
-An event-driven loop draws candidates from the current commutation group of
-every operand qubit; conflicts over shared qubits are resolved by maximum
-matching on the computational graph (qubits as vertices, 2-qubit candidates
-as edges, 1-qubit candidates as self-loops).
+An event-driven loop draws candidates only from the current commutation
+groups of the qubits that are free at the current time: a node is a
+candidate when every operand qubit is free and has the node in its current
+group.  When no two candidates share a qubit, all of them start, in id order.
+Only when two do is the conflict resolved by maximum matching on the
+computational graph (qubits as vertices, 2-qubit candidates as edges,
+1-qubit candidates as self-loops).  Each step therefore costs time in the
+frontier, not in the graph; `list_schedule`'s singleton groups never
+conflict, so it never builds a matching.
 """
 from __future__ import annotations
 
@@ -100,8 +105,13 @@ def _run(g: GDG, groups: CommutationGroupTable) -> Schedule:
 
     while unscheduled:
         refill()
+        # only a free qubit's current group can hold a node that starts now
+        pool = set()
+        for q, members in current.items():
+            if busy_until[q] <= now + 1e-12:
+                pool.update(members)
         candidates = []
-        for nid in sorted(unscheduled):
+        for nid in sorted(pool):
             node = g.nodes[nid]
             if all(busy_until[q] <= now + 1e-12 and nid in current[q]
                    for q in node.qubits):
@@ -109,14 +119,21 @@ def _run(g: GDG, groups: CommutationGroupTable) -> Schedule:
         instant = False  # a zero-duration placement may free successors now
         if candidates:
             edges, self_loops = [], []
+            seen: set[int] = set()
+            conflict = False
             for nid in candidates:
                 qs = g.nodes[nid].qubits
+                conflict = conflict or not seen.isdisjoint(qs)
+                seen.update(qs)
                 if len(qs) == 1:
                     self_loops.append((qs[0], nid))
                 else:
                     edges.append((qs[0], qs[1], nid))
+            # disjoint candidates are their own maximum matching
+            chosen = (sorted(max_matching(edges, self_loops)) if conflict
+                      else candidates)
             claimed: set[int] = set()
-            for nid in sorted(max_matching(edges, self_loops)):
+            for nid in chosen:
                 node = g.nodes[nid]
                 if node.duration is None:
                     raise ScheduleError(f"node {nid} has no duration")
