@@ -1,8 +1,11 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from pulsecc.gates import Circuit, Gate, GateName
 from pulsecc.gdg import GDGError
+from pulsecc.scheduler import Schedule, ScheduleError, max_matching
 
 
 ONE_QUBIT = [
@@ -90,6 +93,65 @@ def contract(g, members):
     restricted to them."""
     members = set(members)
     return g.contract([nid for nid in g.topological_order() if nid in members])
+
+
+def full_scan_run(g, groups):
+    """Reference scheduler loop: the event-driven CLS loop as it was before
+    candidates came from the frontier.  Every step rescans every unscheduled
+    node and runs the matching whenever there is a candidate."""
+    unscheduled = {n.id for n in g.real_nodes()}
+    queues = {q: deque(lst) for q, lst in groups.groups.items()}
+    current: dict[int, set[int]] = {q: set() for q in queues}
+    busy_until: dict[int, float] = {q: 0.0 for q in range(g.num_qubits)}
+    entries: list[tuple[int, float]] = []
+    now = 0.0
+
+    def refill():
+        for q, dq in queues.items():
+            while not current[q] and dq:
+                current[q] = set(dq.popleft())
+
+    while unscheduled:
+        refill()
+        candidates = []
+        for nid in sorted(unscheduled):
+            node = g.nodes[nid]
+            if all(busy_until[q] <= now + 1e-12 and nid in current[q]
+                   for q in node.qubits):
+                candidates.append(nid)
+        instant = False  # a zero-duration placement may free successors now
+        if candidates:
+            edges, self_loops = [], []
+            for nid in candidates:
+                qs = g.nodes[nid].qubits
+                if len(qs) == 1:
+                    self_loops.append((qs[0], nid))
+                else:
+                    edges.append((qs[0], qs[1], nid))
+            claimed: set[int] = set()
+            for nid in sorted(max_matching(edges, self_loops)):
+                node = g.nodes[nid]
+                if node.duration is None:
+                    raise ScheduleError(f"node {nid} has no duration")
+                # wide nodes enter the matching as one edge; guard the rest
+                if any(q in claimed for q in node.qubits):
+                    continue
+                claimed.update(node.qubits)
+                entries.append((nid, now))
+                unscheduled.discard(nid)
+                instant = instant or node.duration <= 1e-12
+                for q in node.qubits:
+                    busy_until[q] = now + node.duration
+                    current[q].discard(nid)
+        if unscheduled and not instant:
+            future = [t for t in busy_until.values() if t > now + 1e-12]
+            if not future:
+                frontier = sorted(unscheduled)[:10]
+                raise ScheduleError(
+                    f"scheduling deadlock; stuck frontier (first 10): {frontier}")
+            now = min(future)
+    makespan = max(busy_until.values(), default=0.0)
+    return Schedule(entries, makespan)
 
 
 def einsum_steps(u_amp: np.ndarray, m):

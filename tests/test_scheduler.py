@@ -1,16 +1,21 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from pulsecc.bench import qaoa_triangle
-from pulsecc.commute import build_commutation_groups, singleton_groups
+from pulsecc.aggregator import aggregate_loop
+from pulsecc.bench import qaoa_circuit, qaoa_triangle
+from pulsecc.commute import (build_commutation_groups, detect_diagonal_blocks,
+                             singleton_groups)
 from pulsecc.gates import Circuit, GateName, circuit_unitary, phases_equal
 from pulsecc.gdg import build_gdg
 from pulsecc.latency import table_price
+from pulsecc.mapper import (Topology, build_interaction_graph, initial_mapping,
+                            route_swaps)
 from pulsecc.scheduler import cls_schedule, list_schedule, max_matching
 
-from conftest import random_circuit
+from conftest import full_scan_run, random_circuit
 
 
 def brute_max_matching_size(edges):
@@ -135,3 +140,98 @@ def test_makespan_equals_latest_finish(rng):
     sched = list_schedule(g)
     finish = max(start + g.nodes[nid].duration for nid, start in sched.entries)
     assert sched.makespan_ns == pytest.approx(finish)
+
+
+def qaoa3reg(n, seed):
+    """Two-layer QAOA on a seeded 3-regular graph, the benchmark's input."""
+    edges = nx.random_regular_graph(3, n, seed=seed).edges()
+    return qaoa_circuit(n, sorted(map(sorted, edges)), layers=2)
+
+
+def routed_graph(c, topo):
+    """c after diagonal-block detection, CLS-scheduled on table estimates
+    and routed on topo, priced by the table."""
+    g = detect_diagonal_blocks(build_gdg(c))
+    g.set_durations(table_price())
+    mapping = initial_mapping(build_interaction_graph(c), topo, seed=7)
+    routed = route_swaps(cls_schedule(g, build_commutation_groups(g)),
+                         g, mapping, topo).gdg
+    routed.set_durations(table_price())
+    return routed
+
+
+def assert_matches_full_scan(g):
+    for got, groups in [(cls_schedule, build_commutation_groups(g)),
+                        (lambda g, _: list_schedule(g), singleton_groups(g))]:
+        ref = full_scan_run(g, groups)
+        sched = got(g, groups)
+        assert sched.entries == ref.entries
+        assert sched.makespan_ns == ref.makespan_ns
+
+
+def test_frontier_loop_matches_full_scan_on_random_circuits(rng):
+    for table in (table_price(), table_price({"rz": 0})):
+        for _ in range(60):
+            c = random_circuit(int(rng.integers(2, 6)), int(rng.integers(1, 40)), rng)
+            g = build_gdg(c)
+            if rng.random() < 0.5:
+                detect_diagonal_blocks(g)
+            g.set_durations(table)
+            assert_matches_full_scan(g)
+
+
+@pytest.mark.parametrize("n,seed,shape", [(10, 6, (3, 4)), (12, 11, (3, 4)),
+                                          (16, 6, (4, 5))])
+def test_frontier_loop_matches_full_scan_on_qaoa(n, seed, shape):
+    c = qaoa3reg(n, seed)
+    g = detect_diagonal_blocks(build_gdg(c))
+    g.set_durations(table_price())
+    assert_matches_full_scan(g)
+    assert_matches_full_scan(routed_graph(c, Topology(*shape)))
+
+
+def test_frontier_loop_matches_full_scan_after_aggregation(rng):
+    price = table_price()
+    wide = 0
+    circuits = [random_circuit(4, int(rng.integers(8, 30)), rng) for _ in range(20)]
+    circuits.append(qaoa3reg(10, 6))
+    for c in circuits:
+        g = detect_diagonal_blocks(build_gdg(c))
+        g.set_durations(price)
+        aggregate_loop(g, price, max_width=4)
+        wide += sum(len(n.qubits) >= 3 for n in g.real_nodes())
+        assert_matches_full_scan(g)
+    assert wide > 0
+
+
+def test_list_schedule_never_builds_a_matching(monkeypatch):
+    from pulsecc import scheduler
+
+    def refuse(*_args):
+        raise AssertionError("list_schedule built a matching")
+
+    g = routed_graph(qaoa3reg(12, 11), Topology(3, 4))
+    monkeypatch.setattr(scheduler, "max_matching", refuse)
+    sched = list_schedule(g)
+    assert len(sched.entries) == len(g.real_nodes())
+    assert schedule_is_valid(sched, g)
+
+
+def test_cls_matches_conflicting_commuting_blocks(monkeypatch):
+    # the triangle's three ZZ blocks commute and pairwise share a qubit, so
+    # they are candidates together and only a matching can pick among them
+    from pulsecc import scheduler
+
+    calls = []
+    real = scheduler.max_matching
+
+    def counting(edges, self_loops):
+        calls.append(len(edges) + len(self_loops))
+        return real(edges, self_loops)
+
+    g = detect_diagonal_blocks(build_gdg(qaoa_triangle()))
+    g.set_durations(table_price())
+    monkeypatch.setattr(scheduler, "max_matching", counting)
+    sched = cls_schedule(g, build_commutation_groups(g))
+    assert calls and max(calls) >= 2
+    assert sched.entries == full_scan_run(g, build_commutation_groups(g)).entries
