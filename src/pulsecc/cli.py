@@ -4,8 +4,9 @@
 <name>` generates and compiles a named benchmark circuit.
 
 Exit codes: 0 success, 2 parse error or invalid option (aggregation with
-table latency and a qubit count below 1 included), 3 mapping/routing error,
-4 pulse-optimizer non-convergence, 5 verification failure.
+table latency and a qubit count below 1 included), 3 mapping/routing error
+or scheduling deadlock (reported as "scheduling error:"), 4 pulse-optimizer
+non-convergence, 5 verification failure.
 """
 from __future__ import annotations
 
@@ -90,6 +91,7 @@ def _report(result, args):
     print(f"stages:    " + "  ".join(
         f"{k}={v['nodes']}n/{v['depth']}d" for k, v in m["stages"].items()))
     print(f"swaps:     {m['swap_count']}")
+    print(f"schedule:  {m['final_schedule']}")
     print(f"makespan:  {m['makespan_ns']:.1f} ns "
           f"(baseline {m['baseline_makespan_ns']:.1f} ns, "
           f"speedup {m['speedup']:.2f}x)")
@@ -109,7 +111,10 @@ def main(argv=None) -> int:
         else:
             circuit = make_bench(args.name, n=args.n)
         result = compile_circuit(circuit, _options(args))
-    except (MappingError, ScheduleError, PipelineError) as e:
+    except ScheduleError as e:
+        print(f"scheduling error: {e}", file=sys.stderr)
+        return EXIT_ROUTING
+    except (MappingError, PipelineError) as e:
         print(f"routing error: {e}", file=sys.stderr)
         return EXIT_ROUTING
     except ConvergenceError as e:

@@ -3,10 +3,11 @@ latency comparison, and artifact emission.
 
 Stages: parse -> dependence graph -> [diagonal-block detection] ->
 commutation groups -> placement -> logical schedule -> SWAP routing ->
-final durations -> [instruction aggregation] -> final schedule -> pulse
-synthesis -> verification of every pulse -> isa baseline.  The isa
-baseline is the source's own dependence graph with singleton groups, routed
-from the same placement, priced the same way and list-scheduled.
+final durations -> [instruction aggregation] -> final schedule (the
+shorter of CLS and ASAP) -> pulse synthesis -> verification of every pulse
+-> isa baseline.  The isa baseline is the source's own dependence graph
+with singleton groups, routed from the same placement, priced the same way
+and list-scheduled.
 """
 from __future__ import annotations
 
@@ -102,10 +103,16 @@ def _gdg_stats(g: GDG) -> dict:
             "depth": max(depth.values(), default=0)}
 
 
-def _schedule(g: GDG, use_cls: bool) -> Schedule:
+def _schedule(g: GDG, use_cls: bool) -> tuple[Schedule, str]:
+    """Schedule g and name the scheduler that won.  The ASAP schedule
+    (`list_schedule`) is valid under every strategy, so the CLS schedule is
+    kept only when it is no longer; CLS wins ties."""
+    asap = list_schedule(g)
     if use_cls:
-        return cls_schedule(g, build_commutation_groups(g))
-    return list_schedule(g)
+        cls = cls_schedule(g, build_commutation_groups(g))
+        if cls.makespan_ns <= asap.makespan_ns + 1e-9:
+            return cls, "cls"
+    return asap, "asap"
 
 
 def make_ocu(opts: CompileOptions, topo: Topology) -> OptimalControlUnit:
@@ -168,17 +175,18 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
         unaggregated = final_gdg.copy()
         aggregate_loop(final_gdg, price, max_width=opts.max_width, trace=trace)
 
-    schedule = _schedule(final_gdg, opts.use_cls)
+    schedule, scheduler = _schedule(final_gdg, opts.use_cls)
     if unaggregated is not None:
         # a merged pulse may come out longer than its parts; the routed graph
         # is already priced, so keeping it whenever it is shorter guarantees
         # aggregation never lengthens the schedule
-        fallback = _schedule(unaggregated, opts.use_cls)
+        fallback, fallback_scheduler = _schedule(unaggregated, opts.use_cls)
         if fallback.makespan_ns < schedule.makespan_ns - 1e-9:
             trace.append({"undone": "all merges",
                           "aggregated_makespan_ns": schedule.makespan_ns,
                           "unaggregated_makespan_ns": fallback.makespan_ns})
             final_gdg, schedule = unaggregated, fallback
+            scheduler = fallback_scheduler
         stages["aggregated"] = _gdg_stats(final_gdg)
 
     instructions = []
@@ -217,6 +225,7 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
         "final_permutation": {str(k): v for k, v in routing.final_mapping.items()},
         "swap_count": routing.swap_count,
         "makespan_ns": schedule.makespan_ns,
+        "final_schedule": scheduler,
         "baseline_makespan_ns": baseline_makespan,
         "speedup": (baseline_makespan / schedule.makespan_ns
                     if schedule.makespan_ns > 0 else 1.0),

@@ -2,6 +2,7 @@ import json
 import re
 from dataclasses import replace
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -14,6 +15,9 @@ from pulsecc.aggregator import MAX_WIDTH_LIMIT
 from pulsecc.optctrl import OptimalControlUnit
 from pulsecc.pipeline import (CompileOptions, compile_circuit, write_artifacts)
 from pulsecc.mapper import Topology
+from pulsecc.scheduler import ScheduleError, list_schedule
+
+from conftest import random_circuit
 
 
 def test_bench_generators():
@@ -213,6 +217,7 @@ def test_aggregation_undone_when_merges_lengthen_schedule():
     assert trace[-1]["undone"] == "all merges"
     assert trace[-1]["aggregated_makespan_ns"] > cls.makespan_ns
     assert agg.makespan_ns <= cls.makespan_ns + 1e-9
+    assert agg.makespan_ns <= list_schedule(agg.gdg).makespan_ns + 1e-9
     assert agg.report.passed
     stages, emitted = agg.manifest["stages"], agg.manifest["instructions"]
     assert stages["aggregated"]["nodes"] == len(emitted)
@@ -246,8 +251,11 @@ def test_cli_compile_table(tmp_path, capsys):
     rc = cli.main(["compile", str(src), "--strategy", "cls",
                    "--latency", "table", "--out", str(out)])
     assert rc == 0
-    assert (out / "manifest.json").exists()
-    assert "makespan" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["final_schedule"] in ("cls", "asap")
+    printed = capsys.readouterr().out
+    assert "makespan" in printed
+    assert f"schedule:  {manifest['final_schedule']}" in printed
 
 
 def test_cli_parse_error(tmp_path, capsys):
@@ -276,6 +284,21 @@ def test_cli_routing_error(tmp_path):
     rc = cli.main(["compile", str(src), "--latency", "table",
                    "--strategy", "isa", "--topology", "grid:2x2"])
     assert rc == cli.EXIT_ROUTING
+
+
+def test_cli_schedule_error_is_labelled_scheduling(monkeypatch, capsys):
+    from pulsecc import pipeline
+
+    def deadlock(*_args):
+        raise ScheduleError("scheduling deadlock; stuck frontier (first 10): [3]")
+
+    monkeypatch.setattr(pipeline, "cls_schedule", deadlock)
+    rc = cli.main(["bench", "maxcut-line", "--n", "4",
+                   "--strategy", "cls", "--latency", "table"])
+    assert rc == cli.EXIT_ROUTING
+    err = capsys.readouterr().err
+    assert err.startswith("scheduling error: scheduling deadlock")
+    assert "routing error" not in err
 
 
 def test_cli_defaults_match_compile_options():
@@ -307,3 +330,25 @@ def test_cli_gate_free_program_compiles(tmp_path, latency):
 ], ids=["agg-table", "n0", "n-2"])
 def test_cli_bench_invalid_option_is_parse_error(argv):
     assert cli.main(["bench", "maxcut-line", *argv]) == cli.EXIT_PARSE
+
+
+def test_final_schedule_never_longer_than_asap(rng):
+    table = dict(strategy="cls", latency_mode="table", compare_baseline=False)
+    results = [compile_circuit(random_circuit(int(rng.integers(2, 6)),
+                                              int(rng.integers(1, 30)), rng),
+                               CompileOptions(**table))
+               for _ in range(30)]
+    # two-layer QAOA on seeded 3-regular graphs, routed on grids, where the
+    # CLS schedule sometimes loses to ASAP
+    for n, seed, shape in [(10, 3, (3, 4)), (10, 6, (3, 4)), (12, 1, (3, 4)),
+                           (14, 6, (4, 4)), (16, 2, (4, 4)), (16, 6, (4, 4))]:
+        edges = nx.random_regular_graph(3, n, seed=seed).edges()
+        circ = qaoa_circuit(n, sorted(map(sorted, edges)), layers=2)
+        results.append(compile_circuit(circ, CompileOptions(
+            topology=Topology(*shape), **table)))
+    for res in results:
+        asap = list_schedule(res.gdg).makespan_ns
+        assert res.makespan_ns <= asap + 1e-9
+        if res.manifest["final_schedule"] == "asap":
+            assert res.makespan_ns == asap
+    assert {r.manifest["final_schedule"] for r in results} == {"cls", "asap"}
