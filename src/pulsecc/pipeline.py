@@ -180,13 +180,12 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
         # a merged pulse may come out longer than its parts; the routed graph
         # is already priced, so keeping it whenever it is shorter guarantees
         # aggregation never lengthens the schedule
-        fallback, fallback_scheduler = _schedule(unaggregated, opts.use_cls)
+        fallback, fallback_by = _schedule(unaggregated, opts.use_cls)
         if fallback.makespan_ns < schedule.makespan_ns - 1e-9:
             trace.append({"undone": "all merges",
                           "aggregated_makespan_ns": schedule.makespan_ns,
                           "unaggregated_makespan_ns": fallback.makespan_ns})
-            final_gdg, schedule = unaggregated, fallback
-            scheduler = fallback_scheduler
+            final_gdg, schedule, scheduler = unaggregated, fallback, fallback_by
         stages["aggregated"] = _gdg_stats(final_gdg)
 
     instructions = []

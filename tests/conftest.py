@@ -1,8 +1,10 @@
 from collections import deque
 
+import networkx as nx
 import numpy as np
 import pytest
 
+from pulsecc.bench import qaoa_circuit
 from pulsecc.gates import Circuit, Gate, GateName
 from pulsecc.gdg import GDGError
 from pulsecc.scheduler import Schedule, ScheduleError, max_matching
@@ -40,6 +42,13 @@ def random_circuit(n: int, num_gates: int, rng, name: str = "") -> Circuit:
     for _ in range(num_gates):
         c.append(random_gate(n, rng))
     return c
+
+
+def qaoa3reg(n: int, seed: int) -> Circuit:
+    """Two-layer QAOA on a seeded 3-regular graph, the benchmark's
+    front-end input."""
+    edges = nx.random_regular_graph(3, n, seed=seed).edges()
+    return qaoa_circuit(n, sorted(map(sorted, edges)), layers=2)
 
 
 @pytest.fixture
@@ -96,9 +105,9 @@ def contract(g, members):
 
 
 def full_scan_run(g, groups):
-    """Reference scheduler loop: the event-driven CLS loop as it was before
-    candidates came from the frontier.  Every step rescans every unscheduled
-    node and runs the matching whenever there is a candidate."""
+    """Reference scheduler loop: every step rescans every unscheduled node for
+    candidates and runs the matching whenever there is one.  cls_schedule and
+    list_schedule must return exactly its schedules."""
     unscheduled = {n.id for n in g.real_nodes()}
     queues = {q: deque(lst) for q, lst in groups.groups.items()}
     current: dict[int, set[int]] = {q: set() for q in queues}

@@ -1,17 +1,17 @@
 import json
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from pulsecc.aggregator import aggregate_loop
-from pulsecc.bench import qaoa_circuit, qaoa_triangle
+from pulsecc.bench import qaoa_triangle
 from pulsecc.commute import detect_diagonal_blocks
 from pulsecc.gates import circuit_unitary, phases_equal
 from pulsecc.gdg import GDG, AggregatedInstruction, GDGError, build_gdg
 from pulsecc.latency import table_price
 
-from conftest import audit, chain_walk_can_contract, contract, random_circuit
+from conftest import (audit, chain_walk_can_contract, contract, qaoa3reg,
+                      random_circuit)
 
 
 def table_durations(g):
@@ -104,10 +104,7 @@ def test_callers_contract_in_the_graph_topological_order(rng, monkeypatch):
     price = table_price()
     circuits = [random_circuit(int(rng.integers(2, 6)), int(rng.integers(6, 30)), rng)
                 for _ in range(30)]
-    # two-layer QAOA on seeded 3-regular graphs, the benchmark's front-end input
-    for n, seed in [(10, 6), (12, 11), (16, 6)]:
-        edges = nx.random_regular_graph(3, n, seed=seed).edges()
-        circuits.append(qaoa_circuit(n, sorted(map(sorted, edges)), layers=2))
+    circuits += [qaoa3reg(n, seed) for n, seed in [(10, 6), (12, 11), (16, 6)]]
     for c in circuits:
         g = detect_diagonal_blocks(build_gdg(c))
         g.set_durations(price)

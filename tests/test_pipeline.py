@@ -2,7 +2,6 @@ import json
 import re
 from dataclasses import replace
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -17,7 +16,7 @@ from pulsecc.pipeline import (CompileOptions, compile_circuit, write_artifacts)
 from pulsecc.mapper import Topology
 from pulsecc.scheduler import ScheduleError, list_schedule
 
-from conftest import random_circuit
+from conftest import qaoa3reg, random_circuit
 
 
 def test_bench_generators():
@@ -342,9 +341,7 @@ def test_final_schedule_never_longer_than_asap(rng):
     # CLS schedule sometimes loses to ASAP
     for n, seed, shape in [(10, 3, (3, 4)), (10, 6, (3, 4)), (12, 1, (3, 4)),
                            (14, 6, (4, 4)), (16, 2, (4, 4)), (16, 6, (4, 4))]:
-        edges = nx.random_regular_graph(3, n, seed=seed).edges()
-        circ = qaoa_circuit(n, sorted(map(sorted, edges)), layers=2)
-        results.append(compile_circuit(circ, CompileOptions(
+        results.append(compile_circuit(qaoa3reg(n, seed), CompileOptions(
             topology=Topology(*shape), **table)))
     for res in results:
         asap = list_schedule(res.gdg).makespan_ns

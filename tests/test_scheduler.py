@@ -1,11 +1,10 @@
 import itertools
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from pulsecc.aggregator import aggregate_loop
-from pulsecc.bench import qaoa_circuit, qaoa_triangle
+from pulsecc.bench import qaoa_triangle
 from pulsecc.commute import (build_commutation_groups, detect_diagonal_blocks,
                              singleton_groups)
 from pulsecc.gates import Circuit, GateName, circuit_unitary, phases_equal
@@ -15,7 +14,7 @@ from pulsecc.mapper import (Topology, build_interaction_graph, initial_mapping,
                             route_swaps)
 from pulsecc.scheduler import cls_schedule, list_schedule, max_matching
 
-from conftest import full_scan_run, random_circuit
+from conftest import full_scan_run, qaoa3reg, random_circuit
 
 
 def brute_max_matching_size(edges):
@@ -142,12 +141,6 @@ def test_makespan_equals_latest_finish(rng):
     assert sched.makespan_ns == pytest.approx(finish)
 
 
-def qaoa3reg(n, seed):
-    """Two-layer QAOA on a seeded 3-regular graph, the benchmark's input."""
-    edges = nx.random_regular_graph(3, n, seed=seed).edges()
-    return qaoa_circuit(n, sorted(map(sorted, edges)), layers=2)
-
-
 def routed_graph(c, topo):
     """c after diagonal-block detection, CLS-scheduled on table estimates
     and routed on topo, priced by the table."""
@@ -161,12 +154,9 @@ def routed_graph(c, topo):
 
 
 def assert_matches_full_scan(g):
-    for got, groups in [(cls_schedule, build_commutation_groups(g)),
-                        (lambda g, _: list_schedule(g), singleton_groups(g))]:
-        ref = full_scan_run(g, groups)
-        sched = got(g, groups)
-        assert sched.entries == ref.entries
-        assert sched.makespan_ns == ref.makespan_ns
+    groups = build_commutation_groups(g)
+    assert cls_schedule(g, groups) == full_scan_run(g, groups)
+    assert list_schedule(g) == full_scan_run(g, singleton_groups(g))
 
 
 def test_frontier_loop_matches_full_scan_on_random_circuits(rng):
