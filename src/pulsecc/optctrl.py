@@ -22,10 +22,11 @@ SINGLE_QUBIT_FACTOR = 5.0
 DT_DEFAULT = 0.5        # ns
 CAP_NS = 2000.0         # min_time's longest trial duration
 TWO_PI = 2.0 * math.pi
-# From max_iters // 4 on, a GRAPE trial stops unconverged once ln(loss),
-# extrapolated to max_iters at this many times its mean rate since
-# max_iters // 6, misses ln(1 - threshold). min_time never reuses a failed
-# trial's pulses, so stopping one changes no result. None turns it off.
+# From max_iters // 8 on, a GRAPE trial stops unconverged once ln(loss),
+# extrapolated to max_iters at this many times its rate over the last
+# max_iters // 24 evaluations, misses ln(1 - threshold). min_time never
+# reuses a failed trial's pulses, so stopping one changes no result unless
+# the trial would have converged. None turns it off.
 PLATEAU_RATE_FACTOR = 3.0
 # L-BFGS: curvature pairs kept, Armijo sufficient-decrease constant, and the
 # length in tanh parameters of a steepest-descent step: the first step and
@@ -192,7 +193,7 @@ def _loss_and_gradient(u_amp: np.ndarray, m: HamiltonianModel,
     fwd = np.empty((n + 1, d, d), dtype=complex)  # fwd[j] = U_j ... U_1
     fwd[0] = np.eye(d)
     for j in range(n):
-        fwd[j + 1] = steps[j] @ fwd[j]
+        np.matmul(steps[j], fwd[j], out=fwd[j + 1])
     vu = v_target.conj().T @ fwd[n]
     tau = np.trace(vu)
     loss = 1.0 - (abs(tau) / d) ** 2
@@ -261,7 +262,8 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
     evaluation. A curvature pair with s.y <= 0 is skipped and clears the
     memory, since stale pairs crawl along a saddle's negative curvature; so
     does a direction that is not a descent direction. With no pairs the step
-    is steepest descent of length STEEPEST_STEP_NORM.
+    is steepest descent of length STEEPEST_STEP_NORM. A trial whose recent
+    rate cannot reach the threshold stops early (PLATEAU_RATE_FACTOR).
     """
     cfg = cfg or OptimizerConfig()
     if v_target.shape != (m.dim, m.dim):
@@ -296,8 +298,9 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
         return u, loss, grad_u * bounds * (1.0 - t ** 2)
 
     target_loss = 1.0 - cfg.fidelity_threshold
-    anchor, check_from = cfg.max_iters // 6, cfg.max_iters // 4
-    project = PLATEAU_RATE_FACTOR is not None and anchor > 0 and target_loss > 0
+    window, check_from = cfg.max_iters // 24, cfg.max_iters // 8
+    project = PLATEAU_RATE_FACTOR is not None and window > 0 and target_loss > 0
+    ells = deque(maxlen=window + 1)   # ln(loss) over the last window steps
     pairs = deque(maxlen=LBFGS_MEMORY)
     trial = theta
 
@@ -327,12 +330,11 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
             alpha = 1.0
         else:
             alpha *= 0.5
-        if project and it >= anchor:
-            ell = math.log(loss)  # every loss > target_loss > 0
-            if it == anchor:
-                ell_a = ell
-            elif it >= check_from and ell - PLATEAU_RATE_FACTOR * (ell_a - ell) \
-                    / (it - anchor) * (cfg.max_iters - it) > math.log(target_loss):
+        if project:
+            ells.append(math.log(loss))  # every loss > target_loss > 0
+            if it >= check_from and ells[-1] - PLATEAU_RATE_FACTOR * (
+                    ells[0] - ells[-1]) / window * (cfg.max_iters - it) \
+                    > math.log(target_loss):
                 return GrapeResult(ControlPulses(u, m.dt), 1.0 - loss, it, False)
         trial = theta + alpha * direction
 
@@ -388,6 +390,17 @@ def min_time_bound(v_target: np.ndarray, m: HamiltonianModel,
     return angle / (math.pi * mu) if mu > 0 else math.inf
 
 
+def _compress(amps: np.ndarray, n: int) -> np.ndarray:
+    """amps resampled onto n steps, each channel's cumulative area kept at
+    every new step boundary. With zero drift, u(t / c) / c on [0, cT] has the
+    unitary of u on [0, T], so a converged pulse squeezed onto a shorter grid
+    starts near its target."""
+    old = amps.shape[1]
+    area = np.concatenate((np.zeros((len(amps), 1)), amps.cumsum(axis=1)), 1)
+    at = np.linspace(0.0, old, n + 1)
+    return np.diff([np.interp(at, np.arange(old + 1), a) for a in area])
+
+
 def min_time(v_target: np.ndarray, m: HamiltonianModel,
              cfg: OptimizerConfig | None = None,
              fallback_amplitudes: np.ndarray | None = None
@@ -395,8 +408,9 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     """Shortest duration achieving the fidelity threshold, by bisection.
 
     Doubles an upper bound until success, then bisects with resolution
-    4*dt: every bisection trial is a multiple of 4*dt, and shorter trials
-    warm-start from the best found pulses. The result is on that grid too,
+    4*dt: every bisection trial is a multiple of 4*dt. A trial starts from
+    the best found pulses compressed onto its steps (_compress) and, only if
+    that fails, reruns from them truncated. The result is on that grid too,
     unless it is the fallback's own duration and that is not.
 
     fallback_amplitudes, when given, is a pulse table that approximates the
@@ -458,10 +472,13 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
         if mid * m.dt < t_min:
             lo = mid
             continue
-        warm = best.pulses.amplitudes[:, :mid]
-        res = grape_optimize(v_target, m, mid * m.dt, cfg, init_amplitudes=warm)
-        if res.converged:
-            hi, best = mid, res
+        for warm in (_compress(best.pulses.amplitudes, mid),
+                     best.pulses.amplitudes[:, :mid]):
+            res = grape_optimize(v_target, m, mid * m.dt, cfg,
+                                 init_amplitudes=warm)
+            if res.converged:
+                hi, best = mid, res
+                break
         else:
             lo = mid
     return hi * m.dt, best
