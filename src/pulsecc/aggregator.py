@@ -2,7 +2,7 @@
 the optimal-control latency oracle.
 
 An action merges a set of instructions into one: a parent-child pair, a node
-with all its real parents, or a node with all its children.  The set must be
+with all its parents, or a node with all its children.  The set must be
 contractible (contiguous on every qubit chain it touches, so the merged pulses
 are continuous, and acyclic) and fit the width limit.  An action is monotonic
 when the merge cannot increase the critical path even if the merged duration
@@ -49,27 +49,28 @@ def _fits(members, g: GDG, max_width: int) -> bool:
 
 def _heads_tails(g: GDG) -> tuple[dict, dict, float, dict]:
     """Earliest finish (head) and longest path to a sink (tail) of every node,
-    each counting the node's own duration, the makespan, and every real
-    node's position in the topological order."""
+    each counting the node's own duration, the makespan, and every node's
+    position in the topological order."""
     order = g.topological_order()
-    head = {g.ROOT: 0.0}
+    head: dict[int, float] = {}
     for nid in order:
-        start = max(head[p] for p in g.predecessors(nid))
+        start = max((head[p] for p in g.predecessors(nid)), default=0.0)
         head[nid] = start + (g.nodes[nid].duration or 0.0)
     tail: dict[int, float] = {}
     for nid in reversed(order):
         end = max((tail[c] for c in g.successors(nid)), default=0.0)
         tail[nid] = end + (g.nodes[nid].duration or 0.0)
-    return head, tail, max(head.values()), {nid: i for i, nid in enumerate(order)}
+    return (head, tail, max(head.values(), default=0.0),
+            {nid: i for i, nid in enumerate(order)})
 
 
 def _candidates(g: GDG):
     """Ascending member tuples, each once: every parent-child pair, every
-    node with all its real parents and every node with all its children."""
+    node with all its parents and every node with all its children."""
     seen = set()
     for n in g.real_nodes():
         children = set(n.children.values())
-        parents = set(n.parents.values()) - {g.ROOT}
+        parents = set(n.parents.values())
         for others in [*({c} for c in children), parents, children]:
             members = tuple(sorted(others | {n.id}))
             if len(members) > 1 and members not in seen:
@@ -91,8 +92,8 @@ def enumerate_actions(g: GDG, max_width: int = DEFAULT_MAX_WIDTH) -> list[Action
     for members in _candidates(g):
         order = tuple(sorted(members, key=pos.__getitem__))
         nodes = [g.nodes[m] for m in order]
-        start = max(head[p] for n in nodes for p in n.parents.values()
-                    if p not in members)
+        start = max((head[p] for n in nodes for p in n.parents.values()
+                     if p not in members), default=0.0)
         end = max((tail[c] for n in nodes for c in n.children.values()
                    if c not in members), default=0.0)
         finish: dict[int, float] = {}

@@ -1,10 +1,10 @@
-"""Gate dependence graph: per-qubit chains, virtual identity root, contraction,
-and critical-path queries.
+"""Gate dependence graph: per-qubit chains, contraction, and critical-path
+queries.
 
 Each node holds an instruction (a single gate is the degenerate case).  For
 every qubit an instruction touches, parents[q]/children[q] link the node into
-that qubit's chain; the virtual root (id 0, duration 0) precedes every chain.
-A missing children[q] entry marks the chain's end (virtual sink).
+that qubit's chain.  A chain starts at the node with no parents[q] entry,
+recorded in GDG.first[q], and ends at the node with no children[q] entry.
 """
 from __future__ import annotations
 
@@ -55,8 +55,6 @@ class AggregatedInstruction:
         return AggregatedInstruction([g.remap(perm) for g in self.gates], self.seq)
 
     def label(self) -> str:
-        if not self.gates:
-            return "root"
         if len(self.gates) == 1:
             return repr(self.gates[0])
         return f"[{len(self.gates)} gates on {','.join(map(str, self.qubits))}]"
@@ -78,49 +76,49 @@ class GDGNode:
 class GDG:
     """Dependence DAG of instructions with per-qubit parent/child chains."""
 
-    ROOT = 0
-
     def __init__(self, num_qubits: int):
         self.num_qubits = num_qubits
-        root = GDGNode(self.ROOT, AggregatedInstruction([], seq=-1), duration=0.0)
-        self.nodes: dict[int, GDGNode] = {self.ROOT: root}
+        self.nodes: dict[int, GDGNode] = {}
+        self.first: dict[int, int] = {}  # qubit -> first node of its chain
         self._next_id = 1
 
     # -- construction ------------------------------------------------------
+
+    def _link(self, parent: int | None, q: int, node: GDGNode):
+        """Put node after parent on q's chain, or first when parent is None."""
+        if parent is None:
+            self.first[q] = node.id
+        else:
+            node.parents[q] = parent
+            self.nodes[parent].children[q] = node.id
 
     def add_instruction(self, ins: AggregatedInstruction,
                         last_on: dict[int, int]) -> GDGNode:
         node = GDGNode(self._next_id, ins)
         self._next_id += 1
         for q in ins.qubits:
-            prev = last_on.get(q, self.ROOT)
-            node.parents[q] = prev
-            self.nodes[prev].children[q] = node.id
+            self._link(last_on.get(q), q, node)
             last_on[q] = node.id
         self.nodes[node.id] = node
         return node
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def root(self) -> GDGNode:
-        return self.nodes[self.ROOT]
-
     def real_nodes(self) -> list[GDGNode]:
-        return [n for i, n in sorted(self.nodes.items()) if i != self.ROOT]
+        """Every node, by id."""
+        return [n for _, n in sorted(self.nodes.items())]
 
     def qubit_path(self, q: int) -> list[int]:
-        """Node ids on qubit q's chain, root excluded, in chain order."""
+        """Node ids on qubit q's chain, in chain order."""
         path = []
-        cur = self.root.children.get(q)
+        cur = self.first.get(q)
         while cur is not None:
             path.append(cur)
             cur = self.nodes[cur].children.get(q)
         return path
 
     def qubit_paths(self) -> dict[int, list[int]]:
-        return {q: self.qubit_path(q) for q in range(self.num_qubits)
-                if q in self.root.children}
+        return {q: self.qubit_path(q) for q in sorted(self.first)}
 
     def successors(self, nid: int) -> set[int]:
         return set(self.nodes[nid].children.values())
@@ -129,7 +127,7 @@ class GDG:
         return set(self.nodes[nid].parents.values())
 
     def topological_order(self) -> list[int]:
-        """Kahn order over real nodes, ties broken by instruction seq then id."""
+        """Kahn order, ties broken by instruction seq then id."""
         indeg = {i: 0 for i in self.nodes}
         for n in self.nodes.values():
             for c in set(n.children.values()):
@@ -147,7 +145,7 @@ class GDG:
                     heapq.heappush(ready, (self.nodes[c].instruction.seq, c))
         if len(order) != len(self.nodes):
             raise GDGError("cycle detected in GDG")
-        return [i for i in order if i != self.ROOT]
+        return order
 
     def flatten(self) -> Circuit:
         """Circuit reading every node's gates in topological order."""
@@ -160,28 +158,26 @@ class GDG:
     # -- mutation ----------------------------------------------------------
 
     def copy(self) -> "GDG":
+        """Independent links, first entries and durations; the instructions
+        are shared, as nothing changes one once it is in a graph."""
         g = GDG(self.num_qubits)
         g._next_id = self._next_id
-        g.nodes = {}
-        for nid, node in self.nodes.items():
-            ins = AggregatedInstruction(list(node.instruction.gates),
-                                        node.instruction.seq,
-                                        node.instruction._unitary)
-            g.nodes[nid] = GDGNode(nid, ins, dict(node.parents),
-                                   dict(node.children), node.duration)
+        g.first = dict(self.first)
+        g.nodes = {nid: GDGNode(nid, n.instruction, dict(n.parents),
+                                dict(n.children), n.duration)
+                   for nid, n in self.nodes.items()}
         return g
 
     def can_contract(self, node_ids: set[int]) -> tuple[bool, str]:
         """Contiguity on every touched qubit chain plus acyclicity."""
         members = set(node_ids)
-        if self.ROOT in members:
-            return False, "cannot contract the virtual root"
         for nid in members:
             if nid not in self.nodes:
                 return False, f"unknown node {nid}"
         # members are contiguous on q's chain iff one has its q-parent outside
-        entries = Counter(q for nid in members
-                          for q, p in self.nodes[nid].parents.items() if p not in members)
+        # (or none: the chain's first node)
+        entries = Counter(q for nid in members for q in self.nodes[nid].qubits
+                          if self.nodes[nid].parents.get(q) not in members)
         split = sorted(q for q, n in entries.items() if n > 1)
         if split:
             return False, f"members not contiguous on q{split[0]} chain"
@@ -222,45 +218,41 @@ class GDG:
         merged = AggregatedInstruction(gates, seq)
 
         node = GDGNode(self._next_id, merged)
+        self.nodes[node.id] = node  # _link looks it up as a parent
         self._next_id += 1
-        # boundary links: per qubit, the parent entering the members and the
-        # child leaving them (none at the chain's end)
+        # boundary links: per qubit, the parent entering the members (none at
+        # the chain's start) and the child leaving them (none at its end)
         enter = {q: p for nid in members
                  for q, p in self.nodes[nid].parents.items() if p not in members}
         leave = {q: c for nid in members
                  for q, c in self.nodes[nid].children.items() if c not in members}
         for q in merged.qubits:
-            node.parents[q] = enter[q]
-            self.nodes[enter[q]].children[q] = node.id
+            self._link(enter.get(q), q, node)
             if q in leave:
-                node.children[q] = leave[q]
-                self.nodes[leave[q]].parents[q] = node.id
+                self._link(node.id, q, self.nodes[leave[q]])
         for nid in members:
             del self.nodes[nid]
-        self.nodes[node.id] = node
         return node
 
     # -- weighting ---------------------------------------------------------
 
     def set_durations(self, price):
-        """Assign durations from a callable instruction -> ns (root stays 0)."""
+        """Assign durations from a callable instruction -> ns."""
         for node in self.real_nodes():
             node.duration = float(price(node.instruction))
 
     def critical_path(self) -> tuple[float, list[int]]:
-        """Longest duration-weighted root-to-sink path.
+        """Longest duration-weighted path from a chain start to a chain end.
 
         Ties resolved toward the lexicographically smallest witness by node id.
         """
-        finish: dict[int, float] = {self.ROOT: 0.0}
-        best_parent: dict[int, int | None] = {self.ROOT: None}
-        for nid in [self.ROOT] + self.topological_order():
-            if nid == self.ROOT:
-                continue
+        finish: dict[int, float] = {}
+        best_parent: dict[int, int | None] = {}
+        for nid in self.topological_order():
             node = self.nodes[nid]
             if node.duration is None:
                 raise GDGError(f"node {nid} has no duration")
-            start, bp = 0.0, self.ROOT
+            start, bp = 0.0, None
             for pid in sorted(self.predecessors(nid)):
                 if finish[pid] > start + 1e-12:
                     start, bp = finish[pid], pid
@@ -268,10 +260,10 @@ class GDG:
             best_parent[nid] = bp
         total, end = 0.0, None
         for nid in sorted(finish):
-            if nid != self.ROOT and finish[nid] > total + 1e-12:
+            if finish[nid] > total + 1e-12:
                 total, end = finish[nid], nid
         path: list[int] = []
-        while end is not None and end != self.ROOT:
+        while end is not None:
             path.append(end)
             end = best_parent[end]
         return total, list(reversed(path))
@@ -301,7 +293,7 @@ class GDG:
 
 
 def build_gdg(c: Circuit) -> GDG:
-    """One node per gate; per-qubit chains; virtual root ahead of every chain."""
+    """One node per gate, linked into per-qubit chains in circuit order."""
     g = GDG(c.num_qubits)
     last: dict[int, int] = {}
     for i, gate in enumerate(c.gates):

@@ -40,9 +40,7 @@ class Topology:
         return divmod(s, self.cols)
 
     def adjacent(self, a: int, b: int) -> bool:
-        ra, ca = self.coords(a)
-        rb, cb = self.coords(b)
-        return abs(ra - rb) + abs(ca - cb) == 1
+        return self.distance(a, b) == 1
 
     def distance(self, a: int, b: int) -> int:
         ra, ca = self.coords(a)

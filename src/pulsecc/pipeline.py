@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import commute
 from .aggregator import DEFAULT_MAX_WIDTH, MAX_WIDTH_LIMIT, aggregate_loop
 from .commute import build_commutation_groups, singleton_groups
 from .gates import Circuit
@@ -96,7 +97,7 @@ class CompileResult:
 
 
 def _gdg_stats(g: GDG) -> dict:
-    depth = {g.ROOT: 0}
+    depth: dict[int, int] = {}
     for nid in g.topological_order():
         depth[nid] = 1 + max((depth[p] for p in g.predecessors(nid)), default=0)
     return {"nodes": len(g.real_nodes()),
@@ -146,9 +147,7 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
     stages["flattened"] = _gdg_stats(gdg)
 
     if opts.use_cls:
-        # local, so a wrapper set on commute.detect_diagonal_blocks sees it
-        from .commute import detect_diagonal_blocks
-        detect_diagonal_blocks(gdg)
+        commute.detect_diagonal_blocks(gdg)
         stages["commutativity_detection"] = _gdg_stats(gdg)
 
     groups = build_commutation_groups(gdg) if opts.use_cls else singleton_groups(gdg)
@@ -250,8 +249,14 @@ def write_artifacts(result: CompileResult, out_dir: str | Path):
 
 
 def compare_strategies(circuit: Circuit, opts: CompileOptions,
-                       strategies=STRATEGIES) -> dict:
-    """Compile under each strategy and report normalized latency (isa = 1.0)."""
+                       strategies=None) -> dict:
+    """Compile under each strategy and report normalized latency (isa = 1.0).
+
+    By default every strategy opts' latency mode allows: aggregation needs
+    the oracle."""
+    if strategies is None:
+        strategies = [s for s in STRATEGIES
+                      if opts.latency_mode == "oracle" or "agg" not in s]
     topo = opts.topology or Topology.line(circuit.num_qubits)
     ocu = make_ocu(opts, topo) if opts.latency_mode == "oracle" else None
     rows = {}

@@ -61,8 +61,6 @@ def chain_walk_can_contract(g, node_ids) -> tuple[bool, str]:
     require the members' positions on it to form one block, then search
     everything downstream of the members for a way back into them."""
     members = set(node_ids)
-    if g.ROOT in members:
-        return False, "cannot contract the virtual root"
     for q in {q for nid in members for q in g.nodes[nid].qubits}:
         idx = [i for i, nid in enumerate(g.qubit_path(q)) if nid in members]
         if idx[-1] - idx[0] + 1 != len(idx):
@@ -80,7 +78,8 @@ def chain_walk_can_contract(g, node_ids) -> tuple[bool, str]:
 
 
 def audit(g):
-    """Raise GDGError on any parent/child map inconsistency or cycle."""
+    """Raise GDGError on any parent/child map inconsistency, chain start not
+    recorded in g.first, or cycle."""
     for nid, node in g.nodes.items():
         for q, cid in node.children.items():
             child = g.nodes.get(cid)
@@ -90,10 +89,15 @@ def audit(g):
             parent = g.nodes.get(pid)
             if parent is None or parent.children.get(q) != nid:
                 raise GDGError(f"parent link {nid}<-[q{q}]-{pid} not mirrored")
-        if nid != g.ROOT:
-            for q in node.qubits:
-                if q not in node.parents:
-                    raise GDGError(f"node {nid} missing parent on q{q}")
+        for q in node.qubits:
+            if q not in node.parents and g.first.get(q) != nid:
+                raise GDGError(f"node {nid} has no parent on q{q} but is not "
+                               f"first[{q}]")
+    # also rejects a first entry for a qubit that has no chain
+    for q, nid in g.first.items():
+        node = g.nodes.get(nid)
+        if node is None or q not in node.qubits or q in node.parents:
+            raise GDGError(f"first[{q}] = {nid} is not a chain start on q{q}")
     g.topological_order()  # raises on cycles
 
 

@@ -91,12 +91,11 @@ def aggregable_pairs(g, max_width) -> list[tuple[int, int]]:
 
 
 def candidate_sets(g, max_width) -> list[tuple[int, ...]]:
-    """The aggregable pairs, and every node with all its real parents or with
+    """The aggregable pairs, and every node with all its parents or with
     all its children where that set is contractible and within max_width."""
     out = set(aggregable_pairs(g, max_width))
     for n in g.real_nodes():
-        for group in (set(n.parents.values()) - {g.ROOT},
-                      set(n.children.values())):
+        for group in (set(n.parents.values()), set(n.children.values())):
             members = group | {n.id}
             width = len({q for m in members for q in g.nodes[m].qubits})
             if len(members) > 1 and width <= max_width and \

@@ -6,7 +6,8 @@ import pytest
 from pulsecc.aggregator import aggregate_loop
 from pulsecc.bench import qaoa_triangle
 from pulsecc.commute import detect_diagonal_blocks
-from pulsecc.gates import circuit_unitary, phases_equal
+from pulsecc.gates import (Circuit, Gate, GateName, circuit_unitary,
+                           phases_equal)
 from pulsecc.gdg import GDG, AggregatedInstruction, GDGError, build_gdg
 from pulsecc.latency import table_price
 
@@ -19,12 +20,17 @@ def table_durations(g):
 
 
 def test_build_structure():
-    g = build_gdg(qaoa_triangle())
+    c = qaoa_triangle()
+    g = build_gdg(c)
     assert len(g.real_nodes()) == 16
-    # every chain starts at the virtual root
+    # every chain starts at its first gate's node (ids count gates from 1),
+    # which has no parent there
+    firsts = {q: 1 + next(i for i, gt in enumerate(c.gates) if q in gt.qubits)
+              for q in range(3)}
+    assert g.first == firsts
     for q in range(3):
-        first = g.qubit_path(q)[0]
-        assert g.nodes[first].parents[q] == GDG.ROOT
+        assert g.qubit_path(q)[0] == firsts[q]
+        assert q not in g.nodes[firsts[q]].parents
     audit(g)
 
 
@@ -175,12 +181,34 @@ def test_copy_independent(rng):
     assert g.nodes[first.id].duration != 999.0
 
 
+def test_contract_at_chain_start_in_copy_leaves_original():
+    # CNOT.Rz.CNOT opens both chains; its diagonal block merges into one node
+    c = Circuit(2)
+    for gate in (Gate(GateName.CNOT, (0, 1)), Gate(GateName.RZ, (1,), (0.7,)),
+                 Gate(GateName.CNOT, (0, 1)), Gate(GateName.H, (0,)),
+                 Gate(GateName.H, (1,))):
+        c.append(gate)
+    g = build_gdg(c)
+    paths = {q: g.qubit_path(q) for q in range(2)}
+    h = g.copy()
+    detect_diagonal_blocks(h)
+    merged = h.qubit_path(0)[0]
+    assert h.nodes[merged].instruction.gates == c.gates[:3]
+    for q in range(2):
+        assert h.first[q] == merged
+        assert h.qubit_path(q) == [merged, paths[q][-1]]
+        assert g.first[q] == 1
+        assert g.qubit_path(q) == paths[q]
+    audit(g)
+    audit(h)
+
+
 def test_to_json_roundtrips_counts():
     g = build_gdg(qaoa_triangle())
     table_durations(g)
     doc = json.loads(g.to_json())
     assert doc["num_qubits"] == 3
-    assert len(doc["nodes"]) == 17  # 16 gates + root
+    assert len(doc["nodes"]) == 16  # one per gate
 
 
 def test_can_contract_matches_chain_walk(rng):
@@ -196,8 +224,7 @@ def test_can_contract_matches_chain_walk(rng):
             members = {ids[rng.integers(len(ids))]}
             for _ in range(int(rng.integers(1, 6))):
                 node = g.nodes[sorted(members)[rng.integers(len(members))]]
-                links = [x for x in (*node.parents.values(), *node.children.values())
-                         if x != g.ROOT]
+                links = [*node.parents.values(), *node.children.values()]
                 if links and rng.random() < 0.85:
                     members.add(links[rng.integers(len(links))])
                 else:

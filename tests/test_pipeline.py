@@ -12,7 +12,8 @@ from pulsecc.gates import Circuit, Gate, GateName, circuit_unitary, phases_equal
 from pulsecc.gdg import AggregatedInstruction
 from pulsecc.aggregator import MAX_WIDTH_LIMIT
 from pulsecc.optctrl import OptimalControlUnit
-from pulsecc.pipeline import (CompileOptions, compile_circuit, write_artifacts)
+from pulsecc.pipeline import (CompileOptions, compare_strategies,
+                              compile_circuit, write_artifacts)
 from pulsecc.mapper import Topology
 from pulsecc.scheduler import ScheduleError, list_schedule
 
@@ -63,6 +64,15 @@ def test_agg_requires_oracle():
         with pytest.raises(ValueError, match=re.escape(
                 f"strategy {strategy!r}") + ".*'oracle', not 'table'"):
             CompileOptions(strategy=strategy, latency_mode="table")
+
+
+def test_compare_strategies_defaults_to_the_latency_modes_strategies():
+    cmp = compare_strategies(qaoa_triangle(),
+                             CompileOptions(strategy="cls", latency_mode="table"))
+    rows = cmp["strategies"]
+    assert list(rows) == ["isa", "cls"]   # aggregation needs the oracle
+    assert rows["isa"]["normalized"] == 1.0
+    assert rows["cls"]["normalized"] <= 1.0
 
 
 def test_unknown_strategy_rejected():
