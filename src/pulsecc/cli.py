@@ -3,8 +3,9 @@
 `pulsecc compile <file.qasm>` compiles an assembly file; `pulsecc bench
 <name>` generates and compiles a named benchmark circuit.
 
-Exit codes: 0 success, 2 parse error or invalid option (aggregation with
-table latency and a qubit count below 1 included), 3 mapping/routing error
+Exit codes: 0 success, 2 parse error, unreadable input file or invalid
+option (aggregation with table latency, a qubit count below 1 and an --out
+path that exists and is not a directory included), 3 mapping/routing error
 or scheduling deadlock (reported as "scheduling error:"), 4 pulse-optimizer
 non-convergence, 5 verification failure.
 """
@@ -104,8 +105,15 @@ def _report(result, args):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # checked before compiling, so a bad --out never wastes a compile
+        if args.out and Path(args.out).exists() and not Path(args.out).is_dir():
+            raise ValueError(f"--out {args.out} exists and is not a directory")
         if args.command == "compile":
-            text = Path(args.file).read_text()
+            try:
+                text = Path(args.file).read_text()
+            except OSError as e:
+                raise ValueError(
+                    f"cannot read {args.file}: {e.strerror or e}") from None
             circuit = parse_asm(text)
             circuit.name = Path(args.file).stem
         else:
@@ -120,7 +128,7 @@ def main(argv=None) -> int:
     except ConvergenceError as e:
         print(f"optimizer error: {e}", file=sys.stderr)
         return EXIT_OPTIMIZER
-    except (ParseError, GateError, FileNotFoundError, ValueError) as e:
+    except (ParseError, GateError, ValueError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

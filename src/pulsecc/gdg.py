@@ -5,6 +5,10 @@ Each node holds an instruction (a single gate is the degenerate case).  For
 every qubit an instruction touches, parents[q]/children[q] link the node into
 that qubit's chain.  A chain starts at the node with no parents[q] entry,
 recorded in GDG.first[q], and ends at the node with no children[q] entry.
+
+While every parent's instruction seq is below its child's, the seq order is
+the topological order: topological_order sorts instead of running Kahn's
+loop, and can_contract's cycle search stops at nodes past the members' seqs.
 """
 from __future__ import annotations
 
@@ -81,6 +85,9 @@ class GDG:
         self.nodes: dict[int, GDGNode] = {}
         self.first: dict[int, int] = {}  # qubit -> first node of its chain
         self._next_id = 1
+        # every parent's instruction seq is below its child's; once a link
+        # breaks this it stays False
+        self.seq_ordered = True
 
     # -- construction ------------------------------------------------------
 
@@ -97,7 +104,10 @@ class GDG:
         node = GDGNode(self._next_id, ins)
         self._next_id += 1
         for q in ins.qubits:
-            self._link(last_on.get(q), q, node)
+            parent = last_on.get(q)
+            if parent is not None and self.nodes[parent].instruction.seq >= ins.seq:
+                self.seq_ordered = False
+            self._link(parent, q, node)
             last_on[q] = node.id
         self.nodes[node.id] = node
         return node
@@ -127,7 +137,12 @@ class GDG:
         return set(self.nodes[nid].parents.values())
 
     def topological_order(self) -> list[int]:
-        """Kahn order, ties broken by instruction seq then id."""
+        """Kahn order, ties broken by instruction seq then id.  While the graph
+        is seq-ordered that is the (seq, id) order: the smallest node left has
+        every parent placed already, so it is always ready."""
+        if self.seq_ordered:
+            return sorted(self.nodes,
+                          key=lambda i: (self.nodes[i].instruction.seq, i))
         indeg = {i: 0 for i in self.nodes}
         for n in self.nodes.values():
             for c in set(n.children.values()):
@@ -162,6 +177,7 @@ class GDG:
         are shared, as nothing changes one once it is in a graph."""
         g = GDG(self.num_qubits)
         g._next_id = self._next_id
+        g.seq_ordered = self.seq_ordered
         g.first = dict(self.first)
         g.nodes = {nid: GDGNode(nid, n.instruction, dict(n.parents),
                                 dict(n.children), n.duration)
@@ -181,7 +197,10 @@ class GDG:
         split = sorted(q for q, n in entries.items() if n > 1)
         if split:
             return False, f"members not contiguous on q{split[0]} chain"
-        # an outside path from one member back into another would close a cycle
+        # an outside path from one member back into another would close a cycle;
+        # in a seq-ordered graph no such path passes a seq above every member's
+        top = (max(self.nodes[nid].instruction.seq for nid in members)
+               if self.seq_ordered else float("inf"))
         outside_starts = {c for nid in members for c in self.successors(nid)
                           if c not in members}
         stack, seen = list(outside_starts), set(outside_starts)
@@ -189,6 +208,8 @@ class GDG:
             cur = stack.pop()
             if cur in members:
                 return False, "contraction would create a cycle"
+            if self.nodes[cur].instruction.seq > top:
+                continue
             for c in self.successors(cur):
                 if c not in seen:
                     seen.add(c)
@@ -226,6 +247,11 @@ class GDG:
                  for q, p in self.nodes[nid].parents.items() if p not in members}
         leave = {q: c for nid in members
                  for q, c in self.nodes[nid].children.items() if c not in members}
+        # leaving children follow a member, so only an entering parent can
+        # break seq order
+        if self.seq_ordered and any(self.nodes[p].instruction.seq >= seq
+                                    for p in enter.values()):
+            self.seq_ordered = False
         for q in merged.qubits:
             self._link(enter.get(q), q, node)
             if q in leave:

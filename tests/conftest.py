@@ -1,3 +1,4 @@
+import heapq
 from collections import deque
 
 import networkx as nx
@@ -77,6 +78,29 @@ def chain_walk_can_contract(g, node_ids) -> tuple[bool, str]:
     return True, ""
 
 
+def kahn_order(g) -> list[int]:
+    """Reference topological order: Kahn's loop over the whole graph, ties
+    broken by instruction seq then id; raises GDGError on a cycle."""
+    indeg = {i: 0 for i in g.nodes}
+    for n in g.nodes.values():
+        for c in set(n.children.values()):
+            indeg[c] += 1
+    ready = [(g.nodes[i].instruction.seq, i)
+             for i, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, nid = heapq.heappop(ready)
+        order.append(nid)
+        for c in g.successors(nid):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(ready, (g.nodes[c].instruction.seq, c))
+    if len(order) != len(g.nodes):
+        raise GDGError("cycle detected in GDG")
+    return order
+
+
 def audit(g):
     """Raise GDGError on any parent/child map inconsistency, chain start not
     recorded in g.first, or cycle."""
@@ -98,7 +122,7 @@ def audit(g):
         node = g.nodes.get(nid)
         if node is None or q not in node.qubits or q in node.parents:
             raise GDGError(f"first[{q}] = {nid} is not a chain start on q{q}")
-    g.topological_order()  # raises on cycles
+    kahn_order(g)  # raises on cycles, which the seq-order sort cannot see
 
 
 def contract(g, members):

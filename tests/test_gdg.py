@@ -11,8 +11,8 @@ from pulsecc.gates import (Circuit, Gate, GateName, circuit_unitary,
 from pulsecc.gdg import GDG, AggregatedInstruction, GDGError, build_gdg
 from pulsecc.latency import table_price
 
-from conftest import (audit, chain_walk_can_contract, contract, qaoa3reg,
-                      random_circuit)
+from conftest import (audit, chain_walk_can_contract, contract, kahn_order,
+                      qaoa3reg, random_circuit)
 
 
 def table_durations(g):
@@ -214,8 +214,10 @@ def test_to_json_roundtrips_counts():
 def test_can_contract_matches_chain_walk(rng):
     # node sets grown from a random seed node through parent/child links, with
     # an occasional unrelated node; legal sets are sometimes contracted so
-    # later sets contain merged nodes
+    # later sets contain merged nodes.  Some merges break seq order, so both
+    # the sort and Kahn's loop in topological_order meet the reference
     checked = {True: 0, False: 0}
+    seq_ordered = {True: 0, False: 0}
     for _ in range(60):
         g = build_gdg(random_circuit(int(rng.integers(2, 6)),
                                      int(rng.integers(6, 30)), rng))
@@ -239,4 +241,36 @@ def test_can_contract_matches_chain_walk(rng):
                 contract(g, members)
                 audit(g)
                 assert phases_equal(before, circuit_unitary(g.flatten()))
+            assert g.topological_order() == g.copy().topological_order() \
+                == kahn_order(g)
+            seq_ordered[g.seq_ordered] += 1
     assert min(checked.values()) > 100
+    assert min(seq_ordered.values()) > 100, seq_ordered
+
+
+def test_add_below_a_parents_seq_leaves_seq_order():
+    g, last = GDG(2), {}
+    a = g.add_instruction(AggregatedInstruction([Gate(GateName.H, (0,))], 5), last)
+    b = g.add_instruction(AggregatedInstruction([Gate(GateName.CNOT, (0, 1))], 2),
+                          last)
+    assert not g.seq_ordered
+    assert g.topological_order() == kahn_order(g) == [a.id, b.id]
+
+
+def test_merge_that_follows_another_chain_leaves_seq_order():
+    # qubits a, x, b, y = 0, 1, 2, 3: RZ(a); CNOT(a,x); H(y); CNOT(b,y); RZ(b)
+    c = Circuit(4)
+    for gate in (Gate(GateName.RZ, (0,), (0.3,)), Gate(GateName.CNOT, (0, 1)),
+                 Gate(GateName.H, (3,)), Gate(GateName.CNOT, (2, 3)),
+                 Gate(GateName.RZ, (2,), (0.5,))):
+        c.append(gate)
+    g = build_gdg(c)
+    assert g.seq_ordered and g.topological_order() == [1, 2, 3, 4, 5]
+    # {RZ(a), RZ(b)} keeps RZ(a)'s seq 0 but now follows CNOT(b,y), seq 3
+    merged = g.contract([1, 5]).id
+    assert not g.seq_ordered and not g.copy().seq_ordered
+    assert g.topological_order() == kahn_order(g) == [3, 4, merged, 2]
+    # the path H(y) -> CNOT(b,y) -> merged passes a seq above both members'
+    ok, why = g.can_contract({3, merged})
+    assert not ok and "cycle" in why
+    assert chain_walk_can_contract(g, {3, merged}) == (ok, why)

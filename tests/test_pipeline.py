@@ -9,7 +9,7 @@ from pulsecc import cli
 from pulsecc.bench import (ising_chain, make_bench, maxcut_line, qaoa_circuit,
                            qaoa_triangle, uccsd)
 from pulsecc.gates import Circuit, Gate, GateName, circuit_unitary, phases_equal
-from pulsecc.gdg import AggregatedInstruction
+from pulsecc.gdg import GDG, AggregatedInstruction
 from pulsecc.aggregator import MAX_WIDTH_LIMIT
 from pulsecc.optctrl import OptimalControlUnit
 from pulsecc.pipeline import (CompileOptions, compare_strategies,
@@ -17,7 +17,7 @@ from pulsecc.pipeline import (CompileOptions, compare_strategies,
 from pulsecc.mapper import Topology
 from pulsecc.scheduler import ScheduleError, list_schedule
 
-from conftest import qaoa3reg, random_circuit
+from conftest import kahn_order, qaoa3reg, random_circuit
 
 
 def test_bench_generators():
@@ -287,6 +287,31 @@ def test_cli_bad_topology_is_parse_error(tmp_path, spec):
     assert rc == cli.EXIT_PARSE
 
 
+def test_cli_unreadable_input_is_parse_error(tmp_path, capsys):
+    rc = cli.main(["compile", str(tmp_path), "--strategy", "cls",
+                   "--latency", "table"])
+    assert rc == cli.EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"parse error: cannot read {tmp_path}")
+
+
+def test_cli_out_that_is_a_file_rejected_before_compiling(tmp_path, monkeypatch,
+                                                          capsys):
+    src = tmp_path / "prog.qasm"
+    src.write_text("qubits 2;\nh q0; cnot q0 q1;\n")
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+
+    def no_compile(*_args):
+        raise AssertionError("compiled despite an unusable --out")
+
+    monkeypatch.setattr(cli, "compile_circuit", no_compile)
+    rc = cli.main(["compile", str(src), "--strategy", "cls",
+                   "--latency", "table", "--out", str(taken)])
+    assert rc == cli.EXIT_PARSE
+    assert "is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep"
+
+
 def test_cli_routing_error(tmp_path):
     src = tmp_path / "prog.qasm"
     src.write_text("qubits 5;\nh q0; cnot q3 q4;\n")
@@ -359,3 +384,21 @@ def test_final_schedule_never_longer_than_asap(rng):
         if res.manifest["final_schedule"] == "asap":
             assert res.makespan_ns == asap
     assert {r.manifest["final_schedule"] for r in results} == {"cls", "asap"}
+
+
+def test_seq_order_sort_compiles_bit_identically_to_kahn(monkeypatch):
+    # the front end's graphs stay seq-ordered, so topological_order sorts
+    # them; Kahn's loop in its place must give the same compile
+    cases = [(qaoa3reg(10, 6), Topology(3, 4)), (qaoa3reg(16, 6), Topology(4, 4))]
+
+    def compile_all():
+        return [compile_circuit(c, CompileOptions(
+            strategy="cls", latency_mode="table", topology=topo))
+                for c, topo in cases]
+
+    fast = compile_all()
+    assert all(r.gdg.seq_ordered for r in fast)
+    monkeypatch.setattr(GDG, "topological_order", kahn_order)
+    for a, b in zip(fast, compile_all()):
+        assert a.manifest == b.manifest
+        assert a.schedule.to_json(a.gdg) == b.schedule.to_json(b.gdg)
