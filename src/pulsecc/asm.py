@@ -93,6 +93,6 @@ def emit_asm(c: Circuit) -> str:
     for g in c.gates:
         if g.name is GateName.CUSTOM:
             raise ValueError("CUSTOM gates have no assembly form")
-        p = f"({', '.join(repr(x) for x in g.params)})" if g.params else ""
+        p = f"({', '.join(repr(float(x)) for x in g.params)})" if g.params else ""
         lines.append(f"{g.name.value}{p} {' '.join(f'q{q}' for q in g.qubits)};")
     return "\n".join(lines) + "\n"

@@ -33,8 +33,11 @@ def commutes(a, b) -> bool:
 
 
 def _shape(gates, pos: dict[int, int]) -> tuple:
-    """Everything embed reads of each gate, operands as positions in the
-    sorted context: equal shapes embed to equal matrices entry for entry."""
+    """Everything embed reads of each gate, operands as their positions in
+    pos.  With positions in the sorted context, equal shapes embed to equal
+    matrices entry for entry.  With any other numbering of the wires, equal
+    shapes are the same gates up to a wire relabelling, which conjugates
+    every operator by one permutation and so keeps whether two commute."""
     return tuple((gt.name, gt.params, tuple(pos[q] for q in gt.qubits),
                   None if gt.custom_matrix is None
                   else np.asarray(gt.custom_matrix, dtype=complex).tobytes())
@@ -57,7 +60,9 @@ def build_commutation_groups(g: GDG) -> CommutationGroupTable:
 
     A gate joins the current group iff it commutes (on the joint context)
     with every member; otherwise a new group starts.  The oracle is asked
-    once per pair of shapes; later pairs of the same shapes reuse its verdict.
+    once per pair of shapes, with wires numbered in the order the pair's
+    gates first use them; later pairs of the same shapes, on any wires,
+    reuse its verdict.
     """
     verdicts: dict[tuple, bool] = {}
 
@@ -65,8 +70,8 @@ def build_commutation_groups(g: GDG) -> CommutationGroupTable:
         qa, qb = set(a.qubits), set(b.qubits)
         if not qa & qb:
             return True
-        pos = {q: i for i, q in enumerate(sorted(qa | qb))}
-        key = (len(pos), _shape(a.gates, pos), _shape(b.gates, pos))
+        pos = {q: i for i, q in enumerate(dict.fromkeys(a.qubits + b.qubits))}
+        key = (_shape(a.gates, pos), _shape(b.gates, pos))
         if key not in verdicts:
             verdicts[key] = commutes(a, b)
         return verdicts[key]

@@ -166,7 +166,10 @@ def embed_operator(op: np.ndarray, wires, context) -> np.ndarray:
         if q not in ctx:
             raise GateError(f"operand q{q} not in context {ctx}")
     rest = [q for q in ctx if q not in wires]
-    full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
+    d, r = op.shape[0], 2 ** len(rest)
+    # np.kron(op, I_r) as one broadcast multiply: [i, k, j, l] = op[i, j] I[k, l]
+    full = (op[:, None, :, None]
+            * np.eye(r, dtype=complex)[None, :, None, :]).reshape(d * r, d * r)
     return permute_wires(full, list(wires) + rest, ctx)
 
 

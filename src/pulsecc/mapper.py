@@ -220,31 +220,43 @@ def _refine_placement(gr: InteractionGraph, mapping: dict[int, int],
                       topo: Topology) -> None:
     """Greedy hill climb on total weighted qubit distance, in place.
 
-    Moves consider swapping two placed qubits or relocating one to a free site.
+    Moves consider swapping two placed qubits or relocating one to a free
+    site.  A move is priced by the change on the edges at the moved qubits;
+    a swap leaves the length of the edge between them as it is.
     """
-    def cost() -> int:
-        return sum(w * topo.distance(mapping[a], mapping[b])
-                   for (a, b), w in gr.weights.items())
+    coords = [topo.coords(s) for s in range(topo.num_sites)]
+    nbrs: dict[int, list[tuple[int, int]]] = {q: [] for q in mapping}
+    for (a, b), w in gr.weights.items():
+        nbrs[a].append((b, w))
+        nbrs[b].append((a, w))
+
+    def pull(q: int, site: int, skip: int | None = None) -> int:
+        """Weighted distance from site to q's neighbours other than skip."""
+        r, c = coords[site]
+        total = 0
+        for v, w in nbrs[q]:
+            if v != skip:
+                rv, cv = coords[mapping[v]]
+                total += w * (abs(r - rv) + abs(c - cv))
+        return total
 
     qubits = sorted(mapping)
     improved = True
     while improved:
         improved = False
         free = sorted(set(range(topo.num_sites)) - set(mapping.values()))
-        base = cost()
-        best, best_move = base, None
+        best, best_move = 0, None
         for i, a in enumerate(qubits):
+            sa = mapping[a]
             for b in qubits[i + 1:]:
-                mapping[a], mapping[b] = mapping[b], mapping[a]
-                c = cost()
-                mapping[a], mapping[b] = mapping[b], mapping[a]
+                sb = mapping[b]
+                c = (pull(a, sb, b) - pull(a, sa, b)
+                     + pull(b, sa, a) - pull(b, sb, a))
                 if c < best:
                     best, best_move = c, ("swap", a, b)
+            here = pull(a, sa)
             for s in free:
-                old = mapping[a]
-                mapping[a] = s
-                c = cost()
-                mapping[a] = old
+                c = pull(a, s) - here
                 if c < best:
                     best, best_move = c, ("move", a, s)
         if best_move:

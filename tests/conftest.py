@@ -233,3 +233,41 @@ def einsum_gradient(u_amp: np.ndarray, m, v_target: np.ndarray) -> np.ndarray:
     y = np.einsum("nba,kbc,ncd->knad", q.conj(), ops, q)
     dtau = np.einsum("nab,nba,knba->kn", x, phi, y)
     return (-2.0 / d ** 2) * np.real(np.conj(tau) * dtau)
+
+
+def full_cost_refine(gr, mapping, topo) -> None:
+    """Reference placement hill climb: price every candidate move by re-summing
+    the weighted distance over every interaction edge.  _refine_placement must
+    make exactly its moves."""
+    def cost() -> int:
+        return sum(w * topo.distance(mapping[a], mapping[b])
+                   for (a, b), w in gr.weights.items())
+
+    qubits = sorted(mapping)
+    improved = True
+    while improved:
+        improved = False
+        free = sorted(set(range(topo.num_sites)) - set(mapping.values()))
+        base = cost()
+        best, best_move = base, None
+        for i, a in enumerate(qubits):
+            for b in qubits[i + 1:]:
+                mapping[a], mapping[b] = mapping[b], mapping[a]
+                c = cost()
+                mapping[a], mapping[b] = mapping[b], mapping[a]
+                if c < best:
+                    best, best_move = c, ("swap", a, b)
+            for s in free:
+                old = mapping[a]
+                mapping[a] = s
+                c = cost()
+                mapping[a] = old
+                if c < best:
+                    best, best_move = c, ("move", a, s)
+        if best_move:
+            kind, a, x = best_move
+            if kind == "swap":
+                mapping[a], mapping[x] = mapping[x], mapping[a]
+            else:
+                mapping[a] = x
+            improved = True

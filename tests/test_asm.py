@@ -62,6 +62,9 @@ def test_roundtrip_preserves_semantics(rng):
 
 def test_roundtrip_exact_gate_list(rng):
     c = random_circuit(4, 15, rng)
+    # numpy scalars are written as plain floats
+    c.add(GateName.RZ, 0, params=(np.float64(0.5),))
+    c.add(GateName.RX, 1, params=(np.float32(0.1),))
     again = parse_asm(emit_asm(c))
     assert [(g.name, g.qubits, g.params) for g in again.gates] == \
            [(g.name, g.qubits, g.params) for g in c.gates]

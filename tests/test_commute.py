@@ -267,7 +267,13 @@ def test_groups_match_pairwise_oracle_reference(rng):
         twins.add(GateName.H, a)
         twins.add(GateName.RX, a, params=(angle,))
         twins.add(GateName.CNOT, a, b)
-    circuits = [qaoa_triangle(), twins]
+    # one pattern again on relabelled wires, which shares its verdicts
+    n = 5
+    pattern = shape_rich_circuit(n, 30, rng)
+    perm = {q: n + int(p) for q, p in enumerate(rng.permutation(n))}
+    relabelled = Circuit(2 * n, pattern.gates
+                         + [gt.remap(perm) for gt in pattern.gates])
+    circuits = [qaoa_triangle(), twins, relabelled]
     for _ in range(30):
         circuits.append(shape_rich_circuit(int(rng.integers(2, 7)),
                                            int(rng.integers(8, 40)), rng))
@@ -280,3 +286,25 @@ def test_groups_match_pairwise_oracle_reference(rng):
         assert got == greedy_groups_reference(g)
         shared += sum(len(grp) - 1 for grps in got.values() for grp in grps)
     assert shared > 100
+
+
+def test_relabelled_pairs_share_one_oracle_verdict(monkeypatch):
+    from pulsecc import commute
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return commutes(a, b)
+
+    monkeypatch.setattr(commute, "commutes", counted)
+    # CNOT-RZ on the target, once on (0, 1) and once on (3, 2)
+    c = Circuit(4)
+    c.add(GateName.CNOT, 0, 1)
+    c.add(GateName.RZ, 1, params=(0.5,))
+    c.add(GateName.CNOT, 3, 2)
+    c.add(GateName.RZ, 2, params=(0.5,))
+    g = build_gdg(c)
+    got = build_commutation_groups(g).groups
+    assert len(calls) == 1
+    assert got == greedy_groups_reference(g)
+    assert len(got[1]) == len(got[2]) == 2  # neither RZ commutes with its CNOT

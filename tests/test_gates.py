@@ -1,13 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pulsecc.gates import (DENSE_LIMIT, Circuit, Gate, GateError, GateName,
+from pulsecc.gates import (_ARITY, _NUM_PARAMS, DENSE_LIMIT, SIGMA_X, SIGMA_Y,
+                           SIGMA_Z, Circuit, Gate, GateError, GateName,
                            circuit_unitary, embed, embed_operator,
                            gate_unitary, gates_unitary, permute_wires,
                            phases_equal)
+from pulsecc.optctrl import _XY, TWO_PI, HamiltonianModel
 
 from conftest import random_circuit
 
@@ -78,14 +81,48 @@ def test_embed_reversed_operands():
     assert np.allclose(rev, swap @ fwd @ swap)
 
 
+def kron_embed(op, wires, context):
+    """Reference embedding: np.kron with the identity on the other wires,
+    then the wires moved into context order."""
+    ctx = list(context)
+    rest = [q for q in ctx if q not in wires]
+    full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
+    return permute_wires(full, list(wires) + rest, ctx)
+
+
+def same_bytes(a, b) -> bool:
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.uint8), b.view(np.uint8)))
+
+
 def test_embed_operator_places_any_operator_on_its_wires(rng):
-    # not unitary: the model's channel operators take the same route
-    op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    full = embed_operator(op, [2, 0], [0, 1, 2])
-    assert np.allclose(full, permute_wires(np.kron(op, np.eye(2)),
-                                           [2, 0, 1], [0, 1, 2]))
     with pytest.raises(GateError, match="not in context"):
-        embed_operator(op, [3, 0], [0, 1, 2])
+        embed_operator(np.eye(4), [3, 0], [0, 1, 2])
+    # every named gate, and non-unitary operators as the model's channels are
+    ops = [gate_unitary(Gate(name, tuple(range(k)),
+                             tuple(rng.uniform(0, 2 * np.pi, _NUM_PARAMS.get(name, 0)))))
+           for name, k in _ARITY.items()]
+    ops += [rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
+            for k in (1, 2, 3)]
+    ops.append(np.diag([1.0, -1.0]))  # a real array, as CUSTOM gates may carry
+    checked = 0
+    for op in ops:
+        k = op.shape[0].bit_length() - 1
+        for m in range(k, 6):
+            ctx = [int(q) for q in rng.permutation(6)[:m]]
+            for wires in itertools.permutations(ctx, k):
+                assert same_bytes(embed_operator(op, wires, ctx),
+                                  kron_embed(op, wires, ctx))
+                checked += 1
+    assert checked > 500
+    # the model's channel operators, and their stack, byte for byte
+    sigmas = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+    for q in range(1, 5):
+        m = HamiltonianModel.build(q)
+        want = [kron_embed(_XY if ch.name.startswith("xy") else sigmas[ch.name[1]],
+                           ch.qubits, range(q)) for ch in m.channels]
+        assert all(same_bytes(ch.op, w) for ch, w in zip(m.channels, want))
+        assert same_bytes(m.ops, np.array([TWO_PI * w for w in want]))
 
 
 def test_gates_unitary_stops_at_the_dense_limit():

@@ -1,8 +1,10 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 
+from pulsecc.bench import qaoa_circuit
 from pulsecc.gates import Circuit, GateName, circuit_unitary, permute_wires, phases_equal
 from pulsecc.gdg import build_gdg
 from pulsecc.latency import table_price
@@ -11,7 +13,7 @@ from pulsecc.mapper import (InteractionGraph, MappingError, Topology, bisect,
                             permutation_operator, route_swaps)
 from pulsecc.scheduler import list_schedule
 
-from conftest import audit, random_circuit
+from conftest import audit, full_cost_refine, random_circuit
 
 
 def test_topology_basics():
@@ -204,3 +206,63 @@ def test_kl_refine_matches_four_sum_reference(rng, monkeypatch):
         assert got == want
         failures += isinstance(got, str)
     assert failures > 0
+
+
+def regular_graph(n, seed):
+    """Interaction graph of QAOA on a seeded 3-regular graph; for odd n, one
+    drawn on n + 1 vertices with the extra vertex removed; below 4, all pairs."""
+    if n < 4:
+        edges = list(itertools.combinations(range(n), 2))
+    else:
+        g = nx.random_regular_graph(3, n + n % 2, seed=seed)
+        edges = sorted(tuple(sorted(e)) for e in g.edges() if max(e) < n)
+    return build_interaction_graph(qaoa_circuit(n, edges))
+
+
+class WriteBudget(dict):
+    """A mapping that fails a hill climb after 10,000 writes.  _refine_placement
+    writes only the moves it makes, each of which lowers the integer cost, so
+    a climb that misprices moves into a cycle fails instead of hanging."""
+    writes = 0
+
+    def __setitem__(self, q, site):
+        self.writes += 1
+        assert self.writes <= 10_000, "refinement keeps moving"
+        super().__setitem__(q, site)
+
+
+def test_refine_placement_matches_full_cost_reference(rng, monkeypatch):
+    from pulsecc import mapper
+    fast = mapper._refine_placement
+
+    def placement(refine, gr, topo, seed):
+        monkeypatch.setattr(mapper, "_refine_placement", refine)
+        try:
+            return initial_mapping(gr, topo, seed=seed)
+        except MappingError as e:
+            return str(e)
+
+    # every grid of the benchmark's placement sweep, at every size
+    cases = [(Topology(rows, cols), regular_graph(n, rows * 100 + n))
+             for rows in range(1, 5) for cols in range(rows, 6)
+             for n in range(2, rows * cols + 1)]
+    for _ in range(40):
+        rows, cols = int(rng.integers(1, 5)), int(rng.integers(3, 6))
+        n = int(rng.integers(2, rows * cols))  # at least one free site
+        w = {(a, b): int(rng.integers(1, 5))
+             for a, b in itertools.combinations(range(n), 2) if rng.random() < 0.4}
+        cases.append((Topology(rows, cols), InteractionGraph(list(range(n)), w)))
+    relocated = 0
+    for seed, (topo, gr) in enumerate(cases):
+        # from a scattered start, on sites not all taken, so qubits relocate
+        sites = [int(s) for s in rng.permutation(topo.num_sites)]
+        start = dict(zip(gr.vertices, sites))
+        got, want = WriteBudget(start), dict(start)
+        fast(gr, got, topo)
+        full_cost_refine(gr, want, topo)
+        assert got == want
+        relocated += set(got.values()) != set(start.values())
+        assert placement(fast, gr, topo, seed) == \
+            placement(full_cost_refine, gr, topo, seed)
+    assert relocated > 20
+
