@@ -87,12 +87,14 @@ def parse_asm(text: str) -> Circuit:
     return circuit
 
 
+def gate_asm(g: Gate) -> str:
+    """One gate's statement, every parameter written exactly (repr(float))."""
+    if g.name is GateName.CUSTOM:
+        raise ValueError("CUSTOM gates have no assembly form")
+    p = f"({', '.join(repr(float(x)) for x in g.params)})" if g.params else ""
+    return f"{g.name.value}{p} {' '.join(f'q{q}' for q in g.qubits)};"
+
+
 def emit_asm(c: Circuit) -> str:
     """Inverse of parse_asm for circuits without CUSTOM gates."""
-    lines = [f"qubits {c.num_qubits};"]
-    for g in c.gates:
-        if g.name is GateName.CUSTOM:
-            raise ValueError("CUSTOM gates have no assembly form")
-        p = f"({', '.join(repr(float(x)) for x in g.params)})" if g.params else ""
-        lines.append(f"{g.name.value}{p} {' '.join(f'q{q}' for q in g.qubits)};")
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"qubits {c.num_qubits};", *map(gate_asm, c.gates)]) + "\n"

@@ -138,10 +138,10 @@ def detect_diagonal_blocks(g: GDG) -> GDG:
     is diagonal becomes a single node, and the scan resumes after it.  A
     slice of a legal run is legal, and the run's topological order is the
     order contract joins the slice's gates in: the run is read before its
-    earlier windows merge, but a merged node takes its members' smallest seq,
-    so a later slice keeps the order topological_order gives it (checked by
-    test_callers_contract_in_the_graph_topological_order).  Each gate shape
-    is embedded once.  Mutates and returns g.
+    earlier windows merge, but the graph gives a merged node its members'
+    smallest seq, so a later slice keeps the order topological_order gives
+    it (checked by test_callers_contract_in_the_graph_topological_order).
+    Each gate shape is embedded once.  Mutates and returns g.
     """
     embedded: dict[tuple, np.ndarray] = {}
     for pair in _interacting_pairs(g):

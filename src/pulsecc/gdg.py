@@ -6,9 +6,14 @@ every qubit an instruction touches, parents[q]/children[q] link the node into
 that qubit's chain.  A chain starts at the node with no parents[q] entry,
 recorded in GDG.first[q], and ends at the node with no children[q] entry.
 
-While every parent's instruction seq is below its child's, the seq order is
-the topological order: topological_order sorts instead of running Kahn's
-loop, and can_contract's cycle search stops at nodes past the members' seqs.
+A node's seq belongs to the graph: an added node takes its own id, a merged
+node its members' smallest seq, so live seqs are unique.  A new node's
+parents are older, so only contract can leave a parent's seq at or above its
+child's and clear seq_ordered.  While it holds, the seq order is the
+topological order: topological_order sorts instead of running Kahn's loop,
+and can_contract's cycle search stops at nodes past the members' seqs.
+Every add and contract appends the largest id and deletions keep the order,
+so GDG.nodes stays in id order.
 """
 from __future__ import annotations
 
@@ -32,31 +37,27 @@ class GDGError(ValueError):
 class AggregatedInstruction:
     """A contiguous sub-circuit on a bounded qubit set with one target unitary.
 
-    The gate list never changes after construction, so qubits is computed once.
+    The gate list never changes after construction, so qubits and the target
+    unitary are computed once.
     """
     gates: list[Gate] = field(default_factory=list)
-    seq: int = 0  # min original gate index, for deterministic ordering
-    _unitary: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def qubits(self) -> tuple[int, ...]:
         """Operand qubits in order of first appearance."""
         return tuple(dict.fromkeys(q for g in self.gates for q in g.qubits))
 
-    @property
+    @cached_property
     def target_unitary(self) -> np.ndarray:
         """Unitary of the gate list on the instruction's own qubit context."""
-        if self._unitary is None:
-            ctx = sorted(self.qubits)
-            self._unitary = gates_unitary(self.gates, ctx)
-        return self._unitary
+        return gates_unitary(self.gates, self.context)
 
     @property
     def context(self) -> list[int]:
         return sorted(self.qubits)
 
     def remap(self, perm: dict[int, int]) -> "AggregatedInstruction":
-        return AggregatedInstruction([g.remap(perm) for g in self.gates], self.seq)
+        return AggregatedInstruction([g.remap(perm) for g in self.gates])
 
     def label(self) -> str:
         if len(self.gates) == 1:
@@ -68,6 +69,7 @@ class AggregatedInstruction:
 class GDGNode:
     id: int
     instruction: AggregatedInstruction
+    seq: int  # see the module docstring
     parents: dict[int, int] = field(default_factory=dict)
     children: dict[int, int] = field(default_factory=dict)
     duration: float | None = None
@@ -85,8 +87,8 @@ class GDG:
         self.nodes: dict[int, GDGNode] = {}
         self.first: dict[int, int] = {}  # qubit -> first node of its chain
         self._next_id = 1
-        # every parent's instruction seq is below its child's; once a link
-        # breaks this it stays False
+        # every parent's seq is below its child's; once a contraction breaks
+        # this it stays False
         self.seq_ordered = True
 
     # -- construction ------------------------------------------------------
@@ -101,13 +103,10 @@ class GDG:
 
     def add_instruction(self, ins: AggregatedInstruction,
                         last_on: dict[int, int]) -> GDGNode:
-        node = GDGNode(self._next_id, ins)
+        node = GDGNode(self._next_id, ins, self._next_id)
         self._next_id += 1
         for q in ins.qubits:
-            parent = last_on.get(q)
-            if parent is not None and self.nodes[parent].instruction.seq >= ins.seq:
-                self.seq_ordered = False
-            self._link(parent, q, node)
+            self._link(last_on.get(q), q, node)
             last_on[q] = node.id
         self.nodes[node.id] = node
         return node
@@ -116,7 +115,7 @@ class GDG:
 
     def real_nodes(self) -> list[GDGNode]:
         """Every node, by id."""
-        return [n for _, n in sorted(self.nodes.items())]
+        return list(self.nodes.values())
 
     def qubit_path(self, q: int) -> list[int]:
         """Node ids on qubit q's chain, in chain order."""
@@ -137,18 +136,16 @@ class GDG:
         return set(self.nodes[nid].parents.values())
 
     def topological_order(self) -> list[int]:
-        """Kahn order, ties broken by instruction seq then id.  While the graph
-        is seq-ordered that is the (seq, id) order: the smallest node left has
+        """Kahn order, taking the ready node of smallest seq first.  While the
+        graph is seq-ordered that is the seq order: the smallest node left has
         every parent placed already, so it is always ready."""
         if self.seq_ordered:
-            return sorted(self.nodes,
-                          key=lambda i: (self.nodes[i].instruction.seq, i))
+            return sorted(self.nodes, key=lambda i: self.nodes[i].seq)
         indeg = {i: 0 for i in self.nodes}
         for n in self.nodes.values():
             for c in set(n.children.values()):
                 indeg[c] += 1
-        ready = [(self.nodes[i].instruction.seq, i)
-                 for i, d in indeg.items() if d == 0]
+        ready = [(self.nodes[i].seq, i) for i, d in indeg.items() if d == 0]
         heapq.heapify(ready)
         order = []
         while ready:
@@ -157,7 +154,7 @@ class GDG:
             for c in self.successors(nid):
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    heapq.heappush(ready, (self.nodes[c].instruction.seq, c))
+                    heapq.heappush(ready, (self.nodes[c].seq, c))
         if len(order) != len(self.nodes):
             raise GDGError("cycle detected in GDG")
         return order
@@ -179,7 +176,7 @@ class GDG:
         g._next_id = self._next_id
         g.seq_ordered = self.seq_ordered
         g.first = dict(self.first)
-        g.nodes = {nid: GDGNode(nid, n.instruction, dict(n.parents),
+        g.nodes = {nid: GDGNode(nid, n.instruction, n.seq, dict(n.parents),
                                 dict(n.children), n.duration)
                    for nid, n in self.nodes.items()}
         return g
@@ -199,7 +196,7 @@ class GDG:
             return False, f"members not contiguous on q{split[0]} chain"
         # an outside path from one member back into another would close a cycle;
         # in a seq-ordered graph no such path passes a seq above every member's
-        top = (max(self.nodes[nid].instruction.seq for nid in members)
+        top = (max(self.nodes[nid].seq for nid in members)
                if self.seq_ordered else float("inf"))
         outside_starts = {c for nid in members for c in self.successors(nid)
                           if c not in members}
@@ -208,7 +205,7 @@ class GDG:
             cur = stack.pop()
             if cur in members:
                 return False, "contraction would create a cycle"
-            if self.nodes[cur].instruction.seq > top:
+            if self.nodes[cur].seq > top:
                 continue
             for c in self.successors(cur):
                 if c not in seen:
@@ -235,10 +232,10 @@ class GDG:
                                          for p in self.nodes[nid].parents.values()):
             raise GDGError("members not listed in topological order")
         gates = [g for nid in order for g in self.nodes[nid].instruction.gates]
-        seq = min(self.nodes[nid].instruction.seq for nid in members)
-        merged = AggregatedInstruction(gates, seq)
+        merged = AggregatedInstruction(gates)
+        seq = min(self.nodes[nid].seq for nid in members)
 
-        node = GDGNode(self._next_id, merged)
+        node = GDGNode(self._next_id, merged, seq)
         self.nodes[node.id] = node  # _link looks it up as a parent
         self._next_id += 1
         # boundary links: per qubit, the parent entering the members (none at
@@ -249,7 +246,7 @@ class GDG:
                  for q, c in self.nodes[nid].children.items() if c not in members}
         # leaving children follow a member, so only an entering parent can
         # break seq order
-        if self.seq_ordered and any(self.nodes[p].instruction.seq >= seq
+        if self.seq_ordered and any(self.nodes[p].seq >= seq
                                     for p in enter.values()):
             self.seq_ordered = False
         for q in merged.qubits:
@@ -307,10 +304,10 @@ class GDG:
                     "gates": [repr(g) for g in n.instruction.gates],
                     "duration_ns": n.duration,
                 }
-                for _, n in sorted(self.nodes.items())
+                for n in self.nodes.values()
             ],
             "edges_by_qubit": {
-                str(q): [[n.id, n.children[q]] for _, n in sorted(self.nodes.items())
+                str(q): [[n.id, n.children[q]] for n in self.nodes.values()
                          if q in n.children]
                 for q in range(self.num_qubits)
             },
@@ -322,6 +319,6 @@ def build_gdg(c: Circuit) -> GDG:
     """One node per gate, linked into per-qubit chains in circuit order."""
     g = GDG(c.num_qubits)
     last: dict[int, int] = {}
-    for i, gate in enumerate(c.gates):
-        g.add_instruction(AggregatedInstruction([gate], seq=i), last)
+    for gate in c.gates:
+        g.add_instruction(AggregatedInstruction([gate]), last)
     return g

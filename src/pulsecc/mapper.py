@@ -308,10 +308,9 @@ def route_swaps(sched: Schedule, g: GDG, mapping: dict[int, int],
     out = GDG(topo.num_sites)
     last: dict[int, int] = {}
     swap_count = 0
-    seq = 0
 
     def do_swap(sa: int, sb: int):
-        nonlocal swap_count, seq
+        nonlocal swap_count
         la, lb = phys2log.get(sa), phys2log.get(sb)
         if la is not None:
             log2phys[la] = sb
@@ -319,12 +318,10 @@ def route_swaps(sched: Schedule, g: GDG, mapping: dict[int, int],
             log2phys[lb] = sa
         phys2log[sa], phys2log[sb] = lb, la
         gate = Gate(GateName.SWAP, (sa, sb))
-        out.add_instruction(AggregatedInstruction([gate], seq=seq), last)
-        seq += 1
+        out.add_instruction(AggregatedInstruction([gate]), last)
         swap_count += 1
 
-    order = sorted(sched.entries,
-                   key=lambda e: (e[1], g.nodes[e[0]].instruction.seq, e[0]))
+    order = sorted(sched.entries, key=lambda e: (e[1], g.nodes[e[0]].seq))
     for nid, _start in order:
         ins = g.nodes[nid].instruction
         qs = ins.qubits
@@ -339,9 +336,6 @@ def route_swaps(sched: Schedule, g: GDG, mapping: dict[int, int],
                 else:
                     do_swap(sa, path[1])
                 sa, sb = log2phys[qs[0]], log2phys[qs[1]]
-        remapped = ins.remap({q: log2phys[q] for q in qs})
-        remapped.seq = seq
-        out.add_instruction(remapped, last)
-        seq += 1
+        out.add_instruction(ins.remap({q: log2phys[q] for q in qs}), last)
 
     return RoutingResult(out, dict(mapping), dict(log2phys), swap_count)

@@ -518,9 +518,12 @@ class OptimalControlUnit:
                                                 self.cfg.fidelity_threshold))
 
     def _embed_member(self, gate, model: HamiltonianModel,
-                      qubits: list[int]) -> np.ndarray | None:
-        """The gate's own pulse on model's channels, the others at zero, or
-        None if its operand pair is not coupled in model."""
+                      qubits: list[int]) -> np.ndarray:
+        """The gate's own pulse on model's channels, the others at zero.
+
+        Both models take their XY pairs from adjacency over sorted contexts,
+        so a coupled gate's channel is in model; an uncoupled 2-qubit gate
+        has no pulse and fails its own synthesis first."""
         from .gdg import AggregatedInstruction
         sub = AggregatedInstruction([gate])
         _, res, sub_model = self.synthesize(sub)
@@ -534,10 +537,7 @@ class OptimalControlUnit:
                 target = f"xy{la}_{lb}"
             else:
                 target = ch.name[:2] + str(pos[ch.qubits[0]])
-            idx = name_to_idx.get(target)
-            if idx is None:
-                return None
-            seg[idx] = amps[k]
+            seg[name_to_idx[target]] = amps[k]
         return seg
 
     def _concat_fallback(self, ins, model: HamiltonianModel,
@@ -559,8 +559,6 @@ class OptimalControlUnit:
         placed, free = [], {}
         for g in ins.gates:
             seg = self._embed_member(g, model, qubits)
-            if seg is None:
-                return None
             start = max(free.get(q, 0) for q in g.qubits)
             free.update(dict.fromkeys(g.qubits, start + seg.shape[1]))
             placed.append((start, seg))

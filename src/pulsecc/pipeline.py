@@ -18,8 +18,9 @@ from pathlib import Path
 
 from . import commute
 from .aggregator import DEFAULT_MAX_WIDTH, MAX_WIDTH_LIMIT, aggregate_loop
+from .asm import gate_asm
 from .commute import build_commutation_groups, singleton_groups
-from .gates import Circuit
+from .gates import Circuit, GateName, gate_unitary
 from .gdg import GDG, build_gdg
 from .latency import table_price
 from .mapper import (RoutingResult, Topology, build_interaction_graph,
@@ -94,6 +95,15 @@ class CompileResult:
     @property
     def makespan_ns(self) -> float:
         return self.schedule.makespan_ns
+
+
+def _input_digest(circuit: Circuit) -> str:
+    """SHA-256 prefix of emit_asm's text, each CUSTOM gate as its matrix's bytes."""
+    lines = [f"qubits {circuit.num_qubits};"] + [
+        gate_asm(g) if g.name is not GateName.CUSTOM
+        else f"custom {g.qubits} {gate_unitary(g).tobytes().hex()};"
+        for g in circuit.gates]
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()[:16]
 
 
 def _gdg_stats(g: GDG) -> dict:
@@ -202,10 +212,8 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
                                        topo, table, price)
         baseline_makespan = list_schedule(isa_routing.gdg).makespan_ns
 
-    digest = hashlib.sha256(
-        "\n".join(repr(g) for g in circuit.gates).encode()).hexdigest()[:16]
     manifest = {
-        "input_digest": digest,
+        "input_digest": _input_digest(circuit),
         "name": circuit.name,
         "strategy": opts.strategy,
         "topology": f"grid:{topo.rows}x{topo.cols}",

@@ -79,13 +79,13 @@ def chain_walk_can_contract(g, node_ids) -> tuple[bool, str]:
 
 
 def kahn_order(g) -> list[int]:
-    """Reference topological order: Kahn's loop over the whole graph, ties
-    broken by instruction seq then id; raises GDGError on a cycle."""
+    """Reference topological order: Kahn's loop over the whole graph, taking
+    the ready node of smallest seq first; raises GDGError on a cycle."""
     indeg = {i: 0 for i in g.nodes}
     for n in g.nodes.values():
         for c in set(n.children.values()):
             indeg[c] += 1
-    ready = [(g.nodes[i].instruction.seq, i)
+    ready = [(g.nodes[i].seq, i)
              for i, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     order = []
@@ -95,7 +95,7 @@ def kahn_order(g) -> list[int]:
         for c in g.successors(nid):
             indeg[c] -= 1
             if indeg[c] == 0:
-                heapq.heappush(ready, (g.nodes[c].instruction.seq, c))
+                heapq.heappush(ready, (g.nodes[c].seq, c))
     if len(order) != len(g.nodes):
         raise GDGError("cycle detected in GDG")
     return order
@@ -103,7 +103,8 @@ def kahn_order(g) -> list[int]:
 
 def audit(g):
     """Raise GDGError on any parent/child map inconsistency, chain start not
-    recorded in g.first, or cycle."""
+    recorded in g.first, cycle, node ids out of order, repeated seq, or, while
+    g.seq_ordered holds, a parent whose seq is not below its child's."""
     for nid, node in g.nodes.items():
         for q, cid in node.children.items():
             child = g.nodes.get(cid)
@@ -123,6 +124,18 @@ def audit(g):
         if node is None or q not in node.qubits or q in node.parents:
             raise GDGError(f"first[{q}] = {nid} is not a chain start on q{q}")
     kahn_order(g)  # raises on cycles, which the seq-order sort cannot see
+    ids = list(g.nodes)
+    if ids != sorted(ids):
+        raise GDGError(f"nodes not in id order: {ids}")
+    seqs = [n.seq for n in g.nodes.values()]
+    if len(set(seqs)) != len(seqs):
+        raise GDGError(f"repeated seq: {sorted(seqs)}")
+    if g.seq_ordered:
+        for nid, node in g.nodes.items():
+            for pid in node.parents.values():
+                if g.nodes[pid].seq >= node.seq:
+                    raise GDGError(f"seq_ordered, but parent {pid} has seq "
+                                   f"{g.nodes[pid].seq} >= {node.seq} of {nid}")
 
 
 def contract(g, members):

@@ -64,13 +64,13 @@ def test_criterion_1_worked_example_arithmetic(capfd):
     agg = GDG(3)
     last = {}
     chain = [54.9, 42.0, 31.4]
-    for i, d in enumerate(chain):
+    for d in chain:
         node = agg.add_instruction(AggregatedInstruction(
-            [Gate(GateName.CNOT, (0, 1))], i), last)
+            [Gate(GateName.CNOT, (0, 1))]), last)
         node.duration = d
-    for i, d in enumerate([13.7, 6.1]):  # off-path single-qubit work
+    for d in [13.7, 6.1]:  # off-path single-qubit work
         node = agg.add_instruction(AggregatedInstruction(
-            [Gate(GateName.RX, (2,), (1.0,))], 10 + i), last)
+            [Gate(GateName.RX, (2,), (1.0,))]), last)
         node.duration = d
     total, _ = agg.critical_path()
     ok = ok and abs(total - 128.3) <= 1e-9
@@ -269,12 +269,12 @@ def test_criterion_9_swap_synthesis_beats_decomposition(capfd, line_ocu):
     t0 = time.time()
     from pulsecc.gdg import AggregatedInstruction
     lat = line_ocu.latency
-    t_cnot = lat(AggregatedInstruction([Gate(GateName.CNOT, (0, 1))], 0))
-    t_swap = lat(AggregatedInstruction([Gate(GateName.SWAP, (0, 1))], 0))
-    t_rz = lat(AggregatedInstruction([Gate(GateName.RZ, (0,), (5.67,))], 0))
+    t_cnot = lat(AggregatedInstruction([Gate(GateName.CNOT, (0, 1))]))
+    t_swap = lat(AggregatedInstruction([Gate(GateName.SWAP, (0, 1))]))
+    t_rz = lat(AggregatedInstruction([Gate(GateName.RZ, (0,), (5.67,))]))
     t_blk = lat(AggregatedInstruction([Gate(GateName.CNOT, (0, 1)),
                                        Gate(GateName.RZ, (1,), (5.67,)),
-                                       Gate(GateName.CNOT, (0, 1))], 0))
+                                       Gate(GateName.CNOT, (0, 1))]))
     ok = t_swap < 3 * t_cnot and t_blk < 2 * t_cnot + t_rz
     elapsed = time.time() - t0
     report(capfd, 9, f"SWAP {t_swap} < 3xCNOT {3 * t_cnot}; block {t_blk} < "

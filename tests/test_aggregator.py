@@ -24,12 +24,12 @@ def toy_instance():
     """
     g = GDG(3)
     last = {}
-    mk = lambda gates, seq: g.add_instruction(AggregatedInstruction(gates, seq), last)
-    c1 = mk([Gate(GateName.RX, (0,), (1.0,))], 0)
-    g1 = mk([Gate(GateName.RX, (1,), (1.0,))], 1)
-    g2 = mk([Gate(GateName.RX, (2,), (1.0,))], 2)
-    g3 = mk([Gate(GateName.CNOT, (1, 2))], 3)
-    g6 = mk([Gate(GateName.CNOT, (1, 2))], 4)
+    mk = lambda gates: g.add_instruction(AggregatedInstruction(gates), last)
+    c1 = mk([Gate(GateName.RX, (0,), (1.0,))])
+    g1 = mk([Gate(GateName.RX, (1,), (1.0,))])
+    g2 = mk([Gate(GateName.RX, (2,), (1.0,))])
+    g3 = mk([Gate(GateName.CNOT, (1, 2))])
+    g6 = mk([Gate(GateName.CNOT, (1, 2))])
     for node, d in [(c1, 120.0), (g1, 100.0), (g2, 100.0),
                     (g3, 10.0), (g6, 10.0)]:
         node.duration = d

@@ -178,7 +178,7 @@ def diagonal_rich_circuit(n, num_gates, rng):
 
 
 def graph_signature(g):
-    return [(nid, n.instruction.seq, [repr(x) for x in n.instruction.gates],
+    return [(nid, n.seq, [repr(x) for x in n.instruction.gates],
              list(n.parents.items()), list(n.children.items()))
             for nid, n in sorted(g.nodes.items())]
 

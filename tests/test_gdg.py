@@ -34,6 +34,21 @@ def test_build_structure():
     audit(g)
 
 
+def test_instruction_equality_ignores_its_cached_unitary():
+    gates = [Gate(GateName.H, (0,)), Gate(GateName.CNOT, (0, 1))]
+    a, b = AggregatedInstruction(list(gates)), AggregatedInstruction(list(gates))
+    a.target_unitary
+    assert a == b
+    b.target_unitary
+    assert a == b
+    assert a != AggregatedInstruction(gates[:1])
+
+
+def test_instruction_takes_only_its_gates():
+    with pytest.raises(TypeError):
+        AggregatedInstruction([Gate(GateName.H, (0,))], 0)
+
+
 def test_chain_end_is_implicit_sink():
     g = build_gdg(qaoa_triangle())
     for q in range(3):
@@ -155,15 +170,15 @@ def test_critical_path_aggregated_arithmetic():
     from pulsecc.gates import Gate, GateName
     nodes = {}
     nodes["g1"] = g.add_instruction(AggregatedInstruction(
-        [Gate(GateName.H, (0,)), Gate(GateName.H, (1,))], 0), last)
+        [Gate(GateName.H, (0,)), Gate(GateName.H, (1,))]), last)
     nodes["g2"] = g.add_instruction(AggregatedInstruction(
-        [Gate(GateName.H, (2,))], 1), last)
+        [Gate(GateName.H, (2,))]), last)
     nodes["g3"] = g.add_instruction(AggregatedInstruction(
-        [Gate(GateName.CNOT, (0, 1)), Gate(GateName.CNOT, (1, 2))], 2), last)
+        [Gate(GateName.CNOT, (0, 1)), Gate(GateName.CNOT, (1, 2))]), last)
     nodes["g4"] = g.add_instruction(AggregatedInstruction(
-        [Gate(GateName.CNOT, (1, 2)), Gate(GateName.RX, (1,), (1.26,))], 3), last)
+        [Gate(GateName.CNOT, (1, 2)), Gate(GateName.RX, (1,), (1.26,))]), last)
     nodes["g5"] = g.add_instruction(AggregatedInstruction(
-        [Gate(GateName.RX, (0,), (1.26,))], 4), last)
+        [Gate(GateName.RX, (0,), (1.26,))]), last)
     for k, n in nodes.items():
         n.duration = durs[k]
     total, path = g.critical_path()
@@ -248,15 +263,6 @@ def test_can_contract_matches_chain_walk(rng):
     assert min(seq_ordered.values()) > 100, seq_ordered
 
 
-def test_add_below_a_parents_seq_leaves_seq_order():
-    g, last = GDG(2), {}
-    a = g.add_instruction(AggregatedInstruction([Gate(GateName.H, (0,))], 5), last)
-    b = g.add_instruction(AggregatedInstruction([Gate(GateName.CNOT, (0, 1))], 2),
-                          last)
-    assert not g.seq_ordered
-    assert g.topological_order() == kahn_order(g) == [a.id, b.id]
-
-
 def test_merge_that_follows_another_chain_leaves_seq_order():
     # qubits a, x, b, y = 0, 1, 2, 3: RZ(a); CNOT(a,x); H(y); CNOT(b,y); RZ(b)
     c = Circuit(4)
@@ -266,7 +272,7 @@ def test_merge_that_follows_another_chain_leaves_seq_order():
         c.append(gate)
     g = build_gdg(c)
     assert g.seq_ordered and g.topological_order() == [1, 2, 3, 4, 5]
-    # {RZ(a), RZ(b)} keeps RZ(a)'s seq 0 but now follows CNOT(b,y), seq 3
+    # {RZ(a), RZ(b)} keeps RZ(a)'s seq 1 but now follows CNOT(b,y), seq 4
     merged = g.contract([1, 5]).id
     assert not g.seq_ordered and not g.copy().seq_ordered
     assert g.topological_order() == kahn_order(g) == [3, 4, merged, 2]

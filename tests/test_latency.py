@@ -6,7 +6,7 @@ from pulsecc.latency import default_table, table_price
 
 
 def ins_of(*gates):
-    return AggregatedInstruction(list(gates), 0)
+    return AggregatedInstruction(list(gates))
 
 
 def test_default_table_worked_example_values():

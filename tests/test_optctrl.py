@@ -130,7 +130,7 @@ def test_gradient_matches_finite_differences_with_idle_qubits(nq):
     # Hamiltonian is H_0 (x) I, whose eigenvalues come in degenerate pairs
     m = HamiltonianModel.build(nq, [(i, i + 1) for i in range(nq - 1)])
     gates = [Gate(GateName.CNOT, (i, i + 1)) for i in range(nq - 1)]
-    target = AggregatedInstruction(gates, 0).target_unitary
+    target = AggregatedInstruction(gates).target_unitary
     rng = np.random.default_rng(nq)
     for _ in range(3):
         amps = np.zeros((len(m.channels), 6))
@@ -331,7 +331,7 @@ def test_zz_block_retries_the_truncated_start(monkeypatch):
     real_grape = optctrl.grape_optimize
     monkeypatch.setattr(optctrl, "grape_optimize", recording_grape)
     ocu = OptimalControlUnit(adjacency=lambda a, b: abs(a - b) == 1)
-    t, _, _ = ocu.synthesize(AggregatedInstruction(list(ZZ_BLOCK), 0))
+    t, _, _ = ocu.synthesize(AggregatedInstruction(list(ZZ_BLOCK)))
     assert t == 6.0
     at_6 = [i for i, (d, _, _) in enumerate(trials) if d == 6.0]
     assert len(at_6) == 2 and at_6[1] == at_6[0] + 1
@@ -392,7 +392,7 @@ def test_plateau_stop_changes_no_min_time_result(monkeypatch, gates):
 
     def synthesize():
         ocu = OptimalControlUnit(adjacency=lambda a, b: abs(a - b) == 1)
-        t, res, _ = ocu.synthesize(AggregatedInstruction(list(gates), 0))
+        t, res, _ = ocu.synthesize(AggregatedInstruction(list(gates)))
         return t, res
 
     # the minimum-time bound skips every failing SWAP trial, so it is off
@@ -424,7 +424,7 @@ def test_min_time_bound_changes_no_min_time_result(monkeypatch, gates):
     def synthesize():
         calls.clear()
         ocu = OptimalControlUnit(adjacency=lambda a, b: abs(a - b) == 1)
-        t, res, _ = ocu.synthesize(AggregatedInstruction(list(gates), 0))
+        t, res, _ = ocu.synthesize(AggregatedInstruction(list(gates)))
         return t, res, len(calls)
 
     t_on, res_on, runs_on = synthesize()
@@ -521,7 +521,7 @@ def test_unreachable_target_fails_before_any_trial(monkeypatch, model2):
     monkeypatch.setattr(optctrl, "grape_optimize", boom)
     ocu = OptimalControlUnit(adjacency=lambda a, b: False)
     with pytest.raises(ConvergenceError, match="inf ns minimum-time bound"):
-        ocu.latency(AggregatedInstruction([Gate(GateName.CNOT, (0, 1))], 0))
+        ocu.latency(AggregatedInstruction([Gate(GateName.CNOT, (0, 1))]))
     cnot = gate_unitary(Gate(GateName.CNOT, (0, 1)))
     monkeypatch.setattr(optctrl, "CAP_NS", 10.0)
     with pytest.raises(ConvergenceError, match="12.00 ns minimum-time bound"
@@ -545,7 +545,7 @@ def test_synthesis_failure_names_best_fidelity_once(monkeypatch):
     monkeypatch.setattr(optctrl, "CAP_NS", 2.0)
     ocu = OptimalControlUnit(cfg=OptimizerConfig(max_iters=1))
     with pytest.raises(ConvergenceError, match="pulse synthesis failed") as exc:
-        ocu.latency(AggregatedInstruction([Gate(GateName.CNOT, (0, 1))], 0))
+        ocu.latency(AggregatedInstruction([Gate(GateName.CNOT, (0, 1))]))
     assert str(exc.value).count("best fidelity") == 1
 
 
@@ -584,8 +584,8 @@ def test_fingerprint_ignores_the_sign_of_zero():
 
 def test_ocu_caches_repeated_instructions():
     ocu = OptimalControlUnit()
-    ins_a = AggregatedInstruction([Gate(GateName.RZ, (0,), (1.1,))], 0)
-    ins_b = AggregatedInstruction([Gate(GateName.RZ, (5,), (1.1,))], 3)
+    ins_a = AggregatedInstruction([Gate(GateName.RZ, (0,), (1.1,))])
+    ins_b = AggregatedInstruction([Gate(GateName.RZ, (5,), (1.1,))])
     d1 = ocu.latency(ins_a)
     assert len(ocu.cache) == 1
     assert ocu.latency(ins_b) == d1   # same local unitary
@@ -596,8 +596,8 @@ def test_merged_instruction_never_slower_than_parts():
     # concatenated member pulses bound the merged min_time from above
     ocu = OptimalControlUnit(adjacency=lambda a, b: abs(a - b) == 1)
     gates = [Gate(GateName.CNOT, (0, 1)), Gate(GateName.CNOT, (1, 2))]
-    parts = sum(ocu.latency(AggregatedInstruction([g], 0)) for g in gates)
-    merged = ocu.latency(AggregatedInstruction(list(gates), 0))
+    parts = sum(ocu.latency(AggregatedInstruction([g])) for g in gates)
+    merged = ocu.latency(AggregatedInstruction(list(gates)))
     assert merged <= parts + 1e-9
 
 
@@ -605,7 +605,7 @@ def test_layered_fallback_matches_sequential():
     # members on disjoint qubits share time steps; under zero drift their
     # channels commute, so the layers keep the concatenation's unitary
     ocu = OptimalControlUnit()
-    ins = AggregatedInstruction(list(qaoa_triangle().gates), 0)
+    ins = AggregatedInstruction(list(qaoa_triangle().gates))
     qubits = ins.context
     model = ocu._model_for(qubits)
     layered = ocu._concat_fallback(ins, model, qubits)
@@ -619,8 +619,8 @@ def test_layered_fallback_matches_sequential():
 
 def test_ocu_respects_adjacency():
     ocu = OptimalControlUnit(adjacency=lambda a, b: abs(a - b) == 1)
-    ins = AggregatedInstruction([Gate(GateName.CNOT, (3, 4))], 0)
+    ins = AggregatedInstruction([Gate(GateName.CNOT, (3, 4))])
     assert ocu._model_for(list(ins.context)).pairs == ((0, 1),)
     ins_far = AggregatedInstruction([Gate(GateName.H, (0,)),
-                                     Gate(GateName.H, (5,))], 0)
+                                     Gate(GateName.H, (5,))])
     assert ocu._model_for(list(ins_far.context)).pairs == ()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from pulsecc import cli
+from pulsecc.asm import emit_asm
 from pulsecc.bench import (ising_chain, make_bench, maxcut_line, qaoa_circuit,
                            qaoa_triangle, uccsd)
 from pulsecc.gates import Circuit, Gate, GateName, circuit_unitary, phases_equal
@@ -46,6 +48,39 @@ def test_table_mode_isa_compile():
     assert m["verification_passed"] is None       # no pulses in table mode
     assert m["makespan_ns"] == pytest.approx(381.9, abs=1e-9)
     assert m["swap_count"] == 0
+
+
+def _digest(n, gates, **opts):
+    c = Circuit(n)
+    for gate in gates:
+        c.append(gate)
+    opts = CompileOptions(strategy="isa", latency_mode="table", **opts)
+    return compile_circuit(c, opts).manifest["input_digest"]
+
+
+def test_input_digest_tells_close_parameters_and_qubit_counts_apart():
+    cnot = Gate(GateName.CNOT, (0, 1))
+    rz = [Gate(GateName.RZ, (0,), (theta,)) for theta in (0.1234561, 0.1234562)]
+    assert _digest(2, [rz[0], cnot]) != _digest(2, [rz[1], cnot])
+    assert _digest(2, [cnot]) != _digest(3, [cnot])
+    c = Circuit(2)
+    c.append(rz[0])
+    c.append(cnot)
+    assert _digest(2, [rz[0], cnot]) == hashlib.sha256(
+        emit_asm(c).encode()).hexdigest()[:16]
+
+
+def test_input_digest_covers_custom_gates():
+    cnot = Gate(GateName.CNOT, (0, 1))
+    custom = [Gate(GateName.CUSTOM, (0,),
+                   custom_matrix=np.diag([1, np.exp(1j * phi)]))
+              for phi in (0.5, 0.5000001)]
+    digests = [_digest(2, [g, cnot], table_override={"custom": 30.0})
+               for g in custom]
+    assert digests[0] != digests[1]
+    moved = Gate(GateName.CUSTOM, (1,), custom_matrix=custom[0].custom_matrix)
+    assert _digest(2, [moved, cnot], table_override={"custom": 30.0}) \
+        != digests[0]
 
 
 def test_table_mode_cls_reduces_depth():
@@ -205,7 +240,7 @@ class SlowMergeOCU(OptimalControlUnit):
     def latency(self, ins):
         if len(ins.gates) == 1:
             return super().latency(ins)
-        parts = [AggregatedInstruction([g], ins.seq) for g in ins.gates]
+        parts = [AggregatedInstruction([g]) for g in ins.gates]
         return 10.0 + sum(map(super().latency, parts))
 
     def synthesize(self, ins):

@@ -19,7 +19,7 @@ def synthesized():
         [Gate(GateName.RZ, (0,), (5.67,))],
         [Gate(GateName.RX, (1,), (1.26,))],
     ]):
-        ins = AggregatedInstruction(gates, i)
+        ins = AggregatedInstruction(gates)
         _, res, model = ocu.synthesize(ins)
         out.append((i + 1, ins, res.pulses, model))
     return out
