@@ -24,9 +24,10 @@ CAP_NS = 2000.0         # min_time's longest trial duration
 TWO_PI = 2.0 * math.pi
 # From max_iters // 8 on, a GRAPE trial stops unconverged once ln(loss),
 # extrapolated to max_iters at this many times its rate over the last
-# max_iters // 24 evaluations, misses ln(1 - threshold). min_time never
-# reuses a failed trial's pulses, so stopping one changes no result unless
-# the trial would have converged. None turns it off.
+# max_iters // 24 evaluations, misses ln(1 - threshold). The projection is
+# no proof: a stopped trial might have converged. It also ends at another
+# pulse, and min_time seeds later ladder rungs from the best failed pulse, so
+# a stop can change min_time's pulses. None turns it off.
 PLATEAU_RATE_FACTOR = 3.0
 # L-BFGS: curvature pairs kept, Armijo sufficient-decrease constant, and the
 # length in tanh parameters of a steepest-descent step: the first step and
@@ -394,7 +395,8 @@ def _compress(amps: np.ndarray, n: int) -> np.ndarray:
     """amps resampled onto n steps, each channel's cumulative area kept at
     every new step boundary. With zero drift, u(t / c) / c on [0, cT] has the
     unitary of u on [0, T], so a converged pulse squeezed onto a shorter grid
-    starts near its target."""
+    starts near its target, and a pulse stretched onto a longer one keeps
+    its unitary (exactly for an integer c) at lower amplitudes."""
     old = amps.shape[1]
     area = np.concatenate((np.zeros((len(amps), 1)), amps.cumsum(axis=1)), 1)
     at = np.linspace(0.0, old, n + 1)
@@ -408,10 +410,14 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     """Shortest duration achieving the fidelity threshold, by bisection.
 
     Doubles an upper bound until success, then bisects with resolution
-    4*dt: every bisection trial is a multiple of 4*dt. A trial starts from
-    the best found pulses compressed onto its steps (_compress) and, only if
-    that fails, reruns from them truncated. The result is on that grid too,
-    unless it is the fallback's own duration and that is not.
+    4*dt: every bisection trial is a multiple of 4*dt. A doubling rung
+    starts from the failed trial with the best fidelity so far, if one beat
+    the identity, stretched onto its steps (_compress: with zero drift an
+    integer stretch keeps the unitary, and no stretch raises an amplitude),
+    and only if that fails, runs cold. A bisection trial starts from the best
+    found pulses compressed onto its steps and, only if that fails, reruns
+    from them truncated. The result is on that grid too, unless it is the
+    fallback's own duration and that is not.
 
     fallback_amplitudes, when given, is a pulse table that approximates the
     target, e.g. the layered member pulses of a merged instruction. Its
@@ -420,20 +426,23 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     doubling search polishes it at its own duration with the same optimizer
     as every trial: the line search accepts only descent, so the polish never
     leaves the warm start for a worse pulse. If it converges, the result is
-    at most the fallback's duration. If it does not, the search continues
-    cold and the result can exceed it. The schedule-level guarantee that
+    at most the fallback's duration. If it does not, it is one more failed
+    trial, and the result can exceed it. The schedule-level guarantee that
     aggregation never lengthens a compile comes from compile_circuit, which
     keeps the unaggregated schedule when it is shorter.
 
-    A trial shorter than min_time_bound cannot converge, so it counts as
-    failed without running; the search path and result are unchanged. A
-    bound over CAP_NS, inf with no coupling, raises ConvergenceError at once.
+    A trial shorter than min_time_bound cannot converge, so it does not run.
+    Its failure would have seeded the next rung, so the bound can change the
+    later trials' starts and pulses, but it skips no trial that could
+    converge. A bound over CAP_NS, inf with no coupling, raises
+    ConvergenceError at once.
     """
     cfg = cfg or OptimizerConfig()
     fid0 = 1.0 - infidelity(np.eye(m.dim, dtype=complex), v_target)
-    if fid0 >= cfg.fidelity_threshold:
-        return 0.0, GrapeResult(ControlPulses(
-            np.zeros((len(m.channels), 0)), m.dt), fid0, 0, True)
+    seed = GrapeResult(ControlPulses(np.zeros((len(m.channels), 0)), m.dt),
+                       fid0, 0, fid0 >= cfg.fidelity_threshold)
+    if seed.converged:
+        return 0.0, seed
 
     t_min = min_time_bound(v_target, m, cfg.fidelity_threshold)
     if t_min > CAP_NS:
@@ -442,26 +451,29 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     fb = fallback_amplitudes
     fb_steps = fb.shape[1] if fb is not None else None
     steps = BISECT_RESOLUTION_STEPS
-    best_fail = fid0
     success = None
-    while steps * m.dt <= CAP_NS:
-        n_try, init = steps, None
+    while success is None and steps * m.dt <= CAP_NS:
         if fb is not None and fb_steps <= steps:
-            n_try, init = fb_steps, fb
-            fb = None
-        if n_try * m.dt >= t_min:
+            n_try, starts, fb = fb_steps, [fb], None
+        else:   # a rung: the best failure stretched, then cold
+            n_try, starts = steps, [None]
+            if seed.iterations:
+                starts.insert(0, _compress(seed.pulses.amplitudes, steps))
+            steps *= 2
+        if n_try * m.dt < t_min:
+            continue
+        for init in starts:
             res = grape_optimize(v_target, m, n_try * m.dt, cfg,
                                  init_amplitudes=init)
             if res.converged:
                 success = (n_try, res)
                 break
-            best_fail = max(best_fail, res.fidelity)
-        if init is None:
-            steps *= 2
+            if res.fidelity > seed.fidelity:
+                seed = res
     if success is None:
         raise ConvergenceError(
             f"no pulse under {CAP_NS} ns reached fidelity "
-            f"{cfg.fidelity_threshold}", best_fail)
+            f"{cfg.fidelity_threshold}", seed.fidelity)
 
     hi, best = success
     res_steps = BISECT_RESOLUTION_STEPS

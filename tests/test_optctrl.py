@@ -188,7 +188,8 @@ def test_gradient_matches_einsum_reference(nq, steps, coupling):
 def test_bisection_trials_stay_on_resolution_grid(monkeypatch, model1,
                                                   fb_steps, converge_from,
                                                   result):
-    # a fake optimizer: the cold doubling fails up to 64 steps, then the
+    # a fake optimizer: the doubling fails up to 64 steps, each rung after
+    # the first from the stretched best failure and then cold; then the
     # fallback polish succeeds, and every bisection trial below it must stay
     # on the 4*dt grid
     trials = []
@@ -206,8 +207,9 @@ def test_bisection_trials_stay_on_resolution_grid(monkeypatch, model1,
     target = gate_unitary(Gate(GateName.X, (0,)))
     fallback = np.zeros((len(model1.channels), fb_steps))
     t, res = min_time(target, model1, fallback_amplitudes=fallback)
-    assert trials[:6] == [4, 8, 16, 32, 64, fb_steps] and len(trials) > 6
-    assert all(n % BISECT_RESOLUTION_STEPS == 0 for n in trials[6:])
+    assert trials[:10] == [4, 8, 8, 16, 16, 32, 32, 64, 64, fb_steps]
+    assert len(trials) > 10
+    assert all(n % BISECT_RESOLUTION_STEPS == 0 for n in trials[10:])
     assert t == result * model1.dt and res.pulses.steps == result
 
 
@@ -344,6 +346,60 @@ def test_zz_block_retries_the_truncated_start(monkeypatch):
     assert not first.converged and second.converged
 
 
+def test_ladder_rung_starts_from_the_best_failure_stretched(monkeypatch):
+    # with the bound off, the SWAP's rungs fail up to 16 ns: each rung after
+    # the first starts from the best failure so far stretched onto its steps,
+    # and a cold trial follows only if that start fails
+    trials = []
+
+    def recording_grape(v_target, m, duration_ns, cfg=None,
+                        init_amplitudes=None):
+        res = real_grape(v_target, m, duration_ns, cfg, init_amplitudes)
+        trials.append((int(round(duration_ns / m.dt)), init_amplitudes, res))
+        return res
+
+    real_grape = optctrl.grape_optimize
+    monkeypatch.setattr(optctrl, "grape_optimize", recording_grape)
+    monkeypatch.setattr(optctrl, "min_time_bound", lambda *args: 0.0)
+    min_time(gate_unitary(Gate(GateName.SWAP, (0, 1))),
+             HamiltonianModel.build(2))
+    n, cold, best = trials[0]
+    assert n == BISECT_RESOLUTION_STEPS and cold is None
+    i = 1
+    while True:
+        n, stretched, res = trials[i]
+        assert np.array_equal(stretched,
+                              optctrl._compress(best.pulses.amplitudes, n))
+        if res.converged:
+            break
+        assert trials[i + 1][:2] == (n, None)
+        best = max(best, res, trials[i + 1][2], key=lambda r: r.fidelity)
+        i += 2
+    assert i == 7 and n == 64 and trials[i + 1][0] < n
+
+
+@pytest.mark.parametrize("old, new", [(7, 14), (5, 15)])
+def test_stretched_pulse_keeps_the_unitary(old, new):
+    # with zero drift, amplitude u / c for c dt acts as u for dt
+    m = HamiltonianModel.build(3, [(0, 1), (1, 2)])
+    pulse = np.random.default_rng(old).uniform(-0.05, 0.05,
+                                               size=(len(m.channels), old))
+    stretched = optctrl._compress(pulse, new)
+    assert stretched.shape == (len(m.channels), new)
+    u_pulse = evolve(ControlPulses(pulse, m.dt), m)
+    u_stretched = evolve(ControlPulses(stretched, m.dt), m)
+    assert np.abs(u_stretched - u_pulse).max() <= 1e-12
+
+
+@pytest.mark.parametrize("old, new", [(7, 14), (5, 8), (12, 13), (3, 16)])
+def test_stretching_raises_no_amplitude(old, new):
+    # each new step averages old ones over old / new of their area
+    amps = np.random.default_rng(new).uniform(-0.1, 0.1, size=(4, old))
+    out = optctrl._compress(amps, new)
+    peak = np.abs(amps).max(axis=1, keepdims=True)
+    assert np.all(np.abs(out) <= peak * old / new + 1e-15)
+
+
 def test_compress_to_the_same_length_keeps_the_pulse():
     amps = np.random.default_rng(4).uniform(-0.1, 0.1, size=(3, 8))
     assert np.allclose(optctrl._compress(amps, 8), amps, rtol=0, atol=1e-15)
@@ -378,13 +434,14 @@ def test_compress_keeps_every_channel_area(old, new):
 
 @CRITERION_9
 def test_plateau_stop_changes_no_min_time_result(monkeypatch, gates):
-    # criterion 9's instructions: the same duration and pulse with the stop
-    # on and off, although the stop ends failed trials early
+    # criterion 9's instructions: the same duration with the stop on and
+    # off, and every trial the stop ended still fails from its own start with
+    # its whole budget. Pulses may differ, since failures seed later rungs.
     trials = []
 
     def recording_grape(*args, **kwargs):
         res = real_grape(*args, **kwargs)
-        trials.append((res.converged, res.iterations))
+        trials.append((args, kwargs, res))
         return res
 
     real_grape = optctrl.grape_optimize
@@ -398,25 +455,29 @@ def test_plateau_stop_changes_no_min_time_result(monkeypatch, gates):
     # the minimum-time bound skips every failing SWAP trial, so it is off
     # here to leave failed trials for the stop to end
     monkeypatch.setattr(optctrl, "min_time_bound", lambda *args: 0.0)
-    t_on, res_on = synthesize()
+    t_on, _ = synthesize()
     max_iters = OptimizerConfig().max_iters
-    assert any(not ok and its < max_iters for ok, its in trials)
+    stopped = [(args, kwargs) for args, kwargs, res in trials
+               if not res.converged and res.iterations < max_iters]
+    assert stopped
     monkeypatch.setattr(optctrl, "PLATEAU_RATE_FACTOR", None)
-    t_off, res_off = synthesize()
+    t_off, _ = synthesize()
     assert t_on == t_off
-    assert res_on.iterations == res_off.iterations
-    assert np.array_equal(res_on.pulses.amplitudes, res_off.pulses.amplitudes)
+    assert not any(real_grape(*args, **kwargs).converged
+                   for args, kwargs in stopped)
 
 
 @CRITERION_9
 def test_min_time_bound_changes_no_min_time_result(monkeypatch, gates):
-    # the bound only skips trials that cannot converge: the same duration,
-    # iterations and pulse with it on and off, in fewer GRAPE runs
+    # the bound only skips trials that cannot converge: the same duration
+    # with it on and off, in fewer GRAPE runs, and every trial run below the
+    # bound with it off fails. Pulses may differ, since failures seed rungs.
     calls = []
 
     def counting_grape(*args, **kwargs):
-        calls.append(args[2])
-        return real_grape(*args, **kwargs)
+        res = real_grape(*args, **kwargs)
+        calls.append((args, res))
+        return res
 
     real_grape = optctrl.grape_optimize
     monkeypatch.setattr(optctrl, "grape_optimize", counting_grape)
@@ -424,16 +485,17 @@ def test_min_time_bound_changes_no_min_time_result(monkeypatch, gates):
     def synthesize():
         calls.clear()
         ocu = OptimalControlUnit(adjacency=lambda a, b: abs(a - b) == 1)
-        t, res, _ = ocu.synthesize(AggregatedInstruction(list(gates)))
-        return t, res, len(calls)
+        t, _, _ = ocu.synthesize(AggregatedInstruction(list(gates)))
+        return t, list(calls)
 
-    t_on, res_on, runs_on = synthesize()
+    t_on, runs_on = synthesize()
     monkeypatch.setattr(optctrl, "min_time_bound", lambda *args: 0.0)
-    t_off, res_off, runs_off = synthesize()
+    t_off, runs_off = synthesize()
     assert t_on == t_off
-    assert res_on.iterations == res_off.iterations
-    assert np.array_equal(res_on.pulses.amplitudes, res_off.pulses.amplitudes)
-    assert runs_on < runs_off
+    assert len(runs_on) < len(runs_off)
+    below = [res for (v, m, duration, cfg), res in runs_off
+             if duration < min_time_bound(v, m, cfg.fidelity_threshold)]
+    assert below and not any(res.converged for res in below)
 
 
 def _haar(n, rng):
