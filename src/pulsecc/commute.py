@@ -7,6 +7,7 @@ within tolerance; operators on disjoint supports commute trivially.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -44,9 +45,13 @@ def _shape(gates, pos: dict[int, int]) -> tuple:
                  for gt in gates)
 
 
+@cache
+def _off_diagonal(n: int) -> np.ndarray:
+    return ~np.eye(n, dtype=bool)
+
+
 def is_diagonal(u: np.ndarray, tol: float = TOL_DIAG) -> bool:
-    off = u - np.diag(np.diag(u))
-    return bool(np.max(np.abs(off)) <= tol)
+    return bool(np.abs(u[_off_diagonal(len(u))]).max(initial=0.0) <= tol)
 
 
 @dataclass
@@ -106,21 +111,50 @@ def _interacting_pairs(g: GDG) -> list[tuple[int, int]]:
 
 
 def _pair_runs(g: GDG, pair: tuple[int, int]) -> list[list[int]]:
-    """Maximal contract-legal runs of nodes supported on pair, from one sweep
-    of the topological order: a node joins the run when its parent on each
-    qubit the run touches is the run's last node there, and none of its other
-    parents is downstream of the run (which would close a cycle)."""
+    """Maximal contract-legal runs of nodes supported on pair, in topological
+    order: a node joins the run when its parent on each qubit the run touches
+    is the run's last node there, and none of its other parents is
+    downstream of the run (which would close a cycle).
+
+    While g is seq-ordered, the seq order of the pair's two chains is that
+    order, so only their pair-supported nodes are visited, and a parent is
+    downstream of the run when a backward search from it, over parents whose
+    seq is at or above the run's first, meets a run member.  Otherwise one
+    sweep of the whole topological order marks everything downstream of the
+    run as it goes."""
     support = set(pair)
+    if g.seq_ordered:
+        order = sorted({nid for q in pair for nid in g.qubit_path(q)
+                        if set(g.nodes[nid].qubits) <= support},
+                       key=lambda i: g.nodes[i].seq)
+    else:
+        order = g.topological_order()
     runs: list[list[int]] = [[]]
     last_on: dict[int, int] = {}
-    reached: set[int] = set()  # the current run and every node downstream of it
-    for nid in g.topological_order():
+    reached: set[int] = set()  # the run, and in a sweep everything downstream of it
+
+    def downstream(p: int) -> bool:
+        if not g.seq_ordered or not reached:
+            return p in reached
+        floor = g.nodes[runs[-1][0]].seq
+        stack, seen = [p], {p}
+        while stack:
+            cur = stack.pop()
+            if cur in reached:
+                return True
+            for up in g.nodes[cur].parents.values():
+                if up not in seen and g.nodes[up].seq >= floor:
+                    seen.add(up)
+                    stack.append(up)
+        return False
+
+    for nid in order:
         node = g.nodes[nid]
         if not set(node.qubits) <= support:
             if reached.intersection(node.parents.values()):
                 reached.add(nid)
             continue
-        if not all(last_on.get(q) == p if q in last_on else p not in reached
+        if not all(last_on.get(q) == p if q in last_on else not downstream(p)
                    for q, p in node.parents.items()):
             runs.append([])
             last_on, reached = {}, set()

@@ -22,7 +22,7 @@ from .asm import gate_asm
 from .commute import build_commutation_groups, singleton_groups
 from .gates import Circuit, GateName, gate_unitary
 from .gdg import GDG, build_gdg
-from .latency import table_price
+from .latency import LatencyError, table_price
 from .mapper import (RoutingResult, Topology, build_interaction_graph,
                      initial_mapping, route_swaps)
 from .optctrl import (DT_DEFAULT, MU_MAX_DEFAULT, OptimalControlUnit,
@@ -137,8 +137,16 @@ def make_ocu(opts: CompileOptions, topo: Topology) -> OptimalControlUnit:
 def _route_and_price(g: GDG, groups, mapping: dict[int, int], topo: Topology,
                      table, price) -> RoutingResult:
     """Schedule g on table estimates with its commutation groups, route that
-    schedule from mapping, and price the routed graph."""
-    g.set_durations(table)
+    schedule from mapping, and price the routed graph.  An instruction the
+    table cannot price is estimated by price: the oracle prices any gate, and
+    in table mode price is the table, so its LatencyError stands."""
+    def estimate(ins) -> float:
+        try:
+            return table(ins)
+        except LatencyError:
+            return price(ins)
+
+    g.set_durations(estimate)
     routing = route_swaps(cls_schedule(g, groups), g, mapping, topo)
     routing.gdg.set_durations(price)
     return routing

@@ -3,15 +3,20 @@
 An event-driven loop draws candidates only from the current commutation
 groups of the qubits that are free at the current time: a node is a
 candidate when every operand qubit is free and has the node in its current
-group.  When no two candidates share a qubit, all of them start, in id order.
-Only when two do is the conflict resolved by maximum matching on the
-computational graph (qubits as vertices, 2-qubit candidates as edges,
-1-qubit candidates as self-loops).  Each step therefore costs time in the
-frontier, not in the graph; `list_schedule`'s singleton groups never
-conflict, so it never builds a matching.
+group.  A node's candidacy reads only its own qubits' state, so the loop
+keeps the candidates as a ready set and re-checks only the current groups of
+qubits that were scheduled, freed by the clock or refilled since the last
+look; a min-heap of finish times moves the clock.  When no two candidates
+share a qubit, all of them start, in id order.  Only when two do is the
+conflict resolved by maximum matching on the computational graph (qubits as
+vertices, 2-qubit candidates as edges, 1-qubit candidates as self-loops).
+Each step therefore costs time in the frontier, not in the graph;
+`list_schedule`'s singleton groups never conflict, so it never builds a
+matching.
 """
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -95,27 +100,25 @@ def _run(g: GDG, groups: CommutationGroupTable) -> Schedule:
     queues = {q: deque(lst) for q, lst in groups.groups.items()}
     current: dict[int, set[int]] = {q: set() for q in queues}
     busy_until: dict[int, float] = {q: 0.0 for q in range(g.num_qubits)}
+    finish: list[tuple[float, int]] = []  # (busy_until[q], q) as each is set
     entries: list[tuple[int, float]] = []
     now = 0.0
-
-    def refill():
-        for q, dq in queues.items():
-            while not current[q] and dq:
-                current[q] = set(dq.popleft())
+    ready: set[int] = set()
+    changed = set(queues)  # qubits scheduled, freed or refilled since the last look
 
     while unscheduled:
-        refill()
-        # only a free qubit's current group can hold a node that starts now
-        pool = set()
-        for q, members in current.items():
-            if busy_until[q] <= now + 1e-12:
-                pool.update(members)
-        candidates = []
-        for nid in sorted(pool):
-            node = g.nodes[nid]
+        for q in changed:
+            while not current[q] and queues[q]:
+                current[q] = set(queues[q].popleft())
+        # a node's candidacy reads only its own qubits' state
+        for nid in {nid for q in changed for nid in current[q]}:
             if all(busy_until[q] <= now + 1e-12 and nid in current[q]
-                   for q in node.qubits):
-                candidates.append(nid)
+                   for q in g.nodes[nid].qubits):
+                ready.add(nid)
+            else:
+                ready.discard(nid)
+        changed = set()
+        candidates = sorted(ready)
         instant = False  # a zero-duration placement may free successors now
         if candidates:
             edges, self_loops = [], []
@@ -143,17 +146,25 @@ def _run(g: GDG, groups: CommutationGroupTable) -> Schedule:
                 claimed.update(node.qubits)
                 entries.append((nid, now))
                 unscheduled.discard(nid)
+                ready.discard(nid)
                 instant = instant or node.duration <= 1e-12
                 for q in node.qubits:
                     busy_until[q] = now + node.duration
+                    heapq.heappush(finish, (busy_until[q], q))
                     current[q].discard(nid)
+            changed = claimed
         if unscheduled and not instant:
-            future = [t for t in busy_until.values() if t > now + 1e-12]
-            if not future:
+            # a qubit is only rescheduled once free, so every entry above the
+            # free line is its qubit's current busy_until
+            while finish and finish[0][0] <= now + 1e-12:
+                heapq.heappop(finish)
+            if not finish:
                 frontier = sorted(unscheduled)[:10]
                 raise ScheduleError(
                     f"scheduling deadlock; stuck frontier (first 10): {frontier}")
-            now = min(future)
+            now = finish[0][0]
+            while finish and finish[0][0] <= now + 1e-12:
+                changed.add(heapq.heappop(finish)[1])
     makespan = max(busy_until.values(), default=0.0)
     return Schedule(entries, makespan)
 

@@ -145,6 +145,30 @@ def contract(g, members):
     return g.contract([nid for nid in g.topological_order() if nid in members])
 
 
+def sweep_pair_runs(g, pair):
+    """Reference pair runs: one sweep of the whole topological order, marking
+    the current run and everything downstream of it as it goes.  _pair_runs
+    must return exactly its runs."""
+    support = set(pair)
+    runs = [[]]
+    last_on = {}
+    reached = set()
+    for nid in g.topological_order():
+        node = g.nodes[nid]
+        if not set(node.qubits) <= support:
+            if reached.intersection(node.parents.values()):
+                reached.add(nid)
+            continue
+        if not all(last_on.get(q) == p if q in last_on else p not in reached
+                   for q, p in node.parents.items()):
+            runs.append([])
+            last_on, reached = {}, set()
+        runs[-1].append(nid)
+        last_on.update(dict.fromkeys(node.qubits, nid))
+        reached.add(nid)
+    return [run for run in runs if len(run) >= 2]
+
+
 def full_scan_run(g, groups):
     """Reference scheduler loop: every step rescans every unscheduled node for
     candidates and runs the matching whenever there is one.  cls_schedule and

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from pulsecc.bench import qaoa_triangle
-from pulsecc.commute import (build_commutation_groups, commutes,
+from pulsecc.commute import (_interacting_pairs, _pair_runs,
+                             build_commutation_groups, commutes,
                              detect_diagonal_blocks, is_diagonal,
                              singleton_groups)
 from pulsecc.gates import (Circuit, Gate, GateName, circuit_unitary, embed,
@@ -10,7 +11,7 @@ from pulsecc.gates import (Circuit, Gate, GateName, circuit_unitary, embed,
 from pulsecc.gdg import build_gdg
 
 from conftest import (audit, chain_walk_can_contract, contract, random_circuit,
-                      random_gate)
+                      random_gate, sweep_pair_runs)
 
 
 def brute_commutes(a: Gate, b: Gate) -> bool:
@@ -205,6 +206,65 @@ def test_detection_matches_restart_loop_reference(rng):
         assert graph_signature(got) == graph_signature(want)
         merged += len(c.gates) - len(got.real_nodes())
     assert merged > 100
+
+
+def test_pair_runs_match_the_whole_graph_sweep(rng):
+    # every interacting pair of random graphs as built, after diagonal-block
+    # detection and after random parent-child merges, some of which clear
+    # seq_ordered and so leave _pair_runs on the sweep itself.  In the detour,
+    # RZ(1)'s parent CNOT(2,1) follows RZ(0) through q2, so RZ(1) starts a
+    # new run
+    checked = {True: 0, False: 0}
+    detour = Circuit(3)
+    detour.add(GateName.RZ, 0, params=(0.4,))
+    detour.add(GateName.CNOT, 0, 2)
+    detour.add(GateName.CNOT, 2, 1)
+    detour.add(GateName.RZ, 1, params=(0.7,))
+    detour.add(GateName.CPHASE, 0, 1, params=(0.9,))
+    circuits = [detour]
+
+    def check(g):
+        for pair in _interacting_pairs(g):
+            assert _pair_runs(g, pair) == sweep_pair_runs(g, pair)
+            checked[g.seq_ordered] += 1
+
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        circuits.append(random_circuit(n, int(rng.integers(5, 40)), rng))
+        circuits.append(diagonal_rich_circuit(n, int(rng.integers(5, 40)), rng))
+    for c in circuits:
+        g = build_gdg(c)
+        check(g)
+        check(detect_diagonal_blocks(g))
+        for _ in range(6):
+            ids = list(g.nodes)
+            node = g.nodes[ids[rng.integers(len(ids))]]
+            children = list(node.children.values())
+            if not children:
+                continue
+            members = {node.id, children[rng.integers(len(children))]}
+            if g.can_contract(members)[0]:
+                contract(g, members)
+                check(g)
+    assert min(checked.values()) > 100, checked
+
+
+def test_pair_runs_after_a_merge_clears_seq_order():
+    # RZ(0); CNOT(1,2); CNOT(0,1); RZ(1); CNOT(1,2); CPHASE(0,1): merging
+    # RZ(0) with CNOT(0,1) gives the merged node seq 1 below its q1 parent
+    c = Circuit(3)
+    c.add(GateName.RZ, 0, params=(0.3,))
+    c.add(GateName.CNOT, 1, 2)
+    c.add(GateName.CNOT, 0, 1)
+    c.add(GateName.RZ, 1, params=(0.5,))
+    c.add(GateName.CNOT, 1, 2)
+    c.add(GateName.CPHASE, 0, 1, params=(0.9,))
+    g = build_gdg(c)
+    merged = g.contract([1, 3]).id
+    assert not g.seq_ordered
+    for pair in _interacting_pairs(g):
+        assert _pair_runs(g, pair) == sweep_pair_runs(g, pair)
+    assert _pair_runs(g, (0, 1)) == [[merged, 4]]
 
 
 def greedy_groups_reference(g):

@@ -13,6 +13,7 @@ from pulsecc.bench import (ising_chain, make_bench, maxcut_line, qaoa_circuit,
 from pulsecc.gates import Circuit, Gate, GateName, circuit_unitary, phases_equal
 from pulsecc.gdg import GDG, AggregatedInstruction
 from pulsecc.aggregator import MAX_WIDTH_LIMIT
+from pulsecc.latency import LatencyError
 from pulsecc.optctrl import OptimalControlUnit
 from pulsecc.pipeline import (CompileOptions, compare_strategies,
                               compile_circuit, write_artifacts)
@@ -81,6 +82,22 @@ def test_input_digest_covers_custom_gates():
     moved = Gate(GateName.CUSTOM, (1,), custom_matrix=custom[0].custom_matrix)
     assert _digest(2, [moved, cnot], table_override={"custom": 30.0}) \
         != digests[0]
+
+
+def test_oracle_mode_prices_custom_gates_without_a_table_entry():
+    # the logical schedule's estimates fall back to the oracle for a gate the
+    # table has no entry for, in the main path and the isa baseline alike;
+    # table mode still needs the entry
+    c = Circuit(2)
+    c.append(Gate(GateName.CUSTOM, (0,),
+                  custom_matrix=np.diag([1, np.exp(0.5j)])))
+    c.add(GateName.CNOT, 0, 1)
+    res = compile_circuit(c, CompileOptions(strategy="cls",
+                                            latency_mode="oracle"))
+    assert res.manifest["verification_passed"] is True
+    assert res.manifest["baseline_makespan_ns"] > 0
+    with pytest.raises(LatencyError, match="custom"):
+        compile_circuit(c, CompileOptions(strategy="cls", latency_mode="table"))
 
 
 def test_table_mode_cls_reduces_depth():

@@ -12,7 +12,8 @@ from pulsecc.gdg import build_gdg
 from pulsecc.latency import table_price
 from pulsecc.mapper import (Topology, build_interaction_graph, initial_mapping,
                             route_swaps)
-from pulsecc.scheduler import cls_schedule, list_schedule, max_matching
+from pulsecc.scheduler import (ScheduleError, cls_schedule, list_schedule,
+                               max_matching)
 
 from conftest import full_scan_run, qaoa3reg, random_circuit
 
@@ -160,7 +161,12 @@ def assert_matches_full_scan(g):
 
 
 def test_frontier_loop_matches_full_scan_on_random_circuits(rng):
-    for table in (table_price(), table_price({"rz": 0})):
+    # free RZ gates, and durations drawn per node with a third of them zero,
+    # make the loop look again at the same time before the clock moves
+    def drawn(_ins):
+        return float(rng.choice([0.0, 0.0, 5.0, 10.0, 12.5, 30.0]))
+
+    for table in (table_price(), table_price({"rz": 0}), drawn):
         for _ in range(60):
             c = random_circuit(int(rng.integers(2, 6)), int(rng.integers(1, 40)), rng)
             g = build_gdg(c)
@@ -168,6 +174,34 @@ def test_frontier_loop_matches_full_scan_on_random_circuits(rng):
                 detect_diagonal_blocks(g)
             g.set_durations(table)
             assert_matches_full_scan(g)
+
+
+def test_deadlocking_groups_raise_the_full_scan_error():
+    # H(0); H(1); CNOT(0,1) twice; twelve RZ(1); three X(2).  Listing the two
+    # CNOTs in opposite orders on q0 and q1 stalls both after the H gates,
+    # while q2 runs to its end
+    c = Circuit(3)
+    c.add(GateName.H, 0)
+    c.add(GateName.H, 1)
+    c.add(GateName.CNOT, 0, 1)
+    c.add(GateName.CNOT, 0, 1)
+    for _ in range(12):
+        c.add(GateName.RZ, 1, params=(0.3,))
+    for _ in range(3):
+        c.add(GateName.X, 2)
+    g = build_gdg(c)
+    g.set_durations(table_price())
+    groups = singleton_groups(g)
+    q0 = groups.groups[0]
+    q0[1], q0[2] = q0[2], q0[1]
+    messages = []
+    for run in (cls_schedule, full_scan_run):
+        with pytest.raises(ScheduleError) as err:
+            run(g, groups)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == ("scheduling deadlock; stuck "
+                                          "frontier (first 10): "
+                                          f"{list(range(3, 13))}")
 
 
 @pytest.mark.parametrize("n,seed,shape", [(10, 6, (3, 4)), (12, 11, (3, 4)),
