@@ -11,7 +11,7 @@ from functools import cache
 
 import numpy as np
 
-from .gates import embed, gates_unitary
+from .gates import embed, embed_operator
 from .gdg import GDG, AggregatedInstruction
 
 TOL_COMMUTE = 1e-8
@@ -28,21 +28,16 @@ def commutes(a, b) -> bool:
     if not qa & qb:
         return True
     ctx = sorted(qa | qb)
-    ua = gates_unitary(ia.gates, ctx)
-    ub = gates_unitary(ib.gates, ctx)
+    ua = embed_operator(ia.target_unitary, ia.context, ctx)
+    ub = embed_operator(ib.target_unitary, ib.context, ctx)
     return bool(np.max(np.abs(ua @ ub - ub @ ua)) <= TOL_COMMUTE)
 
 
-def _shape(gates, pos: dict[int, int]) -> tuple:
-    """Everything embed reads of each gate, operands as their positions in
-    pos.  With positions in the sorted context, equal shapes embed to equal
-    matrices entry for entry.  With any other numbering of the wires, equal
-    shapes are the same gates up to a wire relabelling, which conjugates
-    every operator by one permutation and so keeps whether two commute."""
-    return tuple((gt.name, gt.params, tuple(pos[q] for q in gt.qubits),
-                  None if gt.custom_matrix is None
-                  else np.asarray(gt.custom_matrix, dtype=complex).tobytes())
-                 for gt in gates)
+def _overlap(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """b's wires as positions in a, each wire a lacks numbered from len(a) on
+    in order: with both shapes, where two instructions' wires meet."""
+    new = iter(range(len(a), len(a) + len(b)))
+    return tuple(a.index(q) if q in a else next(new) for q in b)
 
 
 @cache
@@ -65,29 +60,31 @@ def build_commutation_groups(g: GDG) -> CommutationGroupTable:
 
     A gate joins the current group iff it commutes (on the joint context)
     with every member; otherwise a new group starts.  The oracle is asked
-    once per pair of shapes, with wires numbered in the order the pair's
-    gates first use them; later pairs of the same shapes, on any wires,
-    reuse its verdict.
+    once per key: both instructions' shapes and where their wires meet
+    (_overlap).  Equal keys are the same pair up to a wire relabelling, which
+    conjugates both operators by one permutation and so keeps whether they
+    commute; later pairs of the key, on any wires, reuse its verdict, as do
+    pairs of the mirrored key, since commuting is symmetric.
     """
+    shape_ids: dict[tuple, int] = {}
+    ids = {nid: shape_ids.setdefault(n.instruction.shape, len(shape_ids))
+           for nid, n in g.nodes.items()}
     verdicts: dict[tuple, bool] = {}
 
-    def commute(a: AggregatedInstruction, b: AggregatedInstruction) -> bool:
-        qa, qb = set(a.qubits), set(b.qubits)
-        if not qa & qb:
-            return True
-        pos = {q: i for i, q in enumerate(dict.fromkeys(a.qubits + b.qubits))}
-        key = (_shape(a.gates, pos), _shape(b.gates, pos))
+    def commute(m: int, nid: int) -> bool:
+        a, b = g.nodes[m].instruction, g.nodes[nid].instruction
+        key = (ids[m], ids[nid], _overlap(a.qubits, b.qubits))
         if key not in verdicts:
-            verdicts[key] = commutes(a, b)
+            mirror = (ids[nid], ids[m], _overlap(b.qubits, a.qubits))
+            verdicts[key] = (verdicts[mirror] if mirror in verdicts
+                             else commutes(a, b))
         return verdicts[key]
 
     groups: dict[int, list[list[int]]] = {}
     for q, path in g.qubit_paths().items():
         qgroups: list[list[int]] = []
         for nid in path:
-            ins = g.nodes[nid].instruction
-            if qgroups and all(commute(g.nodes[m].instruction, ins)
-                               for m in qgroups[-1]):
+            if qgroups and all(commute(m, nid) for m in qgroups[-1]):
                 qgroups[-1].append(nid)
             else:
                 qgroups.append([nid])
@@ -175,27 +172,54 @@ def detect_diagonal_blocks(g: GDG) -> GDG:
     earlier windows merge, but the graph gives a merged node its members'
     smallest seq, so a later slice keeps the order topological_order gives
     it (checked by test_callers_contract_in_the_graph_topological_order).
-    Each gate shape is embedded once.  Mutates and returns g.
+
+    A node's factor is its instruction's shape with its wires as positions in
+    the pair, and its gates embedded on the pair are computed once per
+    factor.  Each window's product and diagonal verdict are computed once per
+    factor sequence, gate by gate as a fresh scan would, and each run's
+    windows to merge once per factor sequence of the run.  Mutates and
+    returns g.
     """
-    embedded: dict[tuple, np.ndarray] = {}
+    shape_ids: dict[tuple, int] = {}
+    embedded: dict[tuple, list[np.ndarray]] = {}  # factor -> gates on the pair
+    products: dict[tuple, tuple[np.ndarray, bool]] = {}  # window -> (u, diagonal)
+    plans: dict[tuple, list[tuple[int, int]]] = {}  # run -> windows to merge
+
+    def plan(run: tuple) -> list[tuple[int, int]]:
+        windows, i = [], 0
+        while i < len(run):
+            u, count, end = np.eye(4, dtype=complex), 0, None
+            for j in range(i, len(run)):
+                count += len(embedded[run[j]])
+                if count > DIAG_WINDOW_CAP:
+                    break
+                window = run[i:j + 1]
+                if window not in products:
+                    for m in embedded[run[j]]:
+                        u = m @ u
+                    products[window] = (u, j > i and is_diagonal(u))
+                u, diagonal = products[window]
+                if diagonal:
+                    end = j + 1
+            if end:
+                windows.append((i, end))
+            i = end or i + 1
+        return windows
+
     for pair in _interacting_pairs(g):
-        ctx, pos = list(pair), {pair[0]: 0, pair[1]: 1}
+        ctx = list(pair)
         for run in _pair_runs(g, pair):
-            i = 0
-            while i < len(run):
-                u, count, end = np.eye(4, dtype=complex), 0, None
-                for j in range(i, len(run)):
-                    gates = g.nodes[run[j]].instruction.gates
-                    count += len(gates)
-                    if count > DIAG_WINDOW_CAP:
-                        break
-                    for gt, key in zip(gates, _shape(gates, pos)):
-                        if key not in embedded:
-                            embedded[key] = embed(gt, ctx)
-                        u = embedded[key] @ u
-                    if j > i and is_diagonal(u):
-                        end = j + 1
-                if end:
-                    g.contract(run[i:end])
-                i = end or i + 1
+            factors = []
+            for nid in run:
+                ins = g.nodes[nid].instruction
+                factor = (shape_ids.setdefault(ins.shape, len(shape_ids)),
+                          tuple(ctx.index(q) for q in ins.qubits))
+                if factor not in embedded:
+                    embedded[factor] = [embed(gt, ctx) for gt in ins.gates]
+                factors.append(factor)
+            factors = tuple(factors)
+            if factors not in plans:
+                plans[factors] = plan(factors)
+            for i, end in plans[factors]:
+                g.contract(run[i:end])
     return g

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .gates import Circuit, Gate, gates_unitary
+from .latency import LatencyError
 
 
 class GDGError(ValueError):
@@ -37,8 +39,12 @@ class GDGError(ValueError):
 class AggregatedInstruction:
     """A contiguous sub-circuit on a bounded qubit set with one target unitary.
 
-    The gate list never changes after construction, so qubits and the target
-    unitary are computed once.
+    The gate list never changes after construction, so qubits, shape and the
+    target unitary are computed once.  The shape holds, per gate, its name,
+    params, operands as positions in qubits and CUSTOM matrix bytes: two
+    instructions of equal shape are the same gates up to a relabelling of
+    wires, which keeps whether they are diagonal, whether two of them commute
+    (given where their wires meet) and their table price.
     """
     gates: list[Gate] = field(default_factory=list)
 
@@ -46,6 +52,16 @@ class AggregatedInstruction:
     def qubits(self) -> tuple[int, ...]:
         """Operand qubits in order of first appearance."""
         return tuple(dict.fromkeys(q for g in self.gates for q in g.qubits))
+
+    @cached_property
+    def shape(self) -> tuple:
+        """Per gate (name, params, operand positions in qubits, CUSTOM matrix
+        bytes or None)."""
+        pos = {q: i for i, q in enumerate(self.qubits)}
+        return tuple((g.name.value, g.params, tuple(pos[q] for q in g.qubits),
+                      None if g.custom_matrix is None
+                      else np.asarray(g.custom_matrix, dtype=complex).tobytes())
+                     for g in self.gates)
 
     @cached_property
     def target_unitary(self) -> np.ndarray:
@@ -57,7 +73,11 @@ class AggregatedInstruction:
         return sorted(self.qubits)
 
     def remap(self, perm: dict[int, int]) -> "AggregatedInstruction":
-        return AggregatedInstruction([g.remap(perm) for g in self.gates])
+        """The same gates on wires relabelled through perm, which keeps the
+        shape."""
+        ins = AggregatedInstruction([g.remap(perm) for g in self.gates])
+        ins.shape = self.shape
+        return ins
 
     def label(self) -> str:
         if len(self.gates) == 1:
@@ -260,9 +280,16 @@ class GDG:
     # -- weighting ---------------------------------------------------------
 
     def set_durations(self, price):
-        """Assign durations from a callable instruction -> ns."""
+        """Assign durations from a callable instruction -> ns.
+
+        Raises LatencyError on a price that is NaN, infinite or negative: no
+        schedule can be built from it."""
         for node in self.real_nodes():
-            node.duration = float(price(node.instruction))
+            ns = float(price(node.instruction))
+            if not 0.0 <= ns < math.inf:
+                raise LatencyError(f"price {ns} ns of {node.instruction.label()} "
+                                   f"is not a finite non-negative duration")
+            node.duration = ns
 
     def critical_path(self) -> tuple[float, list[int]]:
         """Longest duration-weighted path from a chain start to a chain end.

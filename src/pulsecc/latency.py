@@ -27,20 +27,27 @@ def table_price(override: dict[str, float] | None = None):
 
     That equals the sum of the times for a single gate and for a chain whose
     every gate shares a qubit with the one before.  override maps gate names
-    to ns and takes precedence over default_table().
+    to ns and takes precedence over default_table().  The price depends
+    only on the instruction's shape, so each shape is priced once per
+    table_price() call.
     """
     table = default_table()
     if override:
         table.update({k.lower(): float(v) for k, v in override.items()})
 
+    prices: dict[tuple, float] = {}  # shape -> ns, for this pricer
+
     def price(ins) -> float:
-        free: dict[int, float] = {}
-        for gate in ins.gates:
-            name = gate.name.value
-            if name not in table:
-                raise LatencyError(f"no table entry for gate {name!r}")
-            end = max(free.get(q, 0.0) for q in gate.qubits) + table[name]
-            free.update(dict.fromkeys(gate.qubits, end))
-        return max(free.values(), default=0.0)
+        ns = prices.get(ins.shape)
+        if ns is None:
+            free: dict[int, float] = {}
+            for gate in ins.gates:
+                name = gate.name.value
+                if name not in table:
+                    raise LatencyError(f"no table entry for gate {name!r}")
+                end = max(free.get(q, 0.0) for q in gate.qubits) + table[name]
+                free.update(dict.fromkeys(gate.qubits, end))
+            ns = prices[ins.shape] = max(free.values(), default=0.0)
+        return ns
 
     return price

@@ -391,6 +391,39 @@ def min_time_bound(v_target: np.ndarray, m: HamiltonianModel,
     return angle / (math.pi * mu) if mu > 0 else math.inf
 
 
+def _components(m: HamiltonianModel) -> list[list[int]]:
+    """The model's qubits grouped by the pairs that connect them."""
+    root = list(range(m.num_qubits))
+
+    def find(q: int) -> int:
+        while root[q] != q:
+            q = root[q]
+        return q
+
+    for a, b in m.pairs:
+        root[find(a)] = find(b)
+    parts: dict[int, list[int]] = {}
+    for q in range(m.num_qubits):
+        parts.setdefault(find(q), []).append(q)
+    return list(parts.values())
+
+
+def cut_fidelity_bound(v_target: np.ndarray, part: list[int]) -> float:
+    """Highest fidelity with v_target of any product L = A (x) B across the
+    cut part | rest: sigma_1^2 / d, sigma_1 the largest singular value of
+    v_target realigned across the cut, since |Tr(V^dag L)| <= sigma_1 |A|_F
+    |B|_F = sigma_1 sqrt(d) (operator Schmidt decomposition)."""
+    d = len(v_target)
+    n = d.bit_length() - 1
+    rest = [q for q in range(n) if q not in part]
+    dp = 2 ** len(part)
+    t = v_target.reshape((2,) * (2 * n)).transpose(
+        part + rest + [n + q for q in part] + [n + q for q in rest])
+    realigned = t.reshape(dp, d // dp, dp, d // dp).transpose(0, 2, 1, 3)
+    sigma = np.linalg.svd(realigned.reshape(dp * dp, -1), compute_uv=False)[0]
+    return float(sigma ** 2 / d)
+
+
 def _compress(amps: np.ndarray, n: int) -> np.ndarray:
     """amps resampled onto n steps, each channel's cumulative area kept at
     every new step boundary. With zero drift, u(t / c) / c on [0, cT] has the
@@ -435,7 +468,10 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     Its failure would have seeded the next rung, so the bound can change the
     later trials' starts and pulses, but it skips no trial that could
     converge. A bound over CAP_NS, inf with no coupling, raises
-    ConvergenceError at once.
+    ConvergenceError at once. So does a model whose pairs leave its qubits
+    disconnected, when a component's cut needs a coupling: with no channel
+    across it every pulse is a product across it, and no product reaches the
+    threshold when cut_fidelity_bound is below it.
     """
     cfg = cfg or OptimizerConfig()
     fid0 = 1.0 - infidelity(np.eye(m.dim, dtype=complex), v_target)
@@ -448,6 +484,15 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     if t_min > CAP_NS:
         raise ConvergenceError(f"the {t_min:.2f} ns minimum-time bound exceeds "
                                f"the {CAP_NS} ns cap", fid0)
+    parts = _components(m)
+    if len(parts) > 1:
+        for part in parts:
+            bound = cut_fidelity_bound(v_target, part)
+            # slack for rounding: a product target's bound is 1 within ulps
+            if bound < cfg.fidelity_threshold - 1e-12:
+                raise ConvergenceError(
+                    f"no coupling crosses the cut of model qubits {part}, and no "
+                    f"product across it exceeds fidelity {bound:.6f}", fid0)
     fb = fallback_amplitudes
     fb_steps = fb.shape[1] if fb is not None else None
     steps = BISECT_RESOLUTION_STEPS

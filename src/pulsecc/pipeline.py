@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -71,6 +72,10 @@ class CompileOptions:
             raise ValueError("fidelity must be in (0, 1]; dt and mu_max must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        for name, ns in (self.table_override or {}).items():
+            if not 0.0 <= float(ns) < math.inf:
+                raise ValueError(f"table_override[{name!r}] must be a finite "
+                                 f"non-negative latency, not {ns}")
 
     @property
     def use_cls(self) -> bool:

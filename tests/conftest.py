@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from pulsecc.bench import qaoa_circuit
-from pulsecc.gates import Circuit, Gate, GateName
+from pulsecc.commute import (DIAG_WINDOW_CAP, TOL_COMMUTE, _interacting_pairs,
+                             _pair_runs, is_diagonal)
+from pulsecc.gates import Circuit, Gate, GateName, embed, gates_unitary
 from pulsecc.gdg import GDGError
 from pulsecc.scheduler import Schedule, ScheduleError, max_matching
 
@@ -42,6 +44,37 @@ def random_circuit(n: int, num_gates: int, rng, name: str = "") -> Circuit:
     c = Circuit(n, name=name)
     for _ in range(num_gates):
         c.append(random_gate(n, rng))
+    return c
+
+
+def custom_pool(rng, size: int = 3) -> dict[int, list[np.ndarray]]:
+    """Per width 1 and 2, size random unitaries and size random diagonal
+    ones, drawn once so that circuits repeat them on different wires."""
+    pool = {}
+    for k in (1, 2):
+        d = 2 ** k
+        haar = [np.linalg.qr(rng.normal(size=(d, d))
+                             + 1j * rng.normal(size=(d, d)))[0]
+                for _ in range(size)]
+        diag = [np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, d)))
+                for _ in range(size)]
+        pool[k] = haar + diag
+    return pool
+
+
+def custom_rich_circuit(n: int, num_gates: int, rng) -> Circuit:
+    """random_gate's draws with CUSTOM gates from a custom_pool mixed in,
+    about one gate in three."""
+    pool = custom_pool(rng)
+    c = Circuit(n)
+    for _ in range(num_gates):
+        if rng.random() >= 1 / 3:
+            c.append(random_gate(n, rng))
+            continue
+        k = 2 if n >= 2 and rng.random() < 0.5 else 1
+        wires = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+        matrix = pool[k][rng.integers(len(pool[k]))]
+        c.append(Gate(GateName.CUSTOM, wires, custom_matrix=matrix))
     return c
 
 
@@ -167,6 +200,93 @@ def sweep_pair_runs(g, pair):
         last_on.update(dict.fromkeys(node.qubits, nid))
         reached.add(nid)
     return [run for run in runs if len(run) >= 2]
+
+
+def gate_shapes(gates, pos: dict[int, int]) -> tuple:
+    """Per gate, everything embed reads of it, operands as positions in pos."""
+    return tuple((gt.name, gt.params, tuple(pos[q] for q in gt.qubits),
+                  None if gt.custom_matrix is None
+                  else np.asarray(gt.custom_matrix, dtype=complex).tobytes())
+                 for gt in gates)
+
+
+def gate_commutes(a, b) -> bool:
+    """Reference oracle on instructions: every member gate embedded on the
+    union context."""
+    ctx = sorted(set(a.qubits) | set(b.qubits))
+    ua, ub = gates_unitary(a.gates, ctx), gates_unitary(b.gates, ctx)
+    return bool(np.max(np.abs(ua @ ub - ub @ ua)) <= TOL_COMMUTE)
+
+
+def pair_shape_groups(g):
+    """Reference grouping: the greedy per-qubit grouping with each verdict
+    keyed by both instructions' gate_shapes, wires numbered in the order the
+    pair first uses them.  build_commutation_groups must return exactly its
+    groups."""
+    verdicts = {}
+
+    def commute(a, b):
+        pos = {q: i for i, q in enumerate(dict.fromkeys(a.qubits + b.qubits))}
+        key = (gate_shapes(a.gates, pos), gate_shapes(b.gates, pos))
+        if key not in verdicts:
+            verdicts[key] = gate_commutes(a, b)
+        return verdicts[key]
+
+    groups = {}
+    for q, path in g.qubit_paths().items():
+        qgroups = []
+        for nid in path:
+            ins = g.nodes[nid].instruction
+            if qgroups and all(commute(g.nodes[m].instruction, ins)
+                               for m in qgroups[-1]):
+                qgroups[-1].append(nid)
+            else:
+                qgroups.append([nid])
+        groups[q] = qgroups
+    return groups
+
+
+def window_scan_detect(g):
+    """Reference diagonal-block detection: per pair and run, every window's
+    product multiplied afresh from its first gate, each gate shape embedded
+    once.  detect_diagonal_blocks must make exactly its contractions."""
+    embedded = {}
+    for pair in _interacting_pairs(g):
+        ctx, pos = list(pair), {pair[0]: 0, pair[1]: 1}
+        for run in _pair_runs(g, pair):
+            i = 0
+            while i < len(run):
+                u, count, end = np.eye(4, dtype=complex), 0, None
+                for j in range(i, len(run)):
+                    gates = g.nodes[run[j]].instruction.gates
+                    count += len(gates)
+                    if count > DIAG_WINDOW_CAP:
+                        break
+                    for gt, key in zip(gates, gate_shapes(gates, pos)):
+                        if key not in embedded:
+                            embedded[key] = embed(gt, ctx)
+                        u = embedded[key] @ u
+                    if j > i and is_diagonal(u):
+                        end = j + 1
+                if end:
+                    g.contract(run[i:end])
+                i = end or i + 1
+    return g
+
+
+def random_merges(g, rng, count: int):
+    """Up to count contractions of a random node with a random child, each
+    legal one applied; some clear seq_ordered."""
+    for _ in range(count):
+        ids = list(g.nodes)
+        node = g.nodes[ids[rng.integers(len(ids))]]
+        children = list(node.children.values())
+        if not children:
+            continue
+        members = {node.id, children[rng.integers(len(children))]}
+        if g.can_contract(members)[0]:
+            contract(g, members)
+    return g
 
 
 def full_scan_run(g, groups):

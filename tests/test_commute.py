@@ -10,8 +10,10 @@ from pulsecc.gates import (Circuit, Gate, GateName, circuit_unitary, embed,
                            gates_unitary, phases_equal)
 from pulsecc.gdg import build_gdg
 
-from conftest import (audit, chain_walk_can_contract, contract, random_circuit,
-                      random_gate, sweep_pair_runs)
+from conftest import (audit, chain_walk_can_contract, contract,
+                      custom_rich_circuit, pair_shape_groups, random_circuit,
+                      random_gate, random_merges, sweep_pair_runs,
+                      window_scan_detect)
 
 
 def brute_commutes(a: Gate, b: Gate) -> bool:
@@ -368,3 +370,57 @@ def test_relabelled_pairs_share_one_oracle_verdict(monkeypatch):
     assert len(calls) == 1
     assert got == greedy_groups_reference(g)
     assert len(got[1]) == len(got[2]) == 2  # neither RZ commutes with its CNOT
+
+
+def test_detection_matches_window_scan_reference(rng):
+    # as built and after random merges, with CUSTOM gates that recur on
+    # different wires, so runs and windows share their factor sequences
+    merged = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        for c in (custom_rich_circuit(n, int(rng.integers(5, 40)), rng),
+                  diagonal_rich_circuit(n, int(rng.integers(5, 40)), rng)):
+            g = build_gdg(c)
+            for merges in (0, 6):
+                random_merges(g, rng, merges)
+                got = detect_diagonal_blocks(g.copy())
+                assert graph_signature(got) == \
+                    graph_signature(window_scan_detect(g.copy()))
+                merged += len(g.nodes) - len(got.nodes)
+    assert merged > 100
+
+
+def test_groups_match_pair_shape_reference(rng):
+    # as built, after detection and after random merges, some of which make
+    # instructions of 3 or more qubits
+    shared = 0
+
+    def check(g):
+        nonlocal shared
+        got = build_commutation_groups(g).groups
+        assert got == pair_shape_groups(g)
+        shared += sum(len(grp) - 1 for grps in got.values() for grp in grps)
+
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        for c in (custom_rich_circuit(n, int(rng.integers(8, 40)), rng),
+                  shape_rich_circuit(n, int(rng.integers(8, 40)), rng)):
+            g = build_gdg(c)
+            check(g)
+            check(detect_diagonal_blocks(g))
+            check(random_merges(g, rng, 6))
+    assert shared > 200
+
+
+def test_verdicts_tell_apart_where_equal_shapes_meet():
+    # RZ on a CNOT's control commutes with it, on its target it does not;
+    # both pairs have the same two shapes, told apart only by their overlap
+    c = Circuit(4)
+    c.add(GateName.CNOT, 0, 1)
+    c.add(GateName.RZ, 0, params=(0.5,))
+    c.add(GateName.CNOT, 2, 3)
+    c.add(GateName.RZ, 3, params=(0.5,))
+    g = build_gdg(c)
+    got = build_commutation_groups(g).groups
+    assert got == pair_shape_groups(g)
+    assert got[0] == [[1, 2]] and got[3] == [[3], [4]]

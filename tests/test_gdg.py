@@ -44,6 +44,26 @@ def test_instruction_equality_ignores_its_cached_unitary():
     assert a != AggregatedInstruction(gates[:1])
 
 
+def test_shape_numbers_operands_by_first_use():
+    phase = np.diag([1, 1j])
+    ins = AggregatedInstruction([Gate(GateName.CNOT, (3, 1)),
+                                 Gate(GateName.RZ, (1,), (0.5,)),
+                                 Gate(GateName.CUSTOM, (3,), custom_matrix=phase)])
+    assert ins.shape == (("cnot", (), (0, 1), None), ("rz", (0.5,), (1,), None),
+                         ("custom", (), (0,), phase.astype(complex).tobytes()))
+
+
+def test_remap_keeps_shape():
+    gates = [Gate(GateName.CNOT, (3, 1)), Gate(GateName.RZ, (1,), (0.5,)),
+             Gate(GateName.CUSTOM, (3,), custom_matrix=np.diag([1, -1]))]
+    ins = AggregatedInstruction(gates)
+    moved = ins.remap({1: 0, 3: 7})
+    assert moved.qubits == (7, 0)
+    assert moved.shape == ins.shape == AggregatedInstruction(moved.gates).shape
+    # the shape is carried over, not recomputed
+    assert moved.shape is ins.shape
+
+
 def test_instruction_takes_only_its_gates():
     with pytest.raises(TypeError):
         AggregatedInstruction([Gate(GateName.H, (0,))], 0)

@@ -11,7 +11,8 @@ from pulsecc.gdg import AggregatedInstruction
 from pulsecc.optctrl import (BISECT_RESOLUTION_STEPS, ControlError,
                              ControlPulses, ConvergenceError, GrapeResult,
                              HamiltonianModel, OptimalControlUnit,
-                             OptimizerConfig, _weyl_coordinates, evolve,
+                             OptimizerConfig, _weyl_coordinates,
+                             cut_fidelity_bound, evolve,
                              fingerprint, gradient, grape_optimize,
                              infidelity, min_time, min_time_bound)
 
@@ -590,6 +591,48 @@ def test_unreachable_target_fails_before_any_trial(monkeypatch, model2):
                        ) as exc:
         min_time(cnot, model2)
     assert exc.value.best_fidelity == pytest.approx(0.25)
+
+
+def test_cut_fidelity_bound_values():
+    # a Toffoli realigned across its control has singular values^2 6 and 2
+    # of d = 8; a product reaches fidelity 1 across its own cut only
+    toffoli = np.eye(8)
+    toffoli[6:, 6:] = [[0, 1], [1, 0]]
+    assert cut_fidelity_bound(toffoli, [0]) == pytest.approx(0.75)
+    cnot = gate_unitary(Gate(GateName.CNOT, (0, 1)))
+    x = gate_unitary(Gate(GateName.X, (0,)))
+    product = np.kron(x, cnot)          # X on 0, CNOT on (1, 2)
+    assert cut_fidelity_bound(product, [0]) == pytest.approx(1.0)
+    assert cut_fidelity_bound(product, [1]) < 0.999
+    # no sampled product across {0} | {1, 2} beats the Toffoli's bound
+    rng = np.random.default_rng(8)
+
+    def haar(d):
+        return np.linalg.qr(rng.normal(size=(d, d))
+                            + 1j * rng.normal(size=(d, d)))[0]
+
+    best = max(1 - infidelity(np.kron(haar(2), haar(4)), toffoli)
+               for _ in range(200))
+    assert best <= 0.75
+
+
+def test_product_across_an_uncoupled_cut_is_not_rejected():
+    # pairs (1, 2) only: X on 0, H on 1 and Z on 2 are a product across
+    # {0} | {1, 2}, so min_time runs and converges
+    m = HamiltonianModel.build(3, [(1, 2)])
+    v = gates_unitary([Gate(GateName.X, (0,)), Gate(GateName.H, (1,)),
+                       Gate(GateName.Z, (2,))], [0, 1, 2])
+    t, res = min_time(v, m, OptimizerConfig(max_iters=200))
+    assert res.converged and t > 0
+
+
+def test_connected_models_skip_the_cut_check(monkeypatch, model2):
+    def boom(*args):
+        raise AssertionError("cut bound computed for a connected model")
+
+    monkeypatch.setattr(optctrl, "cut_fidelity_bound", boom)
+    t, res = min_time(gate_unitary(Gate(GateName.CNOT, (0, 1))), model2)
+    assert res.converged and t > 0
 
 
 def test_failure_without_trials_reports_identity_fidelity(monkeypatch,

@@ -6,15 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pulsecc import cli
+from pulsecc import cli, optctrl
 from pulsecc.asm import emit_asm
 from pulsecc.bench import (ising_chain, make_bench, maxcut_line, qaoa_circuit,
                            qaoa_triangle, uccsd)
 from pulsecc.gates import Circuit, Gate, GateName, circuit_unitary, phases_equal
-from pulsecc.gdg import GDG, AggregatedInstruction
+from pulsecc.gdg import GDG, AggregatedInstruction, build_gdg
 from pulsecc.aggregator import MAX_WIDTH_LIMIT
 from pulsecc.latency import LatencyError
-from pulsecc.optctrl import OptimalControlUnit
+from pulsecc.optctrl import ConvergenceError, OptimalControlUnit
 from pulsecc.pipeline import (CompileOptions, compare_strategies,
                               compile_circuit, write_artifacts)
 from pulsecc.mapper import Topology
@@ -130,6 +130,42 @@ def test_compare_strategies_defaults_to_the_latency_modes_strategies():
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         CompileOptions(strategy="fastest")
+
+
+BAD_LATENCIES = [float("nan"), float("inf"), -5.0]
+
+
+@pytest.mark.parametrize("ns", BAD_LATENCIES)
+def test_bad_table_override_rejected(ns):
+    # nan never frees a qubit in the scheduler, inf reads as a deadlock and a
+    # negative time shortens the schedule below the baseline's
+    with pytest.raises(ValueError, match="table_override\\['cnot'\\]"):
+        CompileOptions(strategy="cls", latency_mode="table",
+                       table_override={"cnot": ns})
+
+
+@pytest.mark.parametrize("ns", BAD_LATENCIES)
+def test_set_durations_rejects_bad_price(ns):
+    g = build_gdg(qaoa_triangle())
+    with pytest.raises(LatencyError, match="not a finite non-negative"):
+        g.set_durations(lambda ins: 10.0 if len(ins.qubits) == 1 else ns)
+
+
+def test_disconnected_instruction_fails_before_any_trial(monkeypatch):
+    # a 3-qubit gate on sites (0, 2, 4) of a 5-site line is never routed, so
+    # its model has no coupling, and no product pulse reaches a Toffoli
+    def boom(*args, **kwargs):
+        raise AssertionError("GRAPE ran for an unreachable target")
+
+    monkeypatch.setattr(optctrl, "grape_optimize", boom)
+    toffoli = np.eye(8)
+    toffoli[6:, 6:] = [[0, 1], [1, 0]]
+    c = Circuit(5)
+    c.add(GateName.CUSTOM, 0, 2, 4, matrix=toffoli)
+    why = re.escape("no coupling crosses the cut of model qubits [0]")
+    for strategy in ("cls", "cls+agg"):
+        with pytest.raises(ConvergenceError, match=why):
+            compile_circuit(c, CompileOptions(strategy=strategy, max_iters=100))
 
 
 def test_unknown_latency_mode_rejected():
