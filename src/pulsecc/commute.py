@@ -113,31 +113,26 @@ def _pair_runs(g: GDG, pair: tuple[int, int]) -> list[list[int]]:
     is the run's last node there, and none of its other parents is
     downstream of the run (which would close a cycle).
 
-    While g is seq-ordered, the seq order of the pair's two chains is that
-    order, so only their pair-supported nodes are visited, and a parent is
-    downstream of the run when a backward search from it, over parents whose
-    seq is at or above the run's first, meets a run member.  Otherwise one
-    sweep of the whole topological order marks everything downstream of the
-    run as it goes."""
+    The seq order of the pair's two chains is that order, so only their
+    pair-supported nodes are visited, and a parent is downstream of the run
+    when a backward search from it, over parents whose seq is at or above
+    the run's first, meets a run member."""
     support = set(pair)
-    if g.seq_ordered:
-        order = sorted({nid for q in pair for nid in g.qubit_path(q)
-                        if set(g.nodes[nid].qubits) <= support},
-                       key=lambda i: g.nodes[i].seq)
-    else:
-        order = g.topological_order()
+    order = sorted({nid for q in pair for nid in g.qubit_path(q)
+                    if set(g.nodes[nid].qubits) <= support},
+                   key=lambda i: g.nodes[i].seq)
     runs: list[list[int]] = [[]]
     last_on: dict[int, int] = {}
-    reached: set[int] = set()  # the run, and in a sweep everything downstream of it
+    members: set[int] = set()  # the current run's
 
     def downstream(p: int) -> bool:
-        if not g.seq_ordered or not reached:
-            return p in reached
+        if not members:
+            return False
         floor = g.nodes[runs[-1][0]].seq
         stack, seen = [p], {p}
         while stack:
             cur = stack.pop()
-            if cur in reached:
+            if cur in members:
                 return True
             for up in g.nodes[cur].parents.values():
                 if up not in seen and g.nodes[up].seq >= floor:
@@ -147,17 +142,13 @@ def _pair_runs(g: GDG, pair: tuple[int, int]) -> list[list[int]]:
 
     for nid in order:
         node = g.nodes[nid]
-        if not set(node.qubits) <= support:
-            if reached.intersection(node.parents.values()):
-                reached.add(nid)
-            continue
         if not all(last_on.get(q) == p if q in last_on else not downstream(p)
                    for q, p in node.parents.items()):
             runs.append([])
-            last_on, reached = {}, set()
+            last_on, members = {}, set()
         runs[-1].append(nid)
         last_on.update(dict.fromkeys(node.qubits, nid))
-        reached.add(nid)
+        members.add(nid)
     return [run for run in runs if len(run) >= 2]
 
 
@@ -169,9 +160,11 @@ def detect_diagonal_blocks(g: GDG) -> GDG:
     is diagonal becomes a single node, and the scan resumes after it.  A
     slice of a legal run is legal, and the run's topological order is the
     order contract joins the slice's gates in: the run is read before its
-    earlier windows merge, but the graph gives a merged node its members'
-    smallest seq, so a later slice keeps the order topological_order gives
-    it (checked by test_callers_contract_in_the_graph_topological_order).
+    earlier windows merge, but a merged node takes its members' smallest
+    seq, and a merge that makes contract repair the seq order spans both
+    qubits of the pair, so the run's later nodes all follow it and move up
+    together.  A later slice keeps the order topological_order gives it
+    (checked by test_callers_contract_in_the_graph_topological_order).
 
     A node's factor is its instruction's shape with its wires as positions in
     the pair, and its gates embedded on the pair are computed once per

@@ -6,18 +6,18 @@ every qubit an instruction touches, parents[q]/children[q] link the node into
 that qubit's chain.  A chain starts at the node with no parents[q] entry,
 recorded in GDG.first[q], and ends at the node with no children[q] entry.
 
-A node's seq belongs to the graph: an added node takes its own id, a merged
-node its members' smallest seq, so live seqs are unique.  A new node's
-parents are older, so only contract can leave a parent's seq at or above its
-child's and clear seq_ordered.  While it holds, the seq order is the
-topological order: topological_order sorts instead of running Kahn's loop,
-and can_contract's cycle search stops at nodes past the members' seqs.
-Every add and contract appends the largest id and deletions keep the order,
-so GDG.nodes stays in id order.
+A node's seq belongs to the graph, and every parent's seq is below its
+child's: an added node takes its own id, which is above its parents', and a
+merged node takes its members' smallest seq, so live seqs are unique.  When
+that puts a parent of the merged node above it, contract restores the order
+locally by permuting the seqs of the nodes between the two (Pearce and
+Kelly's dynamic topological sort).  So the seq order is the topological
+order: topological_order sorts, and can_contract's cycle search stops at
+nodes past the members' seqs.  Every add and contract appends the largest id
+and deletions keep the order, so GDG.nodes stays in id order.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections import Counter
@@ -107,9 +107,6 @@ class GDG:
         self.nodes: dict[int, GDGNode] = {}
         self.first: dict[int, int] = {}  # qubit -> first node of its chain
         self._next_id = 1
-        # every parent's seq is below its child's; once a contraction breaks
-        # this it stays False
-        self.seq_ordered = True
 
     # -- construction ------------------------------------------------------
 
@@ -156,28 +153,8 @@ class GDG:
         return set(self.nodes[nid].parents.values())
 
     def topological_order(self) -> list[int]:
-        """Kahn order, taking the ready node of smallest seq first.  While the
-        graph is seq-ordered that is the seq order: the smallest node left has
-        every parent placed already, so it is always ready."""
-        if self.seq_ordered:
-            return sorted(self.nodes, key=lambda i: self.nodes[i].seq)
-        indeg = {i: 0 for i in self.nodes}
-        for n in self.nodes.values():
-            for c in set(n.children.values()):
-                indeg[c] += 1
-        ready = [(self.nodes[i].seq, i) for i, d in indeg.items() if d == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            _, nid = heapq.heappop(ready)
-            order.append(nid)
-            for c in self.successors(nid):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    heapq.heappush(ready, (self.nodes[c].seq, c))
-        if len(order) != len(self.nodes):
-            raise GDGError("cycle detected in GDG")
-        return order
+        """Node ids by seq, which every parent has below its child's."""
+        return sorted(self.nodes, key=lambda i: self.nodes[i].seq)
 
     def flatten(self) -> Circuit:
         """Circuit reading every node's gates in topological order."""
@@ -194,7 +171,6 @@ class GDG:
         are shared, as nothing changes one once it is in a graph."""
         g = GDG(self.num_qubits)
         g._next_id = self._next_id
-        g.seq_ordered = self.seq_ordered
         g.first = dict(self.first)
         g.nodes = {nid: GDGNode(nid, n.instruction, n.seq, dict(n.parents),
                                 dict(n.children), n.duration)
@@ -214,10 +190,9 @@ class GDG:
         split = sorted(q for q, n in entries.items() if n > 1)
         if split:
             return False, f"members not contiguous on q{split[0]} chain"
-        # an outside path from one member back into another would close a cycle;
-        # in a seq-ordered graph no such path passes a seq above every member's
-        top = (max(self.nodes[nid].seq for nid in members)
-               if self.seq_ordered else float("inf"))
+        # an outside path from one member back into another would close a
+        # cycle; no such path passes a seq above every member's
+        top = max(self.nodes[nid].seq for nid in members)
         outside_starts = {c for nid in members for c in self.successors(nid)
                           if c not in members}
         stack, seen = list(outside_starts), set(outside_starts)
@@ -264,18 +239,42 @@ class GDG:
                  for q, p in self.nodes[nid].parents.items() if p not in members}
         leave = {q: c for nid in members
                  for q, c in self.nodes[nid].children.items() if c not in members}
-        # leaving children follow a member, so only an entering parent can
-        # break seq order
-        if self.seq_ordered and any(self.nodes[p].seq >= seq
-                                    for p in enter.values()):
-            self.seq_ordered = False
         for q in merged.qubits:
             self._link(enter.get(q), q, node)
             if q in leave:
                 self._link(node.id, q, self.nodes[leave[q]])
         for nid in members:
             del self.nodes[nid]
+        # leaving children follow a member, so only an entering parent can
+        # sit above the merged node's seq
+        late = {p for p in enter.values() if self.nodes[p].seq > seq}
+        if late:
+            self._reorder(node, late)
         return node
+
+    def _reorder(self, node: GDGNode, late: set[int]):
+        """Restore seq order after node gained the parents late, whose seqs
+        lie above its own: the nodes node reaches below the highest late seq
+        (forward) move after everything that reaches late above node's seq
+        (backward), each set keeping its own order, on the same seqs.  The
+        forward set's seqs only grow and the backward set's only shrink, and
+        no other node's seq changes."""
+        lo, hi = node.seq, max(self.nodes[p].seq for p in late)
+
+        def reach(start, links, inside):
+            seen, stack = set(start), list(start)
+            while stack:
+                for nxt in links(self.nodes[stack.pop()]).values():
+                    if nxt not in seen and inside(self.nodes[nxt].seq):
+                        seen.add(nxt)
+                        stack.append(nxt)
+            return sorted((self.nodes[i] for i in seen), key=lambda n: n.seq)
+
+        forward = reach({node.id}, lambda n: n.children, lambda s: s < hi)
+        backward = reach(late, lambda n: n.parents, lambda s: s > lo)
+        pool = sorted(n.seq for n in forward + backward)
+        for n, s in zip(backward + forward, pool):
+            n.seq = s
 
     # -- weighting ---------------------------------------------------------
 

@@ -72,7 +72,12 @@ class CompileOptions:
             raise ValueError("fidelity must be in (0, 1]; dt and mu_max must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        gate_names = {name.value for name in GateName}
         for name, ns in (self.table_override or {}).items():
+            # table_price would keep an unknown key as an entry no gate reads
+            if not isinstance(name, str) or name.lower() not in gate_names:
+                raise ValueError(f"table_override key {name!r} names no gate; "
+                                 f"choose from {sorted(gate_names)}")
             if not 0.0 <= float(ns) < math.inf:
                 raise ValueError(f"table_override[{name!r}] must be a finite "
                                  f"non-negative latency, not {ns}")

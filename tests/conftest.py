@@ -136,8 +136,8 @@ def kahn_order(g) -> list[int]:
 
 def audit(g):
     """Raise GDGError on any parent/child map inconsistency, chain start not
-    recorded in g.first, cycle, node ids out of order, repeated seq, or, while
-    g.seq_ordered holds, a parent whose seq is not below its child's."""
+    recorded in g.first, cycle, node ids out of order, repeated seq, or a
+    parent whose seq is not below its child's."""
     for nid, node in g.nodes.items():
         for q, cid in node.children.items():
             child = g.nodes.get(cid)
@@ -163,12 +163,23 @@ def audit(g):
     seqs = [n.seq for n in g.nodes.values()]
     if len(set(seqs)) != len(seqs):
         raise GDGError(f"repeated seq: {sorted(seqs)}")
-    if g.seq_ordered:
-        for nid, node in g.nodes.items():
-            for pid in node.parents.values():
-                if g.nodes[pid].seq >= node.seq:
-                    raise GDGError(f"seq_ordered, but parent {pid} has seq "
-                                   f"{g.nodes[pid].seq} >= {node.seq} of {nid}")
+    for nid, node in g.nodes.items():
+        for pid in node.parents.values():
+            if g.nodes[pid].seq >= node.seq:
+                raise GDGError(f"parent {pid} has seq {g.nodes[pid].seq} "
+                               f">= {node.seq} of its child {nid}")
+
+
+def seqs(g) -> dict[int, int]:
+    """Every node's seq, by id."""
+    return {nid: n.seq for nid, n in g.nodes.items()}
+
+
+def moved_seq(g, before: dict[int, int]) -> bool:
+    """Whether a node that was in the graph at before = seqs(g) holds another
+    seq now."""
+    return any(g.nodes[nid].seq != s for nid, s in before.items()
+               if nid in g.nodes)
 
 
 def contract(g, members):
@@ -276,7 +287,7 @@ def window_scan_detect(g):
 
 def random_merges(g, rng, count: int):
     """Up to count contractions of a random node with a random child, each
-    legal one applied; some clear seq_ordered."""
+    legal one applied; some move other nodes' seqs."""
     for _ in range(count):
         ids = list(g.nodes)
         node = g.nodes[ids[rng.integers(len(ids))]]

@@ -11,9 +11,9 @@ from pulsecc.gates import (Circuit, Gate, GateName, circuit_unitary, embed,
 from pulsecc.gdg import build_gdg
 
 from conftest import (audit, chain_walk_can_contract, contract,
-                      custom_rich_circuit, pair_shape_groups, random_circuit,
-                      random_gate, random_merges, sweep_pair_runs,
-                      window_scan_detect)
+                      custom_rich_circuit, moved_seq, pair_shape_groups,
+                      random_circuit, random_gate, random_merges, seqs,
+                      sweep_pair_runs, window_scan_detect)
 
 
 def brute_commutes(a: Gate, b: Gate) -> bool:
@@ -212,11 +212,10 @@ def test_detection_matches_restart_loop_reference(rng):
 
 def test_pair_runs_match_the_whole_graph_sweep(rng):
     # every interacting pair of random graphs as built, after diagonal-block
-    # detection and after random parent-child merges, some of which clear
-    # seq_ordered and so leave _pair_runs on the sweep itself.  In the detour,
-    # RZ(1)'s parent CNOT(2,1) follows RZ(0) through q2, so RZ(1) starts a
-    # new run
-    checked = {True: 0, False: 0}
+    # detection and after random parent-child merges, some of which move
+    # other nodes' seqs.  In the detour, RZ(1)'s parent CNOT(2,1) follows
+    # RZ(0) through q2, so RZ(1) starts a new run
+    moved = {True: 0, False: 0}
     detour = Circuit(3)
     detour.add(GateName.RZ, 0, params=(0.4,))
     detour.add(GateName.CNOT, 0, 2)
@@ -228,7 +227,6 @@ def test_pair_runs_match_the_whole_graph_sweep(rng):
     def check(g):
         for pair in _interacting_pairs(g):
             assert _pair_runs(g, pair) == sweep_pair_runs(g, pair)
-            checked[g.seq_ordered] += 1
 
     for _ in range(40):
         n = int(rng.integers(2, 7))
@@ -238,7 +236,7 @@ def test_pair_runs_match_the_whole_graph_sweep(rng):
         g = build_gdg(c)
         check(g)
         check(detect_diagonal_blocks(g))
-        for _ in range(6):
+        for _ in range(16):
             ids = list(g.nodes)
             node = g.nodes[ids[rng.integers(len(ids))]]
             children = list(node.children.values())
@@ -246,14 +244,17 @@ def test_pair_runs_match_the_whole_graph_sweep(rng):
                 continue
             members = {node.id, children[rng.integers(len(children))]}
             if g.can_contract(members)[0]:
+                before = seqs(g)
                 contract(g, members)
+                moved[moved_seq(g, before)] += 1
                 check(g)
-    assert min(checked.values()) > 100, checked
+    assert min(moved.values()) > 100, moved
 
 
 def test_pair_runs_after_a_merge_clears_seq_order():
     # RZ(0); CNOT(1,2); CNOT(0,1); RZ(1); CNOT(1,2); CPHASE(0,1): merging
     # RZ(0) with CNOT(0,1) gives the merged node seq 1 below its q1 parent
+    # CNOT(1,2), so the two swap seqs
     c = Circuit(3)
     c.add(GateName.RZ, 0, params=(0.3,))
     c.add(GateName.CNOT, 1, 2)
@@ -263,7 +264,7 @@ def test_pair_runs_after_a_merge_clears_seq_order():
     c.add(GateName.CPHASE, 0, 1, params=(0.9,))
     g = build_gdg(c)
     merged = g.contract([1, 3]).id
-    assert not g.seq_ordered
+    assert seqs(g) == {2: 1, 4: 4, 5: 5, 6: 6, merged: 2}
     for pair in _interacting_pairs(g):
         assert _pair_runs(g, pair) == sweep_pair_runs(g, pair)
     assert _pair_runs(g, (0, 1)) == [[merged, 4]]

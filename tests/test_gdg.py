@@ -10,9 +10,11 @@ from pulsecc.gates import (Circuit, Gate, GateName, circuit_unitary,
                            phases_equal)
 from pulsecc.gdg import GDG, AggregatedInstruction, GDGError, build_gdg
 from pulsecc.latency import table_price
+from pulsecc.mapper import Topology
+from pulsecc.pipeline import CompileOptions, compile_circuit
 
 from conftest import (audit, chain_walk_can_contract, contract, kahn_order,
-                      qaoa3reg, random_circuit)
+                      moved_seq, qaoa3reg, random_circuit, seqs)
 
 
 def table_durations(g):
@@ -249,11 +251,12 @@ def test_to_json_roundtrips_counts():
 def test_can_contract_matches_chain_walk(rng):
     # node sets grown from a random seed node through parent/child links, with
     # an occasional unrelated node; legal sets are sometimes contracted so
-    # later sets contain merged nodes.  Some merges break seq order, so both
-    # the sort and Kahn's loop in topological_order meet the reference
+    # later sets contain merged nodes.  Some merges put a parent above the
+    # merged node's seq, so contract moves other nodes' seqs and the sort in
+    # topological_order meets Kahn's loop on repaired graphs too
     checked = {True: 0, False: 0}
-    seq_ordered = {True: 0, False: 0}
-    for _ in range(60):
+    moved = {True: 0, False: 0}
+    for _ in range(200):
         g = build_gdg(random_circuit(int(rng.integers(2, 6)),
                                      int(rng.integers(6, 30)), rng))
         for _ in range(12):
@@ -272,15 +275,15 @@ def test_can_contract_matches_chain_walk(rng):
                 assert ("cycle" in why) == ("cycle" in ref_why)
                 checked[ok] += 1
             if ok and rng.random() < 0.5:
-                before = circuit_unitary(g.flatten())
+                before, old = circuit_unitary(g.flatten()), seqs(g)
                 contract(g, members)
+                moved[moved_seq(g, old)] += 1
                 audit(g)
                 assert phases_equal(before, circuit_unitary(g.flatten()))
             assert g.topological_order() == g.copy().topological_order() \
                 == kahn_order(g)
-            seq_ordered[g.seq_ordered] += 1
     assert min(checked.values()) > 100
-    assert min(seq_ordered.values()) > 100, seq_ordered
+    assert min(moved.values()) > 100, moved
 
 
 def test_merge_that_follows_another_chain_leaves_seq_order():
@@ -291,12 +294,77 @@ def test_merge_that_follows_another_chain_leaves_seq_order():
                  Gate(GateName.RZ, (2,), (0.5,))):
         c.append(gate)
     g = build_gdg(c)
-    assert g.seq_ordered and g.topological_order() == [1, 2, 3, 4, 5]
-    # {RZ(a), RZ(b)} keeps RZ(a)'s seq 1 but now follows CNOT(b,y), seq 4
+    assert g.topological_order() == kahn_order(g) == [1, 2, 3, 4, 5]
+    # {RZ(a), RZ(b)} keeps RZ(a)'s seq 1 but now follows CNOT(b,y), seq 4:
+    # H(y) and CNOT(b,y) take seqs 1 and 2, the merged node and CNOT(a,x),
+    # which follows it, 3 and 4
     merged = g.contract([1, 5]).id
-    assert not g.seq_ordered and not g.copy().seq_ordered
-    assert g.topological_order() == kahn_order(g) == [3, 4, merged, 2]
+    audit(g)
+    assert seqs(g) == {2: 4, 3: 1, 4: 2, merged: 3}
+    assert g.topological_order() == g.copy().topological_order() \
+        == kahn_order(g) == [3, 4, merged, 2]
     # the path H(y) -> CNOT(b,y) -> merged passes a seq above both members'
     ok, why = g.can_contract({3, merged})
     assert not ok and "cycle" in why
     assert chain_walk_can_contract(g, {3, merged}) == (ok, why)
+
+
+def test_contract_repairs_seq_order_locally(rng, monkeypatch):
+    # random legal contractions of a node with a child or with all its
+    # parents.  With no parent above the merged node's seq lo, no other
+    # node's seq changes; otherwise the live seqs are permuted, each moving
+    # within [lo, hi], hi the highest such parent's seq
+    repaired = {True: 0, False: 0}
+    for _ in range(120):
+        g = build_gdg(random_circuit(int(rng.integers(3, 7)),
+                                     int(rng.integers(10, 40)), rng))
+        for _ in range(12):
+            ids = list(g.nodes)
+            node = g.nodes[ids[rng.integers(len(ids))]]
+            children = list(node.children.values())
+            if rng.random() < 0.5 and children:
+                members = {node.id, children[rng.integers(len(children))]}
+            else:
+                members = {node.id, *node.parents.values()}
+            if len(members) < 2 or not g.can_contract(members)[0]:
+                continue
+            before = seqs(g)
+            lo = min(before[m] for m in members)
+            late = [before[p] for m in members
+                    for p in g.nodes[m].parents.values()
+                    if p not in members and before[p] > lo]
+            merged = contract(g, members).id
+            audit(g)
+            before[merged] = lo
+            for m in members:
+                del before[m]
+            after = seqs(g)
+            assert sorted(after.values()) == sorted(before.values())
+            if late:
+                hi = max(late)
+                assert all(lo <= s <= hi for nid in after if after[nid] != before[nid]
+                           for s in (before[nid], after[nid]))
+            else:
+                assert after == before
+            repaired[bool(late)] += 1
+    assert min(repaired.values()) > 100, repaired
+
+    # every contraction aggregate_loop makes on routed grid graphs leaves the
+    # sort and Kahn's loop in the same order, repairs included
+    real_contract, moved = GDG.contract, []
+
+    def checked(g, order):
+        before = seqs(g)
+        node = real_contract(g, order)
+        moved.append(moved_seq(g, before))
+        assert g.topological_order() == kahn_order(g)
+        return node
+
+    monkeypatch.setattr(GDG, "contract", checked)
+    price = table_price()
+    for n, seed, shape in [(12, 1, (3, 4)), (16, 6, (4, 4))]:
+        g = compile_circuit(qaoa3reg(n, seed), CompileOptions(
+            strategy="cls", latency_mode="table", topology=Topology(*shape),
+            compare_baseline=False)).gdg
+        aggregate_loop(g, price, max_width=3)
+    assert any(moved), moved

@@ -13,7 +13,7 @@ from pulsecc.bench import (ising_chain, make_bench, maxcut_line, qaoa_circuit,
 from pulsecc.gates import Circuit, Gate, GateName, circuit_unitary, phases_equal
 from pulsecc.gdg import GDG, AggregatedInstruction, build_gdg
 from pulsecc.aggregator import MAX_WIDTH_LIMIT
-from pulsecc.latency import LatencyError
+from pulsecc.latency import LatencyError, table_price
 from pulsecc.optctrl import ConvergenceError, OptimalControlUnit
 from pulsecc.pipeline import (CompileOptions, compare_strategies,
                               compile_circuit, write_artifacts)
@@ -142,6 +142,18 @@ def test_bad_table_override_rejected(ns):
     with pytest.raises(ValueError, match="table_override\\['cnot'\\]"):
         CompileOptions(strategy="cls", latency_mode="table",
                        table_override={"cnot": ns})
+
+
+def test_table_override_key_must_name_a_gate():
+    # "cx" is no gate name: kept as a table entry, it would leave CNOT at its
+    # default price
+    with pytest.raises(ValueError, match="'cx'"):
+        CompileOptions(strategy="cls", latency_mode="table",
+                       table_override={"cx": 30.0})
+    opts = CompileOptions(strategy="cls", latency_mode="table",
+                          table_override={"CNOT": 30.0})
+    price = table_price(opts.table_override)
+    assert price(AggregatedInstruction([Gate(GateName.CNOT, (0, 1))])) == 30.0
 
 
 @pytest.mark.parametrize("ns", BAD_LATENCIES)
@@ -475,8 +487,8 @@ def test_final_schedule_never_longer_than_asap(rng):
 
 
 def test_seq_order_sort_compiles_bit_identically_to_kahn(monkeypatch):
-    # the front end's graphs stay seq-ordered, so topological_order sorts
-    # them; Kahn's loop in its place must give the same compile
+    # topological_order sorts by seq; Kahn's loop in its place must give
+    # the same order on the compiled graphs and the same compile
     cases = [(qaoa3reg(10, 6), Topology(3, 4)), (qaoa3reg(16, 6), Topology(4, 4))]
 
     def compile_all():
@@ -485,7 +497,7 @@ def test_seq_order_sort_compiles_bit_identically_to_kahn(monkeypatch):
                 for c, topo in cases]
 
     fast = compile_all()
-    assert all(r.gdg.seq_ordered for r in fast)
+    assert all(r.gdg.topological_order() == kahn_order(r.gdg) for r in fast)
     monkeypatch.setattr(GDG, "topological_order", kahn_order)
     for a, b in zip(fast, compile_all()):
         assert a.manifest == b.manifest
