@@ -103,10 +103,10 @@ def uccsd(n: int, theta: float = 0.45) -> Circuit:
 
 
 _GENERATORS = {
-    "maxcut-line": lambda n, **kw: maxcut_line(n, **kw),
-    "ising-chain": lambda n, **kw: ising_chain(n, **kw),
-    "uccsd": lambda n, **kw: uccsd(n, **kw),
-    "qaoa-triangle": lambda n=3, **kw: qaoa_triangle(**kw),
+    "maxcut-line": maxcut_line,
+    "ising-chain": ising_chain,
+    "uccsd": uccsd,
+    "qaoa-triangle": qaoa_triangle,
 }
 
 BENCH_NAMES = tuple(_GENERATORS)
@@ -116,7 +116,9 @@ def make_bench(name: str, n: int | None = None, **kw) -> Circuit:
     if name not in _GENERATORS:
         raise ValueError(f"unknown benchmark {name!r}; choose from {BENCH_NAMES}")
     if name == "qaoa-triangle":
-        return _GENERATORS[name](**kw)
+        if n not in (None, 3):
+            raise ValueError(f"benchmark 'qaoa-triangle' has 3 qubits, not {n}")
+        return qaoa_triangle(**kw)
     if n is None:
         raise ValueError(f"benchmark {name!r} requires a qubit count")
     return _GENERATORS[name](n, **kw)

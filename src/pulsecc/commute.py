@@ -108,47 +108,18 @@ def _interacting_pairs(g: GDG) -> list[tuple[int, int]]:
 
 
 def _pair_runs(g: GDG, pair: tuple[int, int]) -> list[list[int]]:
-    """Maximal contract-legal runs of nodes supported on pair, in topological
-    order: a node joins the run when its parent on each qubit the run touches
-    is the run's last node there, and none of its other parents is
-    downstream of the run (which would close a cycle).
-
-    The seq order of the pair's two chains is that order, so only their
-    pair-supported nodes are visited, and a parent is downstream of the run
-    when a backward search from it, over parents whose seq is at or above
-    the run's first, meets a run member."""
+    """Maximal contract-legal runs of nodes supported on pair, in seq order
+    (a topological order): a node joins the current run when can_contract
+    accepts the run plus the node, and otherwise starts a new run."""
     support = set(pair)
     order = sorted({nid for q in pair for nid in g.qubit_path(q)
                     if set(g.nodes[nid].qubits) <= support},
                    key=lambda i: g.nodes[i].seq)
     runs: list[list[int]] = [[]]
-    last_on: dict[int, int] = {}
-    members: set[int] = set()  # the current run's
-
-    def downstream(p: int) -> bool:
-        if not members:
-            return False
-        floor = g.nodes[runs[-1][0]].seq
-        stack, seen = [p], {p}
-        while stack:
-            cur = stack.pop()
-            if cur in members:
-                return True
-            for up in g.nodes[cur].parents.values():
-                if up not in seen and g.nodes[up].seq >= floor:
-                    seen.add(up)
-                    stack.append(up)
-        return False
-
     for nid in order:
-        node = g.nodes[nid]
-        if not all(last_on.get(q) == p if q in last_on else not downstream(p)
-                   for q, p in node.parents.items()):
+        if not g.can_contract({*runs[-1], nid})[0]:
             runs.append([])
-            last_on, members = {}, set()
         runs[-1].append(nid)
-        last_on.update(dict.fromkeys(node.qubits, nid))
-        members.add(nid)
     return [run for run in runs if len(run) >= 2]
 
 

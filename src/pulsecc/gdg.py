@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -178,18 +177,22 @@ class GDG:
         return g
 
     def can_contract(self, node_ids: set[int]) -> tuple[bool, str]:
-        """Contiguity on every touched qubit chain plus acyclicity."""
+        """The one legality test for contraction: the members are contiguous
+        on every qubit chain they touch (on each, only one member's parent
+        there is outside the set or missing), and no path leaving them comes
+        back."""
         members = set(node_ids)
         for nid in members:
             if nid not in self.nodes:
                 return False, f"unknown node {nid}"
-        # members are contiguous on q's chain iff one has its q-parent outside
-        # (or none: the chain's first node)
-        entries = Counter(q for nid in members for q in self.nodes[nid].qubits
-                          if self.nodes[nid].parents.get(q) not in members)
-        split = sorted(q for q, n in entries.items() if n > 1)
+        entered, split = set(), set()
+        for nid in members:
+            node = self.nodes[nid]
+            for q in node.qubits:
+                if node.parents.get(q) not in members:
+                    (split if q in entered else entered).add(q)
         if split:
-            return False, f"members not contiguous on q{split[0]} chain"
+            return False, f"members not contiguous on q{min(split)} chain"
         # an outside path from one member back into another would close a
         # cycle; no such path passes a seq above every member's
         top = max(self.nodes[nid].seq for nid in members)

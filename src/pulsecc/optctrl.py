@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gates import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_operator
+from .gdg import AggregatedInstruction
 
 MU_MAX_DEFAULT = 0.02   # GHz, XY coupling limit
 SINGLE_QUBIT_FACTOR = 5.0
@@ -580,21 +581,17 @@ class OptimalControlUnit:
 
         Both models take their XY pairs from adjacency over sorted contexts,
         so a coupled gate's channel is in model; an uncoupled 2-qubit gate
-        has no pulse and fails its own synthesis first."""
-        from .gdg import AggregatedInstruction
+        has no pulse and fails its own synthesis first.  A channel is found
+        by its kind and its wires as positions in qubits; both contexts are
+        sorted, so a pair's wires keep their order."""
         sub = AggregatedInstruction([gate])
         _, res, sub_model = self.synthesize(sub)
         amps = res.pulses.amplitudes
-        name_to_idx = {ch.name: i for i, ch in enumerate(model.channels)}
+        row = {(ch.name[:2], ch.qubits): i for i, ch in enumerate(model.channels)}
         seg = np.zeros((len(model.channels), amps.shape[1]))
         pos = [qubits.index(s) for s in sub.context]
         for k, ch in enumerate(sub_model.channels):
-            if ch.name.startswith("xy"):
-                la, lb = sorted(pos[q] for q in ch.qubits)
-                target = f"xy{la}_{lb}"
-            else:
-                target = ch.name[:2] + str(pos[ch.qubits[0]])
-            seg[name_to_idx[target]] = amps[k]
+            seg[row[ch.name[:2], tuple(pos[q] for q in ch.qubits)]] = amps[k]
         return seg
 
     def _concat_fallback(self, ins, model: HamiltonianModel,

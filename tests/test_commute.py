@@ -270,6 +270,21 @@ def test_pair_runs_after_a_merge_clears_seq_order():
     assert _pair_runs(g, (0, 1)) == [[merged, 4]]
 
 
+def test_pair_runs_refuse_a_run_that_closes_a_cycle():
+    # RZ(0); CNOT(0,2); CNOT(2,1); RZ(1); CNOT(0,1): RZ(0) and RZ(1) are
+    # contiguous on their chains, but RZ(0) reaches RZ(1) through q2, so
+    # merging them would close a cycle and RZ(1) starts a new run
+    c = Circuit(3)
+    c.add(GateName.RZ, 0, params=(0.4,))
+    c.add(GateName.CNOT, 0, 2)
+    c.add(GateName.CNOT, 2, 1)
+    c.add(GateName.RZ, 1, params=(0.7,))
+    c.add(GateName.CNOT, 0, 1)
+    g = build_gdg(c)
+    assert g.can_contract({1, 4}) == (False, "contraction would create a cycle")
+    assert _pair_runs(g, (0, 1)) == [[4, 5]]
+
+
 def greedy_groups_reference(g):
     """Reference grouping: per qubit, a node joins the current group iff the
     oracle says it commutes with every member, asked afresh for every pair."""

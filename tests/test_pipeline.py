@@ -32,6 +32,9 @@ def test_bench_generators():
         make_bench("nope", 3)
     with pytest.raises(ValueError):
         make_bench("uccsd")  # missing qubit count
+    assert len(make_bench("qaoa-triangle", 3).gates) == 16
+    with pytest.raises(ValueError, match="3 qubits"):
+        make_bench("qaoa-triangle", 5)  # the triangle has no other size
 
 
 def test_uccsd_structure():
@@ -457,13 +460,14 @@ def test_cli_gate_free_program_compiles(tmp_path, latency):
     assert rc == cli.EXIT_OK
 
 
-@pytest.mark.parametrize("argv", [
-    ["--n", "3", "--latency", "table"],    # the default cls+agg needs the oracle
-    ["--n", "0", "--strategy", "cls", "--latency", "table"],
-    ["--n", "-2", "--strategy", "cls", "--latency", "table"],
-], ids=["agg-table", "n0", "n-2"])
-def test_cli_bench_invalid_option_is_parse_error(argv):
-    assert cli.main(["bench", "maxcut-line", *argv]) == cli.EXIT_PARSE
+@pytest.mark.parametrize("name, argv", [
+    ("maxcut-line", ["--n", "3", "--latency", "table"]),  # cls+agg needs the oracle
+    ("maxcut-line", ["--n", "0", "--strategy", "cls", "--latency", "table"]),
+    ("maxcut-line", ["--n", "-2", "--strategy", "cls", "--latency", "table"]),
+    ("qaoa-triangle", ["--n", "5", "--strategy", "cls", "--latency", "table"]),
+], ids=["agg-table", "n0", "n-2", "triangle-n5"])
+def test_cli_bench_invalid_option_is_parse_error(name, argv):
+    assert cli.main(["bench", name, *argv]) == cli.EXIT_PARSE
 
 
 def test_final_schedule_never_longer_than_asap(rng):
