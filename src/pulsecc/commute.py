@@ -24,12 +24,11 @@ def commutes(a, b) -> bool:
     compare AB with BA."""
     ia, ib = (x if isinstance(x, AggregatedInstruction)
               else AggregatedInstruction([x]) for x in (a, b))
-    qa, qb = set(ia.qubits), set(ib.qubits)
-    if not qa & qb:
+    if set(ia.qubits).isdisjoint(ib.qubits):
         return True
-    ctx = sorted(qa | qb)
-    ua = embed_operator(ia.target_unitary, ia.context, ctx)
-    ub = embed_operator(ib.target_unitary, ib.context, ctx)
+    ctx = list(dict.fromkeys(ia.qubits + ib.qubits))
+    ua = embed_operator(ia.target_unitary, ia.qubits, ctx)
+    ub = embed_operator(ib.target_unitary, ib.qubits, ctx)
     return bool(np.max(np.abs(ua @ ub - ub @ ua)) <= TOL_COMMUTE)
 
 

@@ -39,11 +39,13 @@ class AggregatedInstruction:
     """A contiguous sub-circuit on a bounded qubit set with one target unitary.
 
     The gate list never changes after construction, so qubits, shape and the
-    target unitary are computed once.  The shape holds, per gate, its name,
+    target unitary are computed once.  qubits, in order of first use, is the
+    instruction's one wire order: the target unitary's wires, and so its
+    pulse's, are positions in it.  The shape holds, per gate, its name,
     params, operands as positions in qubits and CUSTOM matrix bytes: two
     instructions of equal shape are the same gates up to a relabelling of
-    wires, which keeps whether they are diagonal, whether two of them commute
-    (given where their wires meet) and their table price.
+    wires, which keeps their unitary, whether they are diagonal, whether two
+    of them commute (given where their wires meet) and their table price.
     """
     gates: list[Gate] = field(default_factory=list)
 
@@ -64,18 +66,22 @@ class AggregatedInstruction:
 
     @cached_property
     def target_unitary(self) -> np.ndarray:
-        """Unitary of the gate list on the instruction's own qubit context."""
-        return gates_unitary(self.gates, self.context)
+        """Unitary of the gate list, its wires in qubits' order."""
+        return gates_unitary(self.gates, self.qubits)
 
     @property
     def context(self) -> list[int]:
-        return sorted(self.qubits)
+        """target_unitary's wire order."""
+        return list(self.qubits)
 
     def remap(self, perm: dict[int, int]) -> "AggregatedInstruction":
-        """The same gates on wires relabelled through perm, which keeps the
-        shape."""
+        """The same gates on wires relabelled through perm, which keeps first
+        use order and so the shape and the unitary; each is carried over if
+        already computed."""
         ins = AggregatedInstruction([g.remap(perm) for g in self.gates])
         ins.shape = self.shape
+        if "target_unitary" in self.__dict__:
+            ins.target_unitary = self.target_unitary
         return ins
 
     def label(self) -> str:

@@ -556,7 +556,7 @@ class OptimalControlUnit:
         # fingerprint -> (duration, GrapeResult, HamiltonianModel)
         self.cache: dict = {}
 
-    def _pairs(self, qubits: list[int]) -> tuple:
+    def _pairs(self, qubits) -> tuple:
         """Coupled operand pairs (i, j), i < j, as positions in qubits."""
         pairs = []
         for i, a in enumerate(qubits):
@@ -565,37 +565,22 @@ class OptimalControlUnit:
                     pairs.append((i, j))
         return tuple(pairs)
 
-    def _model_for(self, qubits: list[int]) -> HamiltonianModel:
-        return HamiltonianModel(len(qubits), self._pairs(qubits),
-                                mu_max=self.mu_max, dt=self.dt)
-
-    def _key(self, ins) -> tuple:
-        """The channel set is fixed by the qubit count and the coupled pairs,
-        so the unitary, the pairs and the threshold select one pulse."""
-        return fingerprint(ins.target_unitary, (self._pairs(ins.context),
-                                                self.cfg.fidelity_threshold))
-
-    def _embed_member(self, gate, model: HamiltonianModel,
-                      qubits: list[int]) -> np.ndarray:
-        """The gate's own pulse on model's channels, the others at zero.
-
-        Both models take their XY pairs from adjacency over sorted contexts,
-        so a coupled gate's channel is in model; an uncoupled 2-qubit gate
-        has no pulse and fails its own synthesis first.  A channel is found
-        by its kind and its wires as positions in qubits; both contexts are
-        sorted, so a pair's wires keep their order."""
-        sub = AggregatedInstruction([gate])
-        _, res, sub_model = self.synthesize(sub)
+    def _embed_member(self, gate, row: dict, qubits) -> np.ndarray:
+        """The gate's own pulse on the rows of row, which maps a channel's
+        kind and wires (positions in qubits, a pair's ascending) to its row;
+        the other rows stay at zero.  Both models take their XY pairs from
+        adjacency, so a coupled gate's channel is in row; an uncoupled 2-qubit
+        gate has no pulse and fails its own synthesis first."""
+        _, res, sub_model = self.synthesize(AggregatedInstruction([gate]))
         amps = res.pulses.amplitudes
-        row = {(ch.name[:2], ch.qubits): i for i, ch in enumerate(model.channels)}
-        seg = np.zeros((len(model.channels), amps.shape[1]))
-        pos = [qubits.index(s) for s in sub.context]
+        seg = np.zeros((len(row), amps.shape[1]))
+        pos = [qubits.index(s) for s in gate.qubits]
         for k, ch in enumerate(sub_model.channels):
-            seg[row[ch.name[:2], tuple(pos[q] for q in ch.qubits)]] = amps[k]
+            wires = tuple(sorted(pos[q] for q in ch.qubits))
+            seg[row[ch.name[:2], wires]] = amps[k]
         return seg
 
-    def _concat_fallback(self, ins, model: HamiltonianModel,
-                         qubits: list[int]) -> np.ndarray | None:
+    def _concat_fallback(self, ins, model: HamiltonianModel) -> np.ndarray | None:
         """Member pulses embedded and laid out in layers: a warm start for
         min_time.
 
@@ -610,9 +595,10 @@ class OptimalControlUnit:
         """
         if len(ins.gates) < 2:
             return None
+        row = {(ch.name[:2], ch.qubits): i for i, ch in enumerate(model.channels)}
         placed, free = [], {}
         for g in ins.gates:
-            seg = self._embed_member(g, model, qubits)
+            seg = self._embed_member(g, row, ins.qubits)
             start = max(free.get(q, 0) for q in g.qubits)
             free.update(dict.fromkeys(g.qubits, start + seg.shape[1]))
             placed.append((start, seg))
@@ -622,12 +608,17 @@ class OptimalControlUnit:
         return table
 
     def synthesize(self, ins) -> tuple[float, GrapeResult, HamiltonianModel]:
-        """min_time on the instruction's target unitary over its sub-lattice."""
-        key = self._key(ins)
+        """min_time on the instruction's target unitary over its sub-lattice.
+
+        The channel set is fixed by the qubit count and the coupled pairs, so
+        the unitary, the pairs and the threshold select one pulse."""
+        pairs = self._pairs(ins.qubits)
+        key = fingerprint(ins.target_unitary,
+                          (pairs, self.cfg.fidelity_threshold))
         if key not in self.cache:
-            qubits = ins.context
-            model = self._model_for(qubits)
-            fallback = self._concat_fallback(ins, model, qubits)
+            model = HamiltonianModel(len(ins.qubits), pairs,
+                                     mu_max=self.mu_max, dt=self.dt)
+            fallback = self._concat_fallback(ins, model)
             try:
                 duration, res = min_time(ins.target_unitary, model, self.cfg,
                                          fallback_amplitudes=fallback)

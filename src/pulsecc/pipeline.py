@@ -72,6 +72,8 @@ class CompileOptions:
             raise ValueError("fidelity must be in (0, 1]; dt and mu_max must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
         gate_names = {name.value for name in GateName}
         for name, ns in (self.table_override or {}).items():
             # table_price would keep an unknown key as an entry no gate reads

@@ -7,7 +7,7 @@ from pulsecc.aggregator import aggregate_loop
 from pulsecc.bench import qaoa_triangle
 from pulsecc.commute import detect_diagonal_blocks
 from pulsecc.gates import (Circuit, Gate, GateName, circuit_unitary,
-                           phases_equal)
+                           gates_unitary, phases_equal)
 from pulsecc.gdg import GDG, AggregatedInstruction, GDGError, build_gdg
 from pulsecc.latency import table_price
 from pulsecc.mapper import Topology
@@ -59,11 +59,14 @@ def test_remap_keeps_shape():
     gates = [Gate(GateName.CNOT, (3, 1)), Gate(GateName.RZ, (1,), (0.5,)),
              Gate(GateName.CUSTOM, (3,), custom_matrix=np.diag([1, -1]))]
     ins = AggregatedInstruction(gates)
+    u = ins.target_unitary
     moved = ins.remap({1: 0, 3: 7})
     assert moved.qubits == (7, 0)
     assert moved.shape == ins.shape == AggregatedInstruction(moved.gates).shape
-    # the shape is carried over, not recomputed
+    # the shape and the unitary are carried over, not recomputed
     assert moved.shape is ins.shape
+    assert moved.target_unitary is u
+    assert u.tobytes() == gates_unitary(moved.gates, moved.qubits).tobytes()
 
 
 def test_instruction_takes_only_its_gates():

@@ -711,11 +711,11 @@ def test_layered_fallback_matches_sequential():
     # channels commute, so the layers keep the concatenation's unitary
     ocu = OptimalControlUnit()
     ins = AggregatedInstruction(list(qaoa_triangle().gates))
-    qubits = ins.context
-    model = ocu._model_for(qubits)
-    layered = ocu._concat_fallback(ins, model, qubits)
+    model = HamiltonianModel(len(ins.qubits), ocu._pairs(ins.qubits))
+    layered = ocu._concat_fallback(ins, model)
+    row = {(ch.name[:2], ch.qubits): i for i, ch in enumerate(model.channels)}
     sequential = np.concatenate(
-        [ocu._embed_member(g, model, qubits) for g in ins.gates], axis=1)
+        [ocu._embed_member(g, row, ins.qubits) for g in ins.gates], axis=1)
     assert layered.shape[1] < sequential.shape[1]
     u_layered = evolve(ControlPulses(layered, model.dt), model)
     u_sequential = evolve(ControlPulses(sequential, model.dt), model)
@@ -725,7 +725,7 @@ def test_layered_fallback_matches_sequential():
 def test_ocu_respects_adjacency():
     ocu = OptimalControlUnit(adjacency=lambda a, b: abs(a - b) == 1)
     ins = AggregatedInstruction([Gate(GateName.CNOT, (3, 4))])
-    assert ocu._model_for(list(ins.context)).pairs == ((0, 1),)
+    assert ocu._pairs(ins.qubits) == ((0, 1),)
     ins_far = AggregatedInstruction([Gate(GateName.H, (0,)),
                                      Gate(GateName.H, (5,))])
-    assert ocu._model_for(list(ins_far.context)).pairs == ()
+    assert ocu._pairs(ins_far.qubits) == ()

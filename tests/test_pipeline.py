@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from pulsecc import cli, optctrl
-from pulsecc.asm import emit_asm
+from pulsecc.asm import emit_asm, parse_asm
 from pulsecc.bench import (ising_chain, make_bench, maxcut_line, qaoa_circuit,
                            qaoa_triangle, uccsd)
-from pulsecc.gates import Circuit, Gate, GateName, circuit_unitary, phases_equal
+from pulsecc.gates import (Circuit, Gate, GateName, circuit_unitary,
+                           gates_unitary, phases_equal)
 from pulsecc.gdg import GDG, AggregatedInstruction, build_gdg
 from pulsecc.aggregator import MAX_WIDTH_LIMIT
 from pulsecc.latency import LatencyError, table_price
@@ -190,7 +191,8 @@ def test_unknown_latency_mode_rejected():
 
 @pytest.mark.parametrize("flag, value", [("--fidelity", "1.5"), ("--fidelity", "0"),
                                          ("--dt", "0"), ("--mu-max", "-1"),
-                                         ("--mu-max", "0"), ("--max-iters", "0")])
+                                         ("--mu-max", "0"), ("--max-iters", "0"),
+                                         ("--seed", "-1")])
 def test_invalid_pulse_options_rejected(flag, value):
     field = flag[2:].replace("-", "_")
     with pytest.raises(ValueError, match=field):
@@ -299,6 +301,33 @@ def test_oracle_compile_small_end_to_end(tmp_path):
     assert (tmp_path / "verification.json").exists()
     pulse_files = list((tmp_path / "pulses").glob("instr_*.json"))
     assert len(pulse_files) == len(m["instructions"])
+
+
+def test_pulse_files_read_against_manifest_qubits(tmp_path):
+    # a pulse file's channel wires are positions in its manifest entry's
+    # qubits, in that order, which need not be ascending
+    res = compile_circuit(parse_asm("qubits 2; cnot q1 q0; h q1;"),
+                          CompileOptions(strategy="isa", latency_mode="oracle"))
+    write_artifacts(res, tmp_path)
+    entries = json.loads((tmp_path / "manifest.json").read_text())["instructions"]
+    graph = json.loads((tmp_path / "gdg.json").read_text())
+    gates_of = {n["id"]: n["gates"] for n in graph["nodes"]}
+    assert any(e["qubits"] != sorted(e["qubits"]) for e in entries)
+    for entry in entries:
+        doc = json.loads((tmp_path / entry["pulse_file"]).read_text())
+        pairs = tuple(tuple(ch["qubits"]) for ch in doc["channels"]
+                      if len(ch["qubits"]) == 2)
+        # a channel's operator does not depend on its bound, so mu_max is moot
+        model = optctrl.HamiltonianModel(len(entry["qubits"]), pairs,
+                                         dt=doc["dt"])
+        assert [ch.name for ch in model.channels] == [
+            ch["name"] for ch in doc["channels"]]
+        u = optctrl.evolve(optctrl.ControlPulses(
+            np.array(doc["amplitudes"]), doc["dt"]), model)
+        gates = parse_asm(f"qubits {graph['num_qubits']};" + "".join(
+            f"{g};" for g in gates_of[entry["node"]])).gates
+        target = gates_unitary(gates, entry["qubits"])
+        assert 1.0 - optctrl.infidelity(u, target) >= 0.999
 
 
 class SlowMergeOCU(OptimalControlUnit):
