@@ -66,8 +66,7 @@ class Gate:
     custom_matrix: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if len(set(self.qubits)) != len(self.qubits):
-            raise GateError(f"{self.name.value}: duplicate qubit operands {self.qubits}")
+        self._check_operands()
         if not all(math.isfinite(p) for p in self.params):
             raise GateError(f"{self.name.value}: non-finite parameter in {self.params}")
         if self.name is GateName.CUSTOM:
@@ -90,10 +89,20 @@ class Gate:
                     f"{self.name.value} expects {_NUM_PARAMS.get(self.name, 0)} "
                     f"parameter(s), got {len(self.params)}")
 
+    def _check_operands(self):
+        if len(set(self.qubits)) != len(self.qubits):
+            raise GateError(f"{self.name.value}: duplicate qubit operands {self.qubits}")
+
     def remap(self, perm: dict[int, int]) -> "Gate":
-        """Return the same gate with qubit indices rewritten through perm."""
-        return Gate(self.name, tuple(perm[q] for q in self.qubits),
-                    self.params, self.custom_matrix)
+        """Return the same gate with qubit indices rewritten through perm.
+
+        Only the operands change, so only their duplicate check runs again:
+        the arity, parameter and matrix checks passed when self was built."""
+        g = object.__new__(Gate)
+        g.__dict__.update(self.__dict__,
+                          qubits=tuple(perm[q] for q in self.qubits))
+        g._check_operands()
+        return g
 
     def __repr__(self):
         args = f"({', '.join(f'{p:g}' for p in self.params)})" if self.params else ""

@@ -28,7 +28,9 @@ TWO_PI = 2.0 * math.pi
 # max_iters // 24 evaluations, misses ln(1 - threshold). The projection is
 # no proof: a stopped trial might have converged. It also ends at another
 # pulse, and min_time seeds later ladder rungs from the best failed pulse, so
-# a stop can change min_time's pulses. None turns it off.
+# a stop can change min_time's pulses. A hopeless rung still runs at least
+# max_iters // 8 evaluations per start, but on min_time's 2*dt segments, each
+# at about half the cost of one on dt. None turns it off.
 PLATEAU_RATE_FACTOR = 3.0
 # L-BFGS: curvature pairs kept, Armijo sufficient-decrease constant, and the
 # length in tanh parameters of a steepest-descent step: the first step and
@@ -180,6 +182,13 @@ def infidelity(u: np.ndarray, v_target: np.ndarray) -> float:
     return float(1.0 - (abs(tau) / d) ** 2)
 
 
+def _cold_theta(k: int, n: int, seed: int) -> np.ndarray:
+    """A cold start's tanh parameters for k channels and n steps: theta ~
+    U(-0.05, 0.05) drawn from seed, so the amplitudes bound * tanh(theta)
+    start near zero and the unitary near the identity."""
+    return np.random.default_rng(seed).uniform(-0.05, 0.05, size=(k, n))
+
+
 def _loss_and_gradient(u_amp: np.ndarray, m: HamiltonianModel,
                        v_target: np.ndarray):
     """Infidelity and its exact gradient w.r.t. every amplitude u_k(j).
@@ -283,7 +292,6 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
         return GrapeResult(ControlPulses(np.zeros((k, 0)), m.dt), fid, 0,
                            fid >= cfg.fidelity_threshold)
 
-    rng = np.random.default_rng(cfg.seed)
     if init_amplitudes is not None:
         if init_amplitudes.shape != (k, n):
             raise ControlError(f"warm start has shape {init_amplitudes.shape}, "
@@ -291,7 +299,7 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
         frac = np.clip(init_amplitudes / bounds, -0.999, 0.999)
         theta = np.arctanh(frac)
     else:
-        theta = rng.uniform(-0.05, 0.05, size=(k, n))
+        theta = _cold_theta(k, n, cfg.seed)
 
     def evaluate(th):
         t = np.tanh(th)
@@ -437,6 +445,27 @@ def _compress(amps: np.ndarray, n: int) -> np.ndarray:
     return np.diff([np.interp(at, np.arange(old + 1), a) for a in area])
 
 
+def _coarsen(amps: np.ndarray) -> np.ndarray:
+    """amps on segments twice as long: the mean of each pair of steps."""
+    k, n = amps.shape
+    return amps.reshape(k, n // 2, 2).mean(axis=2)
+
+
+def _onto_dt(res: GrapeResult, v_target: np.ndarray, m: HamiltonianModel,
+             cfg: OptimizerConfig) -> GrapeResult:
+    """A trial on 2*m.dt segments as a pulse on m's steps, each segment
+    repeated, which keeps its unitary. A success counts once evolve on m
+    confirms it; a success that falls short there is polished on m."""
+    pulses = ControlPulses(np.repeat(res.pulses.amplitudes, 2, axis=1), m.dt)
+    if not res.converged:
+        return GrapeResult(pulses, res.fidelity, res.iterations, False)
+    fid = 1.0 - infidelity(evolve(pulses, m), v_target)
+    if fid >= cfg.fidelity_threshold:
+        return GrapeResult(pulses, fid, res.iterations, True)
+    return grape_optimize(v_target, m, pulses.duration_ns, cfg,
+                          init_amplitudes=pulses.amplitudes)
+
+
 def min_time(v_target: np.ndarray, m: HamiltonianModel,
              cfg: OptimizerConfig | None = None,
              fallback_amplitudes: np.ndarray | None = None
@@ -444,14 +473,22 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     """Shortest duration achieving the fidelity threshold, by bisection.
 
     Doubles an upper bound until success, then bisects with resolution
-    4*dt: every bisection trial is a multiple of 4*dt. A doubling rung
-    starts from the failed trial with the best fidelity so far, if one beat
-    the identity, stretched onto its steps (_compress: with zero drift an
-    integer stretch keeps the unitary, and no stretch raises an amplitude),
-    and only if that fails, runs cold. A bisection trial starts from the best
-    found pulses compressed onto its steps and, only if that fails, reruns
-    from them truncated. The result is on that grid too, unless it is the
-    fallback's own duration and that is not.
+    4*dt: every bisection trial is a multiple of 4*dt. A doubling rung only
+    has to find a duration that works, so it runs on segments of 2*dt, a
+    model with m's channels and step 2*m.dt: a pulse constant over each
+    segment is exactly a pulse on dt steps (np.repeat), and a segment costs
+    one eigendecomposition, as a step does, so an evaluation costs about
+    half as much. A rung starts from the failed trial with the best fidelity
+    so far, if one beat the identity, stretched onto its dt steps (_compress:
+    with zero drift an integer stretch keeps the unitary, and no stretch
+    raises an amplitude), and only if that fails, from grape_optimize's cold
+    draw on dt steps. Each start is averaged onto the segments, and each
+    result is repeated back onto dt; a success counts once evolve on m
+    confirms it (_onto_dt). The fallback polish and every bisection trial
+    run on m. A bisection trial starts from the best found pulses compressed
+    onto its steps and, only if that fails, reruns from them truncated. The
+    result is on that grid too, unless it is the fallback's own duration and
+    that is not. Either way it is a pulse on m's dt steps.
 
     fallback_amplitudes, when given, is a pulse table that approximates the
     target, e.g. the layered member pulses of a merged instruction. Its
@@ -494,23 +531,29 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
                 raise ConvergenceError(
                     f"no coupling crosses the cut of model qubits {part}, and no "
                     f"product across it exceeds fidelity {bound:.6f}", fid0)
+    coarse = HamiltonianModel(m.num_qubits, m.pairs, m.mu_max, 2 * m.dt)
     fb = fallback_amplitudes
     fb_steps = fb.shape[1] if fb is not None else None
     steps = BISECT_RESOLUTION_STEPS
     success = None
     while success is None and steps * m.dt <= CAP_NS:
         if fb is not None and fb_steps <= steps:
-            n_try, starts, fb = fb_steps, [fb], None
-        else:   # a rung: the best failure stretched, then cold
-            n_try, starts = steps, [None]
+            n_try, starts, fb = fb_steps, [(m, fb)], None
+        else:   # a rung: the best failure stretched, then cold, on 2*dt
+            n_try = steps
+            fine = [m.bounds[:, None] * np.tanh(
+                _cold_theta(len(m.channels), steps, cfg.seed))]
             if seed.iterations:
-                starts.insert(0, _compress(seed.pulses.amplitudes, steps))
+                fine.insert(0, _compress(seed.pulses.amplitudes, steps))
+            starts = [(coarse, _coarsen(a)) for a in fine]
             steps *= 2
         if n_try * m.dt < t_min:
             continue
-        for init in starts:
-            res = grape_optimize(v_target, m, n_try * m.dt, cfg,
+        for model, init in starts:
+            res = grape_optimize(v_target, model, n_try * m.dt, cfg,
                                  init_amplitudes=init)
+            if model is coarse:
+                res = _onto_dt(res, v_target, m, cfg)
             if res.converged:
                 success = (n_try, res)
                 break

@@ -64,6 +64,23 @@ def test_gate_validation():
             Gate(GateName.CPHASE, (0, 1), (angle,))
 
 
+def test_remap_equals_the_gate_built_on_the_new_operands():
+    custom = np.diag([1, 1j, -1, -1j])
+    for g in (Gate(GateName.CNOT, (2, 5)), Gate(GateName.RX, (3,), (0.7,)),
+              Gate(GateName.CUSTOM, (0, 4), (), custom)):
+        perm = {q: 10 - q for q in g.qubits}
+        moved = g.remap(perm)
+        built = Gate(g.name, tuple(perm[q] for q in g.qubits), g.params,
+                     g.custom_matrix)
+        assert moved == built and hash(moved) == hash(built)
+        assert moved.custom_matrix is g.custom_matrix and g.qubits != moved.qubits
+
+
+def test_remap_rejects_merged_operands():
+    with pytest.raises(GateError, match="duplicate"):
+        Gate(GateName.CNOT, (0, 1)).remap({0: 3, 1: 3})
+
+
 def test_embed_matches_kron_for_msb_gate():
     g = Gate(GateName.H, (0,))
     full = embed(g, [0, 1])

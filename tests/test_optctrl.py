@@ -16,6 +16,8 @@ from pulsecc.optctrl import (BISECT_RESOLUTION_STEPS, ControlError,
                              fingerprint, gradient, grape_optimize,
                              infidelity, min_time, min_time_bound)
 
+from pulsecc.verify import verify_instruction
+
 from conftest import einsum_gradient, einsum_steps
 
 
@@ -192,15 +194,16 @@ def test_bisection_trials_stay_on_resolution_grid(monkeypatch, model1,
     # a fake optimizer: the doubling fails up to 64 steps, each rung after
     # the first from the stretched best failure and then cold; then the
     # fallback polish succeeds, and every bisection trial below it must stay
-    # on the 4*dt grid
+    # on the 4*dt grid. Durations are counted in dt steps, since the rungs
+    # run on a model with step 2*dt
     trials = []
 
     def fake_grape(v_target, m, duration_ns, cfg=None, init_amplitudes=None):
-        n = int(round(duration_ns / m.dt))
+        n = int(round(duration_ns / model1.dt))
         trials.append(n)
         assert len(trials) < 50, f"bisection does not terminate: {trials}"
         ok = n >= converge_from
-        amps = np.zeros((len(m.channels), n))
+        amps = np.zeros((len(m.channels), int(round(duration_ns / m.dt))))
         return GrapeResult(ControlPulses(amps, m.dt), 0.9995 if ok else 0.99,
                            1, ok)
 
@@ -320,63 +323,170 @@ CRITERION_9 = pytest.mark.parametrize(
               ZZ_BLOCK], ids=["cnot", "swap", "cnot-rz-cnot"])
 
 
-def test_zz_block_retries_the_truncated_start(monkeypatch):
-    # the compressed 8 ns pulse fails at 6 ns where its truncation converges,
-    # so the bisection must rerun a failed compressed trial truncated
-    trials = []
-
-    def recording_grape(v_target, m, duration_ns, cfg=None,
-                        init_amplitudes=None):
-        res = real_grape(v_target, m, duration_ns, cfg, init_amplitudes)
-        trials.append((duration_ns, init_amplitudes, res))
-        return res
-
-    real_grape = optctrl.grape_optimize
-    monkeypatch.setattr(optctrl, "grape_optimize", recording_grape)
+def test_zz_block_reaches_6_ns():
+    # criterion 9's CNOT-Rz-CNOT block: its 8 ns rung converges, and the
+    # pulse compressed from it converges at 6 ns
     ocu = OptimalControlUnit(adjacency=lambda a, b: abs(a - b) == 1)
-    t, _, _ = ocu.synthesize(AggregatedInstruction(list(ZZ_BLOCK)))
-    assert t == 6.0
-    at_6 = [i for i, (d, _, _) in enumerate(trials) if d == 6.0]
-    assert len(at_6) == 2 and at_6[1] == at_6[0] + 1
-    (_, _, best), (_, squeezed, first), (_, cut, second) = \
-        trials[at_6[0] - 1:at_6[1] + 1]
-    amps = best.pulses.amplitudes
-    assert best.converged and amps.shape[1] > 12
-    assert np.array_equal(squeezed, optctrl._compress(amps, 12))
-    assert np.array_equal(cut, amps[:, :12])
-    assert not first.converged and second.converged
+    t, res, _ = ocu.synthesize(AggregatedInstruction(list(ZZ_BLOCK)))
+    assert t == 6.0 and res.converged and res.pulses.steps == 12
+
+
+def test_bisection_retries_the_truncated_start(monkeypatch, model2):
+    # a fake optimizer: every rung fails and the fallback polish converges;
+    # below it, a compressed start fails and the truncated one converges, so
+    # each bisection trial must rerun a failed compressed start truncated
+    trials = []
+    fallback = np.random.default_rng(3).uniform(
+        -0.01, 0.01, size=(len(model2.channels), 32))
+
+    def fake_grape(v_target, m, duration_ns, cfg=None, init_amplitudes=None):
+        n = int(round(duration_ns / m.dt))
+        trials.append((m.dt, n, init_amplitudes))
+        ok = m is model2 and (n == 32 or np.array_equal(
+            init_amplitudes, fallback[:, :n]))
+        return GrapeResult(ControlPulses(init_amplitudes, m.dt),
+                           0.9995 if ok else 0.99, 1, ok)
+
+    monkeypatch.setattr(optctrl, "grape_optimize", fake_grape)
+    monkeypatch.setattr(optctrl, "min_time_bound", lambda *args: 0.0)
+    t, res = min_time(gate_unitary(Gate(GateName.CNOT, (0, 1))), model2,
+                      fallback_amplitudes=fallback)
+    polish = next(i for i, (_, n, _) in enumerate(trials) if n == 32)
+    assert all(dt == 2 * model2.dt for dt, _, _ in trials[:polish])
+    bisection = trials[polish + 1:]
+    assert [n for _, n, _ in bisection] == [24, 24, 20, 20]
+    best = fallback
+    for (_, n, squeezed), (_, _, cut) in zip(bisection[::2], bisection[1::2]):
+        assert np.array_equal(squeezed, optctrl._compress(best, n))
+        assert np.array_equal(cut, best[:, :n])
+        best = cut
+    assert t == 20 * model2.dt and np.array_equal(res.pulses.amplitudes, best)
 
 
 def test_ladder_rung_starts_from_the_best_failure_stretched(monkeypatch):
     # with the bound off, the SWAP's rungs fail up to 16 ns: each rung after
-    # the first starts from the best failure so far stretched onto its steps,
-    # and a cold trial follows only if that start fails
+    # the first starts from the best failure so far stretched onto its dt
+    # steps and averaged onto 2*dt segments, and a cold trial follows only if
+    # that start fails, from grape_optimize's cold draw averaged the same way
     trials = []
+    model = HamiltonianModel.build(2)
+    cfg = OptimizerConfig()
 
     def recording_grape(v_target, m, duration_ns, cfg=None,
                         init_amplitudes=None):
         res = real_grape(v_target, m, duration_ns, cfg, init_amplitudes)
-        trials.append((int(round(duration_ns / m.dt)), init_amplitudes, res))
+        trials.append((int(round(duration_ns / model.dt)), m.dt,
+                       init_amplitudes, res))
+        return res
+
+    def cold(n):
+        theta = optctrl._cold_theta(len(model.channels), n, cfg.seed)
+        return optctrl._coarsen(model.bounds[:, None] * np.tanh(theta))
+
+    def on_dt(res):
+        return np.repeat(res.pulses.amplitudes, 2, axis=1)
+
+    real_grape = optctrl.grape_optimize
+    monkeypatch.setattr(optctrl, "grape_optimize", recording_grape)
+    monkeypatch.setattr(optctrl, "min_time_bound", lambda *args: 0.0)
+    min_time(gate_unitary(Gate(GateName.SWAP, (0, 1))), model, cfg)
+    n, dt, start, best = trials[0]
+    assert n == BISECT_RESOLUTION_STEPS and dt == 2 * model.dt
+    assert np.array_equal(start, cold(n))
+    i = 1
+    while True:
+        n, dt, stretched, res = trials[i]
+        assert dt == 2 * model.dt
+        assert np.array_equal(stretched, optctrl._coarsen(
+            optctrl._compress(on_dt(best), n)))
+        if res.converged:
+            break
+        n_cold, dt, start, res_cold = trials[i + 1]
+        assert n_cold == n and dt == 2 * model.dt
+        assert np.array_equal(start, cold(n))
+        best = max(best, res, res_cold, key=lambda r: r.fidelity)
+        i += 2
+    assert i == 7 and n == 64 and trials[i + 1][0] < n
+    assert trials[i + 1][1] == model.dt
+
+
+def test_cold_draw_is_grape_optimizes_own(model1):
+    # one evaluation from the shared draw's amplitudes is the cold start's
+    cfg = OptimizerConfig(max_iters=1)
+    theta = optctrl._cold_theta(len(model1.channels), 6, cfg.seed)
+    x = gate_unitary(Gate(GateName.X, (0,)))
+    cold = grape_optimize(x, model1, 6 * model1.dt, cfg)
+    assert np.array_equal(cold.pulses.amplitudes,
+                          model1.bounds[:, None] * np.tanh(theta))
+
+
+def test_repeated_coarse_pulse_keeps_the_unitary():
+    # a pulse constant over 2*dt segments is exactly a pulse on dt steps
+    m = HamiltonianModel.build(3, [(0, 1), (1, 2)])
+    coarse = HamiltonianModel(m.num_qubits, m.pairs, m.mu_max, 2 * m.dt)
+    segments = np.random.default_rng(6).uniform(-0.05, 0.05,
+                                                size=(len(m.channels), 7))
+    u_coarse = evolve(ControlPulses(segments, coarse.dt), coarse)
+    u_fine = evolve(ControlPulses(np.repeat(segments, 2, axis=1), m.dt), m)
+    assert np.abs(u_fine - u_coarse).max() <= 1e-12
+
+
+def test_rungs_run_on_2dt_and_the_rest_on_dt(monkeypatch, model2):
+    # with the bound off, the CNOT's rungs at 2, 4 and 8 ns fail before the
+    # fallback's 14 ns polish: every rung runs on the 2*dt model, and the
+    # polish and every bisection trial on model2 itself
+    trials = []
+    fallback = np.zeros((len(model2.channels), 28))
+
+    def recording_grape(v_target, m, duration_ns, cfg=None,
+                        init_amplitudes=None):
+        res = real_grape(v_target, m, duration_ns, cfg, init_amplitudes)
+        trials.append((m, init_amplitudes is fallback, res.converged))
         return res
 
     real_grape = optctrl.grape_optimize
     monkeypatch.setattr(optctrl, "grape_optimize", recording_grape)
     monkeypatch.setattr(optctrl, "min_time_bound", lambda *args: 0.0)
-    min_time(gate_unitary(Gate(GateName.SWAP, (0, 1))),
-             HamiltonianModel.build(2))
-    n, cold, best = trials[0]
-    assert n == BISECT_RESOLUTION_STEPS and cold is None
-    i = 1
-    while True:
-        n, stretched, res = trials[i]
-        assert np.array_equal(stretched,
-                              optctrl._compress(best.pulses.amplitudes, n))
-        if res.converged:
-            break
-        assert trials[i + 1][:2] == (n, None)
-        best = max(best, res, trials[i + 1][2], key=lambda r: r.fidelity)
-        i += 2
-    assert i == 7 and n == 64 and trials[i + 1][0] < n
+    t, res = min_time(gate_unitary(Gate(GateName.CNOT, (0, 1))), model2,
+                      fallback_amplitudes=fallback)
+    first = next(i for i, (_, _, ok) in enumerate(trials) if ok)
+    ladder, bisection = trials[:first + 1], trials[first + 1:]
+    rungs = [m for m, from_fallback, _ in ladder if not from_fallback]
+    assert len(rungs) >= 5 and len(ladder) - len(rungs) == 1
+    assert all(m is not model2 and m.dt == 2 * model2.dt
+               and m.pairs == model2.pairs for m in rungs)
+    assert all(m is model2 for m, from_fallback, _ in ladder if from_fallback)
+    assert bisection and all(m is model2 for m, _, _ in bisection)
+    assert res.pulses.dt == model2.dt and t == res.pulses.duration_ns
+
+
+@pytest.mark.parametrize("gates", [
+    [Gate(GateName.X, (0,))],
+    [Gate(GateName.H, (0,)), Gate(GateName.RX, (1,), (0.3,))]],
+    ids=["x", "local"])
+def test_coarse_rung_result_verifies_on_dt(monkeypatch, gates):
+    # these targets converge on their first rung and bisect no further, so
+    # min_time, with no fallback, returns the coarse pulse repeated onto dt
+    trials = []
+
+    def recording_grape(*args, **kwargs):
+        res = real_grape(*args, **kwargs)
+        trials.append((args[1], res))
+        return res
+
+    real_grape = optctrl.grape_optimize
+    monkeypatch.setattr(optctrl, "grape_optimize", recording_grape)
+    ins = AggregatedInstruction(list(gates))
+    model = HamiltonianModel.build(len(ins.qubits))
+    cfg = OptimizerConfig()
+    t, res = min_time(ins.target_unitary, model, cfg)
+    coarse, found = trials[-1]
+    assert coarse.dt == 2 * model.dt and found.converged
+    assert res.pulses.dt == model.dt and res.pulses.steps == round(t / model.dt)
+    assert np.array_equal(res.pulses.amplitudes,
+                          np.repeat(found.pulses.amplitudes, 2, axis=1))
+    fid = verify_instruction(ins, res.pulses, model)
+    assert fid >= cfg.fidelity_threshold and fid == res.fidelity
 
 
 @pytest.mark.parametrize("old, new", [(7, 14), (5, 15)])
