@@ -32,6 +32,8 @@ TWO_PI = 2.0 * math.pi
 # max_iters // 8 evaluations per start, but on min_time's 2*dt segments, each
 # at about half the cost of one on dt. None turns it off.
 PLATEAU_RATE_FACTOR = 3.0
+# GRAPE switches to Levenberg-Marquardt at a loss <= this * (1 - threshold)
+ENDGAME_FACTOR = 3.0
 # L-BFGS: curvature pairs kept, Armijo sufficient-decrease constant, and the
 # length in tanh parameters of a steepest-descent step: the first step and
 # every restart
@@ -67,20 +69,27 @@ class Channel:
 @dataclass
 class HamiltonianModel:
     """The module's model on num_qubits qubits with an XY channel on each pair
-    (a, b), a < b; channels and ops are derived from the fields."""
+    (a, b), 0 <= a < b < num_qubits, none repeated (ControlError otherwise);
+    channels and ops are derived from the fields."""
     num_qubits: int
     pairs: tuple[tuple[int, int], ...]
     mu_max: float = MU_MAX_DEFAULT
     dt: float = DT_DEFAULT
     channels: list[Channel] = field(init=False, repr=False, compare=False)
     # 2*pi*H_k stacked over channels, K x d x d: the step Hamiltonian per unit
-    # amplitude, shared by the propagators and the gradient
+    # amplitude, shared by the propagators and the derivatives
     ops: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dt <= 0 or self.mu_max <= 0:
             raise ControlError(f"dt and mu_max must be positive, not "
                                f"{self.dt} and {self.mu_max}")
+        for a, b in self.pairs:
+            if not 0 <= a < b < self.num_qubits:
+                raise ControlError(f"pair {(a, b)} is not (a, b) with 0 <= a "
+                                   f"< b < {self.num_qubits}")
+        if len(set(self.pairs)) < len(self.pairs):
+            raise ControlError(f"pairs {self.pairs} repeat a pair")
         wires = range(self.num_qubits)
         u1 = SINGLE_QUBIT_FACTOR * self.mu_max
         self.channels = [
@@ -146,6 +155,8 @@ class OptimizerConfig:
             raise ControlError("fidelity threshold must be in (0, 1]")
         if self.max_iters < 1:
             raise ControlError("max_iters must be at least 1")
+        if self.seed < 0:
+            raise ControlError(f"seed must be non-negative, not {self.seed}")
 
 
 def _step_propagators(u: np.ndarray, m: HamiltonianModel):
@@ -155,7 +166,7 @@ def _step_propagators(u: np.ndarray, m: HamiltonianModel):
     lam, q = np.linalg.eigh(h)
     phase = np.exp(-1j * lam * m.dt)
     steps = (q * phase[:, None, :]) @ np.swapaxes(q.conj(), 1, 2)
-    return steps, lam, q, phase
+    return steps, lam, q
 
 
 def evolve(p: ControlPulses, m: HamiltonianModel) -> np.ndarray:
@@ -189,46 +200,61 @@ def _cold_theta(k: int, n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-0.05, 0.05, size=(k, n))
 
 
-def _loss_and_gradient(u_amp: np.ndarray, m: HamiltonianModel,
-                       v_target: np.ndarray):
-    """Infidelity and its exact gradient w.r.t. every amplitude u_k(j).
+def _derivative_parts(u_amp: np.ndarray, m: HamiltonianModel):
+    """The forward products F_0 = I, F_j = U_j ... U_1, and per step the
+    eigenvectors Q_j, A_j = Q_j^dag F_{j-1} and weights w_j of the one
+    derivative formula, exact for piecewise-constant controls:
 
-    Uses the eigendecomposition form of the matrix-exponential directional
-    derivative, so the gradient is exact for piecewise-constant controls.
-    With N steps, K channels and dimension d it costs O(N d^3 + K N d^2).
+        dU/du_kj = U A_j^dag (w_j o Q_j^dag G_k Q_j) A_j,   U = F_N,
+
+    since U_N ... U_{j+1} Q_j = U F_j^dag Q_j = U A_j^dag diag(conj phase_j).
+    w_j = diag(conj phase_j) phi_j, phi_j the divided differences of f(x) =
+    exp(-i x dt) over step j's eigenvalues, is -i dt e^{i g} sinc(g), g =
+    (la - lb) dt / 2, e^{i g} = conj(h_a) h_b with h = e^{-i la dt / 2}: free
+    of cancellation, and the derivative on degenerate pairs (idle qubits).
     """
-    n = u_amp.shape[1]
-    d = m.dim
-    steps, lam, q, phase = _step_propagators(u_amp, m)
-
-    fwd = np.empty((n + 1, d, d), dtype=complex)  # fwd[j] = U_j ... U_1
+    n, d = u_amp.shape[1], m.dim
+    steps, lam, q = _step_propagators(u_amp, m)
+    fwd = np.empty((n + 1, d, d), dtype=complex)
     fwd[0] = np.eye(d)
     for j in range(n):
         np.matmul(steps[j], fwd[j], out=fwd[j + 1])
+    half = np.exp(-0.5j * m.dt * lam)
+    gap = 0.5 * m.dt * (lam[:, :, None] - lam[:, None, :])
+    w = (-1j * m.dt * half.conj()[:, :, None] * half[:, None, :]
+         * np.sinc(gap / np.pi))
+    return fwd, q, np.swapaxes(q.conj(), 1, 2) @ fwd[:n], w
+
+
+def _loss_and_gradient(u_amp: np.ndarray, m: HamiltonianModel,
+                       v_target: np.ndarray):
+    """Infidelity and its exact gradient w.r.t. every amplitude u_k(j):
+    d tau / du_kj = Tr(V^dag dU/du_kj) by _derivative_parts' formula.
+    With N steps, K channels and dimension d it costs O(N d^3 + K N d^2).
+    """
+    fwd, q, a, w = _derivative_parts(u_amp, m)
+    n, d = len(a), m.dim
     vu = v_target.conj().T @ fwd[n]
     tau = np.trace(vu)
     loss = 1.0 - (abs(tau) / d) ** 2
 
-    # divided differences of f(x) = exp(-i x dt) over step eigenvalues, as
-    # -i dt e^{-i(la+lb)dt/2} sinc((la-lb)dt/2): free of cancellation, and
-    # the derivative on degenerate pairs, e.g. an idle qubit's
-    half = np.exp(-0.5j * m.dt * lam)
-    gap = 0.5 * m.dt * (lam[:, :, None] - lam[:, None, :])
-    phi = (-1j * m.dt * half[:, :, None] * half[:, None, :]
-           * np.sinc(gap / np.pi))
-
-    # X_j = Q^dag F_{j-1} V^dag (U_N ... U_{j+1}) Q = A (V^dag U) A^dag
-    # diag(conj phase_j) with A = Q^dag F_{j-1}, since U_N ... U_{j+1} =
-    # U F_j^dag and F_j^dag Q = F_{j-1}^dag Q diag(conj phase_j); the trace
-    # identity Tr(X (phi o Q^dag G_k Q)) = sum_cd G_k[c, d] M[c, d]
-    # with M = conj(Q) (X^T o phi) Q^T contracts each G_k once per step
-    qt = np.swapaxes(q, 1, 2)
-    a = qt.conj() @ fwd[:n]
-    x = a @ vu @ np.swapaxes(a.conj(), 1, 2) * phase.conj()[:, None, :]
-    mm = q.conj() @ (np.swapaxes(x, 1, 2) * phi) @ qt
+    # Tr(V^dag U A^dag (w o Q^dag G_k Q) A) = Tr(X (w o Q^dag G_k Q)) with
+    # X = A (V^dag U) A^dag, and the trace identity Tr(X (w o Q^dag G_k Q))
+    # = sum_cd G_k[c, d] M[c, d] with M = conj(Q) (X^T o w) Q^T contracts
+    # each G_k once per step
+    x = a @ vu @ np.swapaxes(a.conj(), 1, 2)
+    mm = q.conj() @ (np.swapaxes(x, 1, 2) * w) @ np.swapaxes(q, 1, 2)
     dtau = m.ops.reshape(-1, d * d) @ mm.reshape(n, d * d).T
     grad = (-2.0 / d ** 2) * np.real(np.conj(tau) * dtau)
     return loss, grad
+
+
+def _jacobian(u_amp: np.ndarray, m: HamiltonianModel):
+    """U and U^dag dU/du_kj for every channel k and step j (K x N x d x d),
+    by _derivative_parts' formula."""
+    fwd, q, a, w = _derivative_parts(u_amp, m)
+    y = np.swapaxes(q.conj(), 1, 2) @ m.ops[:, None] @ q
+    return fwd[-1], np.swapaxes(a.conj(), 1, 2) @ (w * y) @ a
 
 
 def gradient(p: ControlPulses, m: HamiltonianModel,
@@ -264,17 +290,25 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
 def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
                    duration_ns: float, cfg: OptimizerConfig | None = None,
                    init_amplitudes: np.ndarray | None = None) -> GrapeResult:
-    """L-BFGS on infidelity over tanh-bounded pulses u = bound * tanh(theta).
+    """L-BFGS on infidelity over tanh-bounded pulses u = bound * tanh(theta),
+    finished by Levenberg-Marquardt steps.
 
-    Every loss and gradient evaluation, line-search trials included, counts
-    as one of max_iters iterations. A backtracking Armijo line search accepts
-    only descent, so the losses at accepted iterates never increase and a
-    warm start that already meets the threshold returns unchanged after one
-    evaluation. A curvature pair with s.y <= 0 is skipped and clears the
-    memory, since stale pairs crawl along a saddle's negative curvature; so
-    does a direction that is not a descent direction. With no pairs the step
-    is steepest descent of length STEEPEST_STEP_NORM. A trial whose recent
-    rate cannot reach the threshold stops early (PLATEAU_RATE_FACTOR).
+    A backtracking Armijo line search accepts only descent, so the losses at
+    accepted iterates never increase and a warm start that already meets
+    the threshold returns unchanged after one evaluation. A curvature pair
+    with s.y <= 0 is skipped and clears the memory, since stale pairs crawl
+    along a saddle's negative curvature; so does a direction that is not a
+    descent direction. With no pairs the step is steepest descent of length
+    STEEPEST_STEP_NORM. Once an accepted loss is at most ENDGAME_FACTOR * (1
+    - threshold), where L-BFGS creeps, the trial takes Gauss-Newton steps on
+    the residual U - e^{i alpha} V, alpha = arg Tr(V^dag U) reset each step:
+    delta = -J^T (J J^T + lambda I)^{-1} r, solved in residual space with d^2
+    unknowns, never over the K N parameters. A step is kept only if the
+    infidelity falls; lambda shrinks fourfold when it does and grows
+    fourfold when it does not. Every loss and gradient evaluation,
+    line-search trial, Jacobian and Levenberg-Marquardt step counts as one
+    of max_iters iterations. A trial whose recent rate cannot reach the
+    threshold stops early (PLATEAU_RATE_FACTOR).
     """
     cfg = cfg or OptimizerConfig()
     if v_target.shape != (m.dim, m.dim):
@@ -307,46 +341,81 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
         loss, grad_u = _loss_and_gradient(u, m, v_target)
         return u, loss, grad_u * bounds * (1.0 - t ** 2)
 
+    def system(th):
+        # J^T (a row per theta entry), J J^T and r, rotated by U^dag: U^dag
+        # maps J's columns to anti-Hermitian X, and Re X + Im X is an
+        # isometry onto d x d reals; neither the rotation nor dropping the
+        # Hermitian part of U^dag r, orthogonal to J's range, moves the step
+        t = np.tanh(th)
+        big_u, jac = _jacobian(bounds * t, m)
+        uv = big_u.conj().T @ v_target
+        uv *= np.exp(-1j * np.angle(np.trace(uv)))
+        r = 0.5 * (uv.conj().T - uv)
+        jt = (jac.real + jac.imag).reshape(k * n, -1) * (
+            bounds * (1.0 - t ** 2)).reshape(-1, 1)
+        return jt, jt.T @ jt, (r.real + r.imag).ravel()
+
     target_loss = 1.0 - cfg.fidelity_threshold
     window, check_from = cfg.max_iters // 24, cfg.max_iters // 8
     project = PLATEAU_RATE_FACTOR is not None and window > 0 and target_loss > 0
     ells = deque(maxlen=window + 1)   # ln(loss) over the last window steps
     pairs = deque(maxlen=LBFGS_MEMORY)
-    trial = theta
+    trial, endgame, jt, damping = theta, False, None, None
 
     for it in range(1, cfg.max_iters + 1):
-        u_t, loss_t, g_t = evaluate(trial)
-        if loss_t <= target_loss:
-            return GrapeResult(ControlPulses(u_t, m.dt), 1.0 - loss_t, it, True)
-        if it == 1 or loss_t <= loss + ARMIJO_C1 * alpha * slope:
-            if it > 1:
-                s, y = trial - theta, g_t - g
-                sy = np.vdot(s, y)
-                if sy > 0:
-                    pairs.append((s, y, 1.0 / sy))
-                else:   # negative curvature, which the pairs cannot model
-                    pairs.clear()
-            theta, u, loss, g = trial, u_t, loss_t, g_t
-            if pairs:
-                direction = _lbfgs_direction(g, pairs)
-                slope = np.vdot(g, direction)
-            if not pairs or slope >= 0:   # first step or restart
-                pairs.clear()
-                norm = np.linalg.norm(g)
-                if norm == 0:   # stationary: no descent direction left
-                    break
-                direction = g * (-STEEPEST_STEP_NORM / norm)
-                slope = -STEEPEST_STEP_NORM * norm
-            alpha = 1.0
+        if endgame and jt is None:   # the Jacobian at the accepted iterate
+            jt, gram, r = system(theta)
+            if damping is None:
+                damping = 1e-3 * np.trace(gram) / len(r)
         else:
-            alpha *= 0.5
+            if endgame:   # a Levenberg-Marquardt step
+                step = jt @ np.linalg.solve(gram + damping * np.eye(len(r)), r)
+                trial = theta - step.reshape(k, n)
+                u_t = bounds * np.tanh(trial)
+                loss_t = infidelity(evolve(ControlPulses(u_t, m.dt), m),
+                                    v_target)
+            else:
+                u_t, loss_t, g_t = evaluate(trial)
+            if loss_t <= target_loss:
+                return GrapeResult(ControlPulses(u_t, m.dt), 1.0 - loss_t, it,
+                                   True)
+            if endgame:   # kept only if the loss falls
+                if loss_t < loss:
+                    theta, u, loss, jt = trial, u_t, loss_t, None
+                    damping /= 4
+                else:
+                    damping *= 4
+            elif it == 1 or loss_t <= loss + ARMIJO_C1 * alpha * slope:
+                if it > 1:
+                    s, y = trial - theta, g_t - g
+                    sy = np.vdot(s, y)
+                    if sy > 0:
+                        pairs.append((s, y, 1.0 / sy))
+                    else:   # negative curvature, which the pairs cannot model
+                        pairs.clear()
+                theta, u, loss, g = trial, u_t, loss_t, g_t
+                endgame = loss <= ENDGAME_FACTOR * target_loss
+                if pairs:
+                    direction = _lbfgs_direction(g, pairs)
+                    slope = np.vdot(g, direction)
+                if not pairs or slope >= 0:   # first step or restart
+                    pairs.clear()
+                    norm = np.linalg.norm(g)
+                    if norm == 0:   # stationary: no descent direction left
+                        break
+                    direction = g * (-STEEPEST_STEP_NORM / norm)
+                    slope = -STEEPEST_STEP_NORM * norm
+                alpha = 1.0
+            else:
+                alpha *= 0.5
+            if not endgame:
+                trial = theta + alpha * direction
         if project:
             ells.append(math.log(loss))  # every loss > target_loss > 0
             if it >= check_from and ells[-1] - PLATEAU_RATE_FACTOR * (
                     ells[0] - ells[-1]) / window * (cfg.max_iters - it) \
                     > math.log(target_loss):
                 return GrapeResult(ControlPulses(u, m.dt), 1.0 - loss, it, False)
-        trial = theta + alpha * direction
 
     return GrapeResult(ControlPulses(u, m.dt), 1.0 - loss, it, False)
 

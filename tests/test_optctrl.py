@@ -228,34 +228,112 @@ def test_grape_converges_on_hadamard(model1):
 
 
 def test_accepted_losses_never_increase(monkeypatch, model2):
-    # a rejected line-search trial theta_i is followed by one halfway back to
-    # the accepted iterate, theta_i = 2 theta_{i+1} - theta_base; every other
-    # trial was accepted and must not raise the loss of the iterate it left
+    # every evaluation of both phases, in order: L-BFGS's losses and
+    # gradients ("g"), then Jacobians ("J") and Levenberg-Marquardt steps
+    # ("t"). A rejected line-search trial theta_i is followed by one halfway
+    # back to the accepted iterate, theta_i = 2 theta_{i+1} - theta_base; a
+    # step is kept exactly when a Jacobian follows it, and each Jacobian is
+    # taken at the accepted iterate. Every other trial was accepted and must
+    # not raise the loss of the iterate it left. At 14 ns, near the CNOT's
+    # minimum time, the endgame both keeps and drops steps
+    target = gate_unitary(Gate(GateName.CNOT, (0, 1)))
     evals = []
 
-    def recording(u_amp, m, v_target):
-        out = real(u_amp, m, v_target)
-        evals.append((u_amp / m.bounds[:, None], out[0]))
-        return out
+    def record(kind, real, loss):
+        def call(u_amp, m, *rest):
+            out = real(u_amp, m, *rest)
+            amps = getattr(u_amp, "amplitudes", u_amp)
+            evals.append((kind, amps / m.bounds[:, None], loss(out)))
+            return out
+        return call
 
-    real = optctrl._loss_and_gradient
-    monkeypatch.setattr(optctrl, "_loss_and_gradient", recording)
-    res = grape_optimize(gate_unitary(Gate(GateName.CNOT, (0, 1))), model2,
-                         16.0)
+    monkeypatch.setattr(optctrl, "_loss_and_gradient", record(
+        "g", optctrl._loss_and_gradient, lambda out: out[0]))
+    monkeypatch.setattr(optctrl, "_jacobian", record(
+        "J", optctrl._jacobian, lambda out: infidelity(out[0], target)))
+    monkeypatch.setattr(optctrl, "evolve", record(
+        "t", optctrl.evolve, lambda out: infidelity(out, target)))
+    res = grape_optimize(target, model2, 14.0)
     assert res.converged and res.iterations == len(evals)
-    base, accepted, rejected = evals[0], [evals[0][1]], 0
+    kinds = "".join(kind for kind, _, _ in evals)
+    assert kinds.startswith("g") and "tJ" in kinds and "tt" in kinds
+    base, accepted, rejected = evals[0][1:], [evals[0][2]], 0
     with np.errstate(divide="ignore"):   # trials may saturate a bound
-        for (frac, loss), (nxt, _) in zip(evals[1:], evals[2:]):
-            back = np.tanh(2 * np.arctanh(nxt) - np.arctanh(base[0]))
-            if np.allclose(back, frac, rtol=0, atol=1e-9):
-                rejected += 1
+        for (kind, frac, loss), (nkind, nxt, _) in zip(evals[1:], evals[2:]):
+            if kind == "J":
+                assert np.array_equal(frac, base[0])
+                continue
+            if kind == "t":
+                kept = nkind == "J"
             else:
+                back = np.tanh(2 * np.arctanh(nxt) - np.arctanh(base[0]))
+                kept = not (nkind == "g" and np.allclose(back, frac, rtol=0,
+                                                         atol=1e-9))
+            if kept:
                 base = (frac, loss)
                 accepted.append(loss)
+            else:
+                rejected += 1
     assert len(accepted) > 10 and rejected > 0
     assert all(b <= a for a, b in zip(accepted, accepted[1:]))
-    assert evals[-1][1] <= accepted[-1]
-    assert res.fidelity == pytest.approx(1.0 - evals[-1][1], abs=1e-15)
+    assert evals[-1][2] <= accepted[-1]
+    assert res.fidelity == pytest.approx(1.0 - evals[-1][2], abs=1e-15)
+
+
+def test_endgame_converges_in_fewer_evaluations(monkeypatch):
+    # a warm start inside the endgame band (fidelity 0.9978, loss under
+    # ENDGAME_FACTOR * 0.001) finishes in fewer evaluations with the
+    # Levenberg-Marquardt steps than with L-BFGS alone
+    m = HamiltonianModel.build(3)
+    v = gates_unitary([Gate(GateName.CNOT, (0, 1)), Gate(GateName.CNOT, (1, 2))],
+                      [0, 1, 2])
+    warm = grape_optimize(v, m, 20.0, OptimizerConfig(fidelity_threshold=0.997))
+    cfg = OptimizerConfig()
+    assert 1 - cfg.fidelity_threshold < 1 - warm.fidelity \
+        <= optctrl.ENDGAME_FACTOR * (1 - cfg.fidelity_threshold)
+    endgame = grape_optimize(v, m, 20.0, cfg, warm.pulses.amplitudes)
+    monkeypatch.setattr(optctrl, "ENDGAME_FACTOR", 0.0)
+    lbfgs = grape_optimize(v, m, 20.0, cfg, warm.pulses.amplitudes)
+    assert endgame.converged and lbfgs.converged
+    assert endgame.iterations < lbfgs.iterations
+
+
+@pytest.mark.parametrize("nq", [1, 2, 3, 4])
+@pytest.mark.parametrize("coupling", ["line", "all"])
+def test_jacobian_matches_finite_differences(nq, coupling):
+    # dU/du_kj = U (U^dag dU/du_kj); the last qubit idles when there are
+    # two or more, so every step has degenerate eigenvalue pairs
+    m = _model(nq, coupling)
+    rng = np.random.default_rng([nq, len(coupling), 3])
+    amps = rng.uniform(-1, 1, size=(len(m.channels), 3)) * m.bounds[:, None]
+    if nq > 1:
+        amps[[i for i, ch in enumerate(m.channels) if nq - 1 in ch.qubits]] = 0
+    u, jac = optctrl._jacobian(amps, m)
+    d_u = u @ jac
+    eps = 1e-6
+    for k in range(amps.shape[0]):
+        for j in range(amps.shape[1]):
+            up = amps.copy(); up[k, j] += eps
+            dn = amps.copy(); dn[k, j] -= eps
+            fd = (evolve(ControlPulses(up, m.dt), m)
+                  - evolve(ControlPulses(dn, m.dt), m)) / (2 * eps)
+            assert np.abs(d_u[k, j] - fd).max() <= 1e-7 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("nq", [1, 2, 3, 4])
+@pytest.mark.parametrize("coupling", ["line", "all"])
+def test_jacobian_reproduces_the_gradient(nq, coupling):
+    # d tau / du_kj = sum conj(V) o dU/du_kj: one derivative formula
+    m = _model(nq, coupling)
+    rng = np.random.default_rng([nq, len(coupling), 4])
+    target = _random_unitary(m.dim, rng)
+    amps = rng.uniform(-1, 1, size=(len(m.channels), 12)) * m.bounds[:, None]
+    u, jac = optctrl._jacobian(amps, m)
+    dtau = (target.conj() * (u @ jac)).sum(axis=(2, 3))
+    tau = np.trace(target.conj().T @ u)
+    grad = (-2.0 / m.dim ** 2) * np.real(np.conj(tau) * dtau)
+    exact = gradient(ControlPulses(amps, m.dt), m, target)
+    assert np.abs(grad - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 def test_converged_warm_start_returns_unchanged(model1):
@@ -295,6 +373,20 @@ def test_wrong_shaped_warm_start_rejected(model1):
 def test_max_iters_below_one_rejected():
     with pytest.raises(ControlError, match="max_iters"):
         OptimizerConfig(max_iters=0)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ControlError, match="seed must be non-negative, not -1"):
+        OptimizerConfig(seed=-1)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    (((1, 0),), r"pair \(1, 0\) is not"), (((0, 0),), r"pair \(0, 0\) is not"),
+    (((0, 3),), r"pair \(0, 3\) is not"), (((-1, 2),), r"pair \(-1, 2\) is not"),
+    (((0, 1), (1, 2), (0, 1)), "repeat a pair")])
+def test_invalid_pairs_rejected(pairs, message):
+    with pytest.raises(ControlError, match=message):
+        HamiltonianModel(3, pairs)
 
 
 def test_plateau_stop_ends_hopeless_trial(model2):
