@@ -36,7 +36,7 @@ def main():
 
     groups = build_commutation_groups(g)
     print("\ncommutation groups per qubit (node ids):")
-    for q, grps in sorted(groups.groups.items()):
+    for q, grps in sorted(groups.items()):
         print(f"  q{q}: {grps}")
 
     cls = cls_schedule(g, groups)

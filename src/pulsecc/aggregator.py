@@ -7,9 +7,11 @@ contractible (contiguous on every qubit chain it touches, so the merged pulses
 are continuous, and acyclic) and fit the width limit.  An action is monotonic
 when the merge cannot increase the critical path even if the merged duration
 is conservatively the set's internal critical path: the longest path through
-its members alone, at their current durations.  The loop applies one such
-merge at a time, then re-prices every merged instruction with the oracle and
-repeats until the prices settle.
+its members alone, at their current durations.  Every node's longest paths
+in and out come from GDG.longest_paths, the pass critical_path reads, and
+GDG.contract joins a merge's gates in the graph's seq order.  The loop
+applies one such merge at a time, then re-prices every merged instruction
+with the oracle and repeats until the prices settle.
 """
 from __future__ import annotations
 
@@ -25,43 +27,20 @@ OUTER_LOOP_CAP = 10
 
 @dataclass(frozen=True)
 class Action:
-    """Merge of the nodes in order, listed in the graph's topological order
-    (the order their gates are joined in), into one instruction.
+    """Merge of the nodes members, ascending ids, into one instruction.
 
     span_ns is the members' internal critical path, the merged node's
     duration until it is re-priced.  aggregate_loop applies the action with
-    the lexicographically smallest member tuple.
+    the lexicographically smallest members.
     """
-    order: tuple[int, ...]
+    members: tuple[int, ...]
     span_ns: float
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        """The merged node ids, ascending."""
-        return tuple(sorted(self.order))
 
 
 def _fits(members, g: GDG, max_width: int) -> bool:
     """Merged width within the limit and a legal contraction."""
     qubits = {q for m in members for q in g.nodes[m].qubits}
-    return len(qubits) <= max_width and g.can_contract(set(members))[0]
-
-
-def _heads_tails(g: GDG) -> tuple[dict, dict, float, dict]:
-    """Earliest finish (head) and longest path to a sink (tail) of every node,
-    each counting the node's own duration, the makespan, and every node's
-    position in the topological order."""
-    order = g.topological_order()
-    head: dict[int, float] = {}
-    for nid in order:
-        start = max((head[p] for p in g.predecessors(nid)), default=0.0)
-        head[nid] = start + (g.nodes[nid].duration or 0.0)
-    tail: dict[int, float] = {}
-    for nid in reversed(order):
-        end = max((tail[c] for c in g.successors(nid)), default=0.0)
-        tail[nid] = end + (g.nodes[nid].duration or 0.0)
-    return (head, tail, max(head.values(), default=0.0),
-            {nid: i for i, nid in enumerate(order)})
+    return len(qubits) <= max_width and g.can_contract(members)[0]
 
 
 def _candidates(g: GDG):
@@ -87,11 +66,11 @@ def enumerate_actions(g: GDG, max_width: int = DEFAULT_MAX_WIDTH) -> list[Action
     the set keeps its length.  For a parent-child pair the internal path is
     d_a + d_b.
     """
-    head, tail, makespan, pos = _heads_tails(g)
+    head, tail = g.longest_paths()
+    makespan = max(head.values(), default=0.0)
     actions = []
     for members in _candidates(g):
-        order = tuple(sorted(members, key=pos.__getitem__))
-        nodes = [g.nodes[m] for m in order]
+        nodes = sorted((g.nodes[m] for m in members), key=lambda n: n.seq)
         start = max((head[p] for n in nodes for p in n.parents.values()
                      if p not in members), default=0.0)
         end = max((tail[c] for n in nodes for c in n.children.values()
@@ -105,7 +84,7 @@ def enumerate_actions(g: GDG, max_width: int = DEFAULT_MAX_WIDTH) -> list[Action
         if start + span + end > makespan + 1e-9:
             continue
         if _fits(members, g, max_width):
-            actions.append(Action(order, span))
+            actions.append(Action(members, span))
     return actions
 
 
@@ -126,7 +105,7 @@ def aggregate_loop(g: GDG, price, max_width: int = DEFAULT_MAX_WIDTH,
             if not actions:
                 break
             best = min(actions, key=lambda a: a.members)
-            merged = g.contract(best.order)
+            merged = g.contract(best.members)
             merged.duration = best.span_ns
             changed.add(merged.id)
             if trace is not None:

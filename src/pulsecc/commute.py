@@ -6,7 +6,6 @@ within tolerance; operators on disjoint supports commute trivially.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -48,14 +47,9 @@ def is_diagonal(u: np.ndarray, tol: float = TOL_DIAG) -> bool:
     return bool(np.abs(u[_off_diagonal(len(u))]).max(initial=0.0) <= tol)
 
 
-@dataclass
-class CommutationGroupTable:
-    """Per qubit, an ordered list of groups of mutually commuting node ids."""
-    groups: dict[int, list[list[int]]]
-
-
-def build_commutation_groups(g: GDG) -> CommutationGroupTable:
-    """Greedy left-to-right grouping per qubit.
+def build_commutation_groups(g: GDG) -> dict[int, list[list[int]]]:
+    """Per qubit, an ordered list of groups of mutually commuting node ids,
+    by greedy left-to-right grouping.
 
     A gate joins the current group iff it commutes (on the joint context)
     with every member; otherwise a new group starts.  The oracle is asked
@@ -88,13 +82,12 @@ def build_commutation_groups(g: GDG) -> CommutationGroupTable:
             else:
                 qgroups.append([nid])
         groups[q] = qgroups
-    return CommutationGroupTable(groups)
+    return groups
 
 
-def singleton_groups(g: GDG) -> CommutationGroupTable:
+def singleton_groups(g: GDG) -> dict[int, list[list[int]]]:
     """Every node in its own group: plain dependence-DAG scheduling."""
-    return CommutationGroupTable(
-        {q: [[nid] for nid in path] for q, path in g.qubit_paths().items()})
+    return {q: [[nid] for nid in path] for q, path in g.qubit_paths().items()}
 
 
 def _interacting_pairs(g: GDG) -> list[tuple[int, int]]:
@@ -128,24 +121,15 @@ def detect_diagonal_blocks(g: GDG) -> GDG:
     One pass per interacting qubit pair: from each node of a run, the longest
     window of 2 or more nodes and at most DIAG_WINDOW_CAP gates whose product
     is diagonal becomes a single node, and the scan resumes after it.  A
-    slice of a legal run is legal, and the run's topological order is the
-    order contract joins the slice's gates in: the run is read before its
-    earlier windows merge, but a merged node takes its members' smallest
-    seq, and a merge that makes contract repair the seq order spans both
-    qubits of the pair, so the run's later nodes all follow it and move up
-    together.  A later slice keeps the order topological_order gives it
-    (checked by test_callers_contract_in_the_graph_topological_order).
+    slice of a legal run is legal, and contract joins its gates in seq order.
 
     A node's factor is its instruction's shape with its wires as positions in
     the pair, and its gates embedded on the pair are computed once per
-    factor.  Each window's product and diagonal verdict are computed once per
-    factor sequence, gate by gate as a fresh scan would, and each run's
-    windows to merge once per factor sequence of the run.  Mutates and
-    returns g.
+    factor.  Each run's windows to merge are computed once per factor
+    sequence of the run.  Mutates and returns g.
     """
     shape_ids: dict[tuple, int] = {}
     embedded: dict[tuple, list[np.ndarray]] = {}  # factor -> gates on the pair
-    products: dict[tuple, tuple[np.ndarray, bool]] = {}  # window -> (u, diagonal)
     plans: dict[tuple, list[tuple[int, int]]] = {}  # run -> windows to merge
 
     def plan(run: tuple) -> list[tuple[int, int]]:
@@ -156,13 +140,9 @@ def detect_diagonal_blocks(g: GDG) -> GDG:
                 count += len(embedded[run[j]])
                 if count > DIAG_WINDOW_CAP:
                     break
-                window = run[i:j + 1]
-                if window not in products:
-                    for m in embedded[run[j]]:
-                        u = m @ u
-                    products[window] = (u, j > i and is_diagonal(u))
-                u, diagonal = products[window]
-                if diagonal:
+                for m in embedded[run[j]]:
+                    u = m @ u
+                if j > i and is_diagonal(u):
                     end = j + 1
             if end:
                 windows.append((i, end))

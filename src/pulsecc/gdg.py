@@ -12,15 +12,16 @@ merged node takes its members' smallest seq, so live seqs are unique.  When
 that puts a parent of the merged node above it, contract restores the order
 locally by permuting the seqs of the nodes between the two (Pearce and
 Kelly's dynamic topological sort).  So the seq order is the topological
-order: topological_order sorts, and can_contract's cycle search stops at
-nodes past the members' seqs.  Every add and contract appends the largest id
-and deletions keep the order, so GDG.nodes stays in id order.
+order: topological_order sorts, contract joins a merge's gates by seq, and
+can_contract's cycle search stops at nodes past the members' seqs.  Every
+add and contract appends the largest id and deletions keep the order, so
+GDG.nodes stays in id order.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -182,7 +183,7 @@ class GDG:
                    for nid, n in self.nodes.items()}
         return g
 
-    def can_contract(self, node_ids: set[int]) -> tuple[bool, str]:
+    def can_contract(self, node_ids: Iterable[int]) -> tuple[bool, str]:
         """The one legality test for contraction: the members are contiguous
         on every qubit chain they touch (on each, only one member's parent
         there is outside the set or missing), and no path leaving them comes
@@ -217,27 +218,21 @@ class GDG:
                     stack.append(c)
         return True, ""
 
-    def contract(self, order: Sequence[int]) -> GDGNode:
-        """Replace the members, listed by the caller in topological order, by
-        one node joining their gates in that order.
+    def contract(self, node_ids: Iterable[int]) -> GDGNode:
+        """Replace the members by one node joining their gates in seq order.
 
-        Raises GDGError when the set cannot be contracted, or when a member is
-        listed before one of its parents in the set.
+        Raises GDGError when can_contract rejects the set.
         """
-        members = set(order)
+        members = set(node_ids)
         if len(members) == 1:
-            return self.nodes[order[0]]
+            return self.nodes[members.pop()]
         ok, why = self.can_contract(members)
         if not ok:
             raise GDGError(why)
-        pos = {nid: i for i, nid in enumerate(order)}
-        if len(pos) != len(order) or any(pos.get(p, -1) > i
-                                         for i, nid in enumerate(order)
-                                         for p in self.nodes[nid].parents.values()):
-            raise GDGError("members not listed in topological order")
+        order = sorted(members, key=lambda i: self.nodes[i].seq)
         gates = [g for nid in order for g in self.nodes[nid].instruction.gates]
         merged = AggregatedInstruction(gates)
-        seq = min(self.nodes[nid].seq for nid in members)
+        seq = self.nodes[order[0]].seq
 
         node = GDGNode(self._next_id, merged, seq)
         self.nodes[node.id] = node  # _link looks it up as a parent
@@ -299,32 +294,41 @@ class GDG:
                                    f"is not a finite non-negative duration")
             node.duration = ns
 
+    def longest_paths(self) -> tuple[dict[int, float], dict[int, float]]:
+        """Per node, the longest duration-weighted path from a chain start
+        through it (head, its earliest finish) and from it to a chain end
+        (tail), each counting its own duration; an unpriced node counts 0."""
+        order = self.topological_order()
+        head: dict[int, float] = {}
+        for nid in order:
+            node = self.nodes[nid]
+            head[nid] = (max((head[p] for p in node.parents.values()), default=0.0)
+                         + (node.duration or 0.0))
+        tail: dict[int, float] = {}
+        for nid in reversed(order):
+            node = self.nodes[nid]
+            tail[nid] = (max((tail[c] for c in node.children.values()), default=0.0)
+                         + (node.duration or 0.0))
+        return head, tail
+
     def critical_path(self) -> tuple[float, list[int]]:
         """Longest duration-weighted path from a chain start to a chain end.
 
-        Ties resolved toward the lexicographically smallest witness by node id.
+        The witness ends at the smallest id whose head is within 1e-12 of the
+        longest, and walks back the same way through each node's parents to a
+        chain start.  Raises GDGError on an unpriced node.
         """
-        finish: dict[int, float] = {}
-        best_parent: dict[int, int | None] = {}
-        for nid in self.topological_order():
-            node = self.nodes[nid]
+        for nid, node in self.nodes.items():
             if node.duration is None:
                 raise GDGError(f"node {nid} has no duration")
-            start, bp = 0.0, None
-            for pid in sorted(self.predecessors(nid)):
-                if finish[pid] > start + 1e-12:
-                    start, bp = finish[pid], pid
-            finish[nid] = start + node.duration
-            best_parent[nid] = bp
-        total, end = 0.0, None
-        for nid in sorted(finish):
-            if finish[nid] > total + 1e-12:
-                total, end = finish[nid], nid
+        head, _ = self.longest_paths()
         path: list[int] = []
-        while end is not None:
-            path.append(end)
-            end = best_parent[end]
-        return total, list(reversed(path))
+        step = set(self.nodes)
+        while step:
+            longest = max(head[i] for i in step)
+            path.append(min(i for i in step if head[i] >= longest - 1e-12))
+            step = self.predecessors(path[-1])
+        return max(head.values(), default=0.0), path[::-1]
 
     # -- serialization -----------------------------------------------------
 

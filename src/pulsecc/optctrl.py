@@ -524,15 +524,12 @@ def _onto_dt(res: GrapeResult, v_target: np.ndarray, m: HamiltonianModel,
              cfg: OptimizerConfig) -> GrapeResult:
     """A trial on 2*m.dt segments as a pulse on m's steps, each segment
     repeated, which keeps its unitary. A success counts once evolve on m
-    confirms it; a success that falls short there is polished on m."""
+    confirms it at the threshold; one that falls short there is a failure."""
     pulses = ControlPulses(np.repeat(res.pulses.amplitudes, 2, axis=1), m.dt)
     if not res.converged:
         return GrapeResult(pulses, res.fidelity, res.iterations, False)
     fid = 1.0 - infidelity(evolve(pulses, m), v_target)
-    if fid >= cfg.fidelity_threshold:
-        return GrapeResult(pulses, fid, res.iterations, True)
-    return grape_optimize(v_target, m, pulses.duration_ns, cfg,
-                          init_amplitudes=pulses.amplitudes)
+    return GrapeResult(pulses, fid, res.iterations, fid >= cfg.fidelity_threshold)
 
 
 def min_time(v_target: np.ndarray, m: HamiltonianModel,

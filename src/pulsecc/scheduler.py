@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .commute import CommutationGroupTable, singleton_groups
+from .commute import singleton_groups
 from .gdg import GDG
 
 
@@ -95,9 +95,9 @@ def max_matching(edges: list[tuple[int, int, int]],
     return chosen
 
 
-def _run(g: GDG, groups: CommutationGroupTable) -> Schedule:
+def _run(g: GDG, groups: dict[int, list[list[int]]]) -> Schedule:
     unscheduled = {n.id for n in g.real_nodes()}
-    queues = {q: deque(lst) for q, lst in groups.groups.items()}
+    queues = {q: deque(lst) for q, lst in groups.items()}
     current: dict[int, set[int]] = {q: set() for q in queues}
     busy_until: dict[int, float] = {q: 0.0 for q in range(g.num_qubits)}
     finish: list[tuple[float, int]] = []  # (busy_until[q], q) as each is set
@@ -169,7 +169,7 @@ def _run(g: GDG, groups: CommutationGroupTable) -> Schedule:
     return Schedule(entries, makespan)
 
 
-def cls_schedule(g: GDG, groups: CommutationGroupTable) -> Schedule:
+def cls_schedule(g: GDG, groups: dict[int, list[list[int]]]) -> Schedule:
     """Commutativity-aware schedule; durations must already be set on g."""
     return _run(g, groups)
 

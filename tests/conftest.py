@@ -182,13 +182,6 @@ def moved_seq(g, before: dict[int, int]) -> bool:
                if nid in g.nodes)
 
 
-def contract(g, members):
-    """Contract members, handing GDG.contract the graph's topological order
-    restricted to them."""
-    members = set(members)
-    return g.contract([nid for nid in g.topological_order() if nid in members])
-
-
 def sweep_pair_runs(g, pair):
     """Reference pair runs: one sweep of the whole topological order, marking
     the current run and everything downstream of it as it goes.  _pair_runs
@@ -296,7 +289,7 @@ def random_merges(g, rng, count: int):
             continue
         members = {node.id, children[rng.integers(len(children))]}
         if g.can_contract(members)[0]:
-            contract(g, members)
+            g.contract(members)
     return g
 
 
@@ -305,7 +298,7 @@ def full_scan_run(g, groups):
     candidates and runs the matching whenever there is one.  cls_schedule and
     list_schedule must return exactly its schedules."""
     unscheduled = {n.id for n in g.real_nodes()}
-    queues = {q: deque(lst) for q, lst in groups.groups.items()}
+    queues = {q: deque(lst) for q, lst in groups.items()}
     current: dict[int, set[int]] = {q: set() for q in queues}
     busy_until: dict[int, float] = {q: 0.0 for q in range(g.num_qubits)}
     entries: list[tuple[int, float]] = []

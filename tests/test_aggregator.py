@@ -9,7 +9,7 @@ from pulsecc.mapper import (Topology, build_interaction_graph, initial_mapping,
                             route_swaps)
 from pulsecc.scheduler import list_schedule
 
-from conftest import audit, chain_walk_can_contract, contract, random_circuit
+from conftest import audit, chain_walk_can_contract, random_circuit
 
 
 def toy_instance():
@@ -121,7 +121,7 @@ def copy_and_contract_actions(g, max_width) -> set[frozenset]:
     out = set()
     for members in candidate_sets(g, max_width):
         trial = g.copy()
-        contract(trial, members).duration = \
+        trial.contract(members).duration = \
             internal_critical_path(g, members)
         if trial.critical_path()[0] <= before + 1e-9:
             out.add(frozenset(members))
@@ -146,7 +146,7 @@ def test_enumerate_actions_matches_copy_and_contract(rng):
             # any legal merge, priced at or below its internal critical path
             members = sets[int(rng.integers(len(sets)))]
             dur = internal_critical_path(g, members)
-            contract(g, members).duration = dur * float(rng.uniform(0.5, 1.0))
+            g.contract(members).duration = dur * float(rng.uniform(0.5, 1.0))
     assert states > 100
 
 

@@ -10,7 +10,7 @@ from pulsecc.gates import (Circuit, Gate, GateName, circuit_unitary, embed,
                            gates_unitary, phases_equal)
 from pulsecc.gdg import build_gdg
 
-from conftest import (audit, chain_walk_can_contract, contract,
+from conftest import (audit, chain_walk_can_contract,
                       custom_rich_circuit, moved_seq, pair_shape_groups,
                       random_circuit, random_gate, random_merges, seqs,
                       sweep_pair_runs, window_scan_detect)
@@ -56,14 +56,14 @@ def test_groups_partition_each_chain():
     g = build_gdg(qaoa_triangle())
     t = build_commutation_groups(g)
     for q, path in g.qubit_paths().items():
-        flat = [nid for grp in t.groups[q] for nid in grp]
+        flat = [nid for grp in t[q] for nid in grp]
         assert flat == path  # order-preserving partition
 
 
 def test_groups_members_mutually_commute():
     g = build_gdg(qaoa_triangle())
     t = build_commutation_groups(g)
-    for q, grps in t.groups.items():
+    for q, grps in t.items():
         for grp in grps:
             for i, a in enumerate(grp):
                 for b in grp[i + 1:]:
@@ -74,7 +74,7 @@ def test_groups_members_mutually_commute():
 def test_singleton_groups_are_all_size_one():
     g = build_gdg(qaoa_triangle())
     t = singleton_groups(g)
-    assert all(len(grp) == 1 for grps in t.groups.values() for grps2 in [grps]
+    assert all(len(grp) == 1 for grps in t.values() for grps2 in [grps]
                for grp in grps2)
 
 
@@ -99,7 +99,7 @@ def test_diagonal_blocks_co_grouped():
     # the two ZZ blocks sharing qubit 1 land in one commutation group
     blocks = sorted(n.id for n in g.real_nodes()
                     if len(n.instruction.gates) == 3 and 1 in n.qubits)[:2]
-    assert any(set(blocks) <= set(grp) for grp in t.groups[1])
+    assert any(set(blocks) <= set(grp) for grp in t[1])
 
 
 def test_detection_preserves_semantics_random(rng):
@@ -152,7 +152,7 @@ def restart_loop_detect(g, window_cap=10, tol=1e-8):
                         if (len(gates) <= window_cap
                                 and is_diagonal(gates_unitary(gates, list(pair)), tol)
                                 and chain_walk_can_contract(g, members)[0]):
-                            contract(g, members)
+                            g.contract(members)
                             changed = True
                             break
                     if changed:
@@ -245,7 +245,7 @@ def test_pair_runs_match_the_whole_graph_sweep(rng):
             members = {node.id, children[rng.integers(len(children))]}
             if g.can_contract(members)[0]:
                 before = seqs(g)
-                contract(g, members)
+                g.contract(members)
                 moved[moved_seq(g, before)] += 1
                 check(g)
     assert min(moved.values()) > 100, moved
@@ -360,7 +360,7 @@ def test_groups_match_pairwise_oracle_reference(rng):
         g = build_gdg(c)
         if i % 2:
             detect_diagonal_blocks(g)  # multi-gate instructions too
-        got = build_commutation_groups(g).groups
+        got = build_commutation_groups(g)
         assert got == greedy_groups_reference(g)
         shared += sum(len(grp) - 1 for grps in got.values() for grp in grps)
     assert shared > 100
@@ -382,7 +382,7 @@ def test_relabelled_pairs_share_one_oracle_verdict(monkeypatch):
     c.add(GateName.CNOT, 3, 2)
     c.add(GateName.RZ, 2, params=(0.5,))
     g = build_gdg(c)
-    got = build_commutation_groups(g).groups
+    got = build_commutation_groups(g)
     assert len(calls) == 1
     assert got == greedy_groups_reference(g)
     assert len(got[1]) == len(got[2]) == 2  # neither RZ commutes with its CNOT
@@ -413,7 +413,7 @@ def test_groups_match_pair_shape_reference(rng):
 
     def check(g):
         nonlocal shared
-        got = build_commutation_groups(g).groups
+        got = build_commutation_groups(g)
         assert got == pair_shape_groups(g)
         shared += sum(len(grp) - 1 for grps in got.values() for grp in grps)
 
@@ -437,6 +437,6 @@ def test_verdicts_tell_apart_where_equal_shapes_meet():
     c.add(GateName.CNOT, 2, 3)
     c.add(GateName.RZ, 3, params=(0.5,))
     g = build_gdg(c)
-    got = build_commutation_groups(g).groups
+    got = build_commutation_groups(g)
     assert got == pair_shape_groups(g)
     assert got[0] == [[1, 2]] and got[3] == [[3], [4]]

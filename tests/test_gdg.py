@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -12,9 +13,11 @@ from pulsecc.gdg import GDG, AggregatedInstruction, GDGError, build_gdg
 from pulsecc.latency import table_price
 from pulsecc.mapper import Topology
 from pulsecc.pipeline import CompileOptions, compile_circuit
+from pulsecc.scheduler import list_schedule
 
-from conftest import (audit, chain_walk_can_contract, contract, kahn_order,
+from conftest import (audit, chain_walk_can_contract, kahn_order,
                       moved_seq, qaoa3reg, random_circuit, seqs)
+from test_aggregator import routed_gdg
 
 
 def table_durations(g):
@@ -122,40 +125,15 @@ def test_contract_cycle_rejected():
     assert not ok and "cycle" in why
 
 
-def test_contract_rejects_member_listed_before_its_parent():
-    g = build_gdg(qaoa_triangle())
-    # node 5 (rz) is node 4's child and node 6's parent on qubit 1's chain
-    with pytest.raises(GDGError, match="topological order"):
-        g.contract([4, 6, 5])
-    with pytest.raises(GDGError, match="topological order"):
-        g.contract([5, 4])
-    assert len(g.real_nodes()) == 16
-    merged = g.contract([4, 5, 6])
-    assert [repr(gt) for gt in merged.instruction.gates] == \
-        ["cnot q0 q1", "rz(5.67) q1", "cnot q0 q1"]
-
-
-def test_callers_contract_in_the_graph_topological_order(rng, monkeypatch):
-    # the order each caller hands contract is the whole graph's topological
-    # order restricted to the members, so joined gate lists stay as they were
-    real_contract, calls = GDG.contract, []
-
-    def checked(g, order):
-        members = set(order)
-        assert list(order) == [n for n in g.topological_order() if n in members]
-        calls.append(len(order))
-        return real_contract(g, order)
-
-    monkeypatch.setattr(GDG, "contract", checked)
-    price = table_price()
-    circuits = [random_circuit(int(rng.integers(2, 6)), int(rng.integers(6, 30)), rng)
-                for _ in range(30)]
-    circuits += [qaoa3reg(n, seed) for n, seed in [(10, 6), (12, 11), (16, 6)]]
-    for c in circuits:
-        g = detect_diagonal_blocks(build_gdg(c))
-        g.set_durations(price)
-        aggregate_loop(g, price, max_width=int(rng.integers(2, 5)))
-    assert len(calls) > 100
+def test_contract_joins_members_in_seq_order():
+    # node 5 (rz) is node 4's child and node 6's parent on qubit 1's chain:
+    # however the members are given, their gates are joined in graph order
+    for members in ([6, 4, 5], {4, 5, 6}, (5, 4, 6)):
+        g = build_gdg(qaoa_triangle())
+        merged = g.contract(members)
+        assert [repr(gt) for gt in merged.instruction.gates] == \
+            ["cnot q0 q1", "rz(5.67) q1", "cnot q0 q1"]
+        audit(g)
 
 
 def test_contract_preserves_semantics_and_structure(rng):
@@ -168,7 +146,7 @@ def test_contract_preserves_semantics_and_structure(rng):
         for node in g.real_nodes():
             for q, child in node.children.items():
                 if g.can_contract({node.id, child})[0]:
-                    contract(g, {node.id, child})
+                    g.contract({node.id, child})
                     done = True
                     break
             if done:
@@ -209,6 +187,48 @@ def test_critical_path_aggregated_arithmetic():
     total, path = g.critical_path()
     assert total == pytest.approx(128.3, abs=1e-9)
     assert path == [nodes["g1"].id, nodes["g3"].id, nodes["g4"].id]
+
+
+def test_longest_paths_match_list_schedule_and_a_reference(rng):
+    # routed random circuits with some durations zeroed: a node's head is its
+    # ASAP finish and its tail the longest path from it to a chain end, and
+    # critical_path's witness is a path from a chain start of head's length,
+    # past which only zero durations follow
+    for trial in range(20):
+        n = int(rng.integers(3, 7))
+        g = routed_gdg(random_circuit(n, int(rng.integers(6, 25)), rng),
+                       Topology(2, (n + 1) // 2), seed=trial)
+        for node in g.real_nodes():
+            if rng.random() < 0.25:
+                node.duration = 0.0
+        head, tail = g.longest_paths()
+        finish = {nid: start + g.nodes[nid].duration
+                  for nid, start in list_schedule(g).entries}
+        assert head.keys() == tail.keys() == finish.keys() == g.nodes.keys()
+        assert all(abs(head[i] - finish[i]) <= 1e-9 for i in g.nodes)
+
+        @functools.cache
+        def to_end(nid):
+            return g.nodes[nid].duration + max(
+                (to_end(c) for c in g.successors(nid)), default=0.0)
+
+        assert all(abs(tail[i] - to_end(i)) <= 1e-9 for i in g.nodes)
+        total, path = g.critical_path()
+        assert total == max(head.values())
+        assert not g.nodes[path[0]].parents
+        assert tail[path[-1]] == g.nodes[path[-1]].duration
+        assert all(b in g.successors(a) for a, b in zip(path, path[1:]))
+        assert abs(sum(g.nodes[i].duration for i in path) - total) <= 1e-9
+
+        # an unpriced node counts 0, and critical_path refuses it
+        ids = list(g.nodes)
+        unpriced = ids[rng.integers(len(ids))]
+        zeroed = g.copy()
+        zeroed.nodes[unpriced].duration = 0.0
+        g.nodes[unpriced].duration = None
+        assert g.longest_paths() == zeroed.longest_paths()
+        with pytest.raises(GDGError, match="no duration"):
+            g.critical_path()
 
 
 def test_copy_independent(rng):
@@ -279,7 +299,7 @@ def test_can_contract_matches_chain_walk(rng):
                 checked[ok] += 1
             if ok and rng.random() < 0.5:
                 before, old = circuit_unitary(g.flatten()), seqs(g)
-                contract(g, members)
+                g.contract(members)
                 moved[moved_seq(g, old)] += 1
                 audit(g)
                 assert phases_equal(before, circuit_unitary(g.flatten()))
@@ -336,7 +356,7 @@ def test_contract_repairs_seq_order_locally(rng, monkeypatch):
             late = [before[p] for m in members
                     for p in g.nodes[m].parents.values()
                     if p not in members and before[p] > lo]
-            merged = contract(g, members).id
+            merged = g.contract(members).id
             audit(g)
             before[merged] = lo
             for m in members:
@@ -356,9 +376,9 @@ def test_contract_repairs_seq_order_locally(rng, monkeypatch):
     # sort and Kahn's loop in the same order, repairs included
     real_contract, moved = GDG.contract, []
 
-    def checked(g, order):
+    def checked(g, members):
         before = seqs(g)
-        node = real_contract(g, order)
+        node = real_contract(g, members)
         moved.append(moved_seq(g, before))
         assert g.topological_order() == kahn_order(g)
         return node

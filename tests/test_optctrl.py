@@ -581,6 +581,23 @@ def test_coarse_rung_result_verifies_on_dt(monkeypatch, gates):
     assert fid >= cfg.fidelity_threshold and fid == res.fidelity
 
 
+def test_unconfirmed_coarse_success_is_a_failed_trial(monkeypatch, model1):
+    # a coarse trial that claims success, repeated onto dt, misses the
+    # threshold there: it is a failed trial at its dt fidelity, and no
+    # further trial runs on dt
+    def no_grape(*args, **kwargs):
+        raise AssertionError("no trial may run")
+
+    monkeypatch.setattr(optctrl, "grape_optimize", no_grape)
+    x = gate_unitary(Gate(GateName.X, (0,)))
+    coarse = GrapeResult(ControlPulses(np.zeros((len(model1.channels), 4)),
+                                       2 * model1.dt), 1.0, 7, True)
+    res = optctrl._onto_dt(coarse, x, model1, OptimizerConfig())
+    assert not res.converged and res.iterations == 7
+    assert res.fidelity == 1.0 - infidelity(np.eye(2, dtype=complex), x)
+    assert res.pulses.dt == model1.dt and res.pulses.steps == 8
+
+
 @pytest.mark.parametrize("old, new", [(7, 14), (5, 15)])
 def test_stretched_pulse_keeps_the_unitary(old, new):
     # with zero drift, amplitude u / c for c dt acts as u for dt

@@ -192,7 +192,7 @@ def test_deadlocking_groups_raise_the_full_scan_error():
     g = build_gdg(c)
     g.set_durations(table_price())
     groups = singleton_groups(g)
-    q0 = groups.groups[0]
+    q0 = groups[0]
     q0[1], q0[2] = q0[2], q0[1]
     messages = []
     for run in (cls_schedule, full_scan_run):
