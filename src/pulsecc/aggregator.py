@@ -27,7 +27,7 @@ OUTER_LOOP_CAP = 10
 
 @dataclass(frozen=True)
 class Action:
-    """Merge of the nodes members, ascending ids, into one instruction.
+    """Merge of the nodes in members, by ascending id, into one instruction.
 
     span_ns is the members' internal critical path, the merged node's
     duration until it is re-priced.  aggregate_loop applies the action with
