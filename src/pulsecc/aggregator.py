@@ -7,17 +7,18 @@ contractible (contiguous on every qubit chain it touches, so the merged pulses
 are continuous, and acyclic) and fit the width limit.  An action is monotonic
 when the merge cannot increase the critical path even if the merged duration
 is conservatively the set's internal critical path: the longest path through
-its members alone, at their current durations.  Every node's longest paths
-in and out come from GDG.longest_paths, the pass critical_path reads, and
-GDG.contract joins a merge's gates in the graph's seq order.  The loop
-applies one such merge at a time, then re-prices every merged instruction
-with the oracle and repeats until the prices settle.
+its members alone at their current durations, asap_finishes over them in
+seq order (GDG.longest_paths applies the same rule to the whole graph for
+critical_path, and GDG.contract joins a merge's gates in that order).  The
+loop applies one such merge at a time, then re-prices every merged
+instruction with the oracle and repeats until the prices settle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .gdg import GDG
+from .latency import asap_finishes
 
 MAX_WIDTH_LIMIT = 10        # widest merge a compile may ask for
 DEFAULT_MAX_WIDTH = 4       # q_L at desk scale; configurable up to the limit
@@ -75,12 +76,7 @@ def enumerate_actions(g: GDG, max_width: int = DEFAULT_MAX_WIDTH) -> list[Action
                      if p not in members), default=0.0)
         end = max((tail[c] for n in nodes for c in n.children.values()
                    if c not in members), default=0.0)
-        finish: dict[int, float] = {}
-        for n in nodes:
-            inner = max((finish[p] for p in n.parents.values() if p in finish),
-                        default=0.0)
-            finish[n.id] = inner + (n.duration or 0.0)
-        span = max(finish.values())
+        span = max(asap_finishes((n.qubits, n.duration or 0.0) for n in nodes))
         if start + span + end > makespan + 1e-9:
             continue
         if _fits(members, g, max_width):

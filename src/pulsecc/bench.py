@@ -10,8 +10,9 @@ import math
 
 from .gates import Circuit, GateName
 
-GAMMA_DEFAULT = 5.67
-BETA_DEFAULT = 1.26
+GAMMA, BETA = 5.67, 1.26          # QAOA cost and mixer angles
+J_ANGLE, H_ANGLE = 1.9, 0.8       # Ising coupling and field angles
+THETA = 0.45                      # UCCSD excitation angle
 
 
 def _zz_block(c: Circuit, a: int, b: int, angle: float):
@@ -20,57 +21,51 @@ def _zz_block(c: Circuit, a: int, b: int, angle: float):
     c.add(GateName.CNOT, a, b)
 
 
-def qaoa_circuit(n: int, edges, gamma: float = GAMMA_DEFAULT,
-                 beta: float = BETA_DEFAULT, layers: int = 1,
-                 name: str = "qaoa") -> Circuit:
+def qaoa_circuit(n: int, edges, layers: int = 1, name: str = "qaoa") -> Circuit:
     """One-or-more QAOA layers: H wall, ZZ cost blocks per edge, Rx mixer."""
     c = Circuit(n, name=name)
     for q in range(n):
         c.add(GateName.H, q)
     for _ in range(layers):
         for a, b in edges:
-            _zz_block(c, a, b, gamma)
+            _zz_block(c, a, b, GAMMA)
         for q in range(n):
-            c.add(GateName.RX, q, params=(beta,))
+            c.add(GateName.RX, q, params=(BETA,))
     return c
 
 
-def maxcut_line(n: int, gamma: float = GAMMA_DEFAULT,
-                beta: float = BETA_DEFAULT, layers: int = 1) -> Circuit:
+def maxcut_line(n: int, layers: int = 1) -> Circuit:
     edges = [(i, i + 1) for i in range(n - 1)]
-    return qaoa_circuit(n, edges, gamma, beta, layers,
-                        name=f"maxcut-line-{n}")
+    return qaoa_circuit(n, edges, layers, name=f"maxcut-line-{n}")
 
 
-def qaoa_triangle(gamma: float = GAMMA_DEFAULT,
-                  beta: float = BETA_DEFAULT) -> Circuit:
+def qaoa_triangle() -> Circuit:
     """3-qubit maxcut on a triangle, pre-routed for a line: the (0,2) edge is
     reached by swapping qubits 0 and 1 and reusing the (1,2) pair."""
     c = Circuit(3, name="qaoa-triangle")
     for q in range(3):
         c.add(GateName.H, q)
-    _zz_block(c, 0, 1, gamma)
-    _zz_block(c, 1, 2, gamma)
+    _zz_block(c, 0, 1, GAMMA)
+    _zz_block(c, 1, 2, GAMMA)
     c.add(GateName.SWAP, 0, 1)
-    _zz_block(c, 1, 2, gamma)
+    _zz_block(c, 1, 2, GAMMA)
     for q in range(3):
-        c.add(GateName.RX, q, params=(beta,))
+        c.add(GateName.RX, q, params=(BETA,))
     return c
 
 
-def ising_chain(n: int, j_angle: float = 1.9, h_angle: float = 0.8,
-                layers: int = 1) -> Circuit:
+def ising_chain(n: int, layers: int = 1) -> Circuit:
     """First-order Trotter step(s) of a transverse-field Ising chain."""
     c = Circuit(n, name=f"ising-chain-{n}")
     for _ in range(layers):
         for i in range(n - 1):
-            _zz_block(c, i, i + 1, j_angle)
+            _zz_block(c, i, i + 1, J_ANGLE)
         for q in range(n):
-            c.add(GateName.RX, q, params=(h_angle,))
+            c.add(GateName.RX, q, params=(H_ANGLE,))
     return c
 
 
-def uccsd(n: int, theta: float = 0.45) -> Circuit:
+def uccsd(n: int) -> Circuit:
     """UCCSD-style ansatz: basis changes around CNOT-ladder Rz exponentials.
 
     Two Pauli-string terms (X...Y and Y...X flavor) over all n qubits.
@@ -97,8 +92,8 @@ def uccsd(n: int, theta: float = 0.45) -> Circuit:
             else:
                 c.add(GateName.H, q)
 
-    term(0, theta)
-    term(n - 1, -theta)
+    term(0, THETA)
+    term(n - 1, -THETA)
     return c
 
 

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .gates import Circuit, Gate, gates_unitary
-from .latency import LatencyError
+from .latency import LatencyError, asap_finishes
 
 
 class GDGError(ValueError):
@@ -154,9 +154,6 @@ class GDG:
 
     def successors(self, nid: int) -> set[int]:
         return set(self.nodes[nid].children.values())
-
-    def predecessors(self, nid: int) -> set[int]:
-        return set(self.nodes[nid].parents.values())
 
     def topological_order(self) -> list[int]:
         """Node ids by seq, which every parent has below its child's."""
@@ -297,18 +294,12 @@ class GDG:
     def longest_paths(self) -> tuple[dict[int, float], dict[int, float]]:
         """Per node, the longest duration-weighted path from a chain start
         through it (head, its earliest finish) and from it to a chain end
-        (tail), each counting its own duration; an unpriced node counts 0."""
-        order = self.topological_order()
-        head: dict[int, float] = {}
-        for nid in order:
-            node = self.nodes[nid]
-            head[nid] = (max((head[p] for p in node.parents.values()), default=0.0)
-                         + (node.duration or 0.0))
-        tail: dict[int, float] = {}
-        for nid in reversed(order):
-            node = self.nodes[nid]
-            tail[nid] = (max((tail[c] for c in node.children.values()), default=0.0)
-                         + (node.duration or 0.0))
+        (tail), each counting its own duration; an unpriced node counts 0.
+        Heads are asap_finishes in seq order and tails in reverse."""
+        ids = self.topological_order()
+        items = [(self.nodes[i].qubits, self.nodes[i].duration or 0.0) for i in ids]
+        head = dict(zip(ids, asap_finishes(items)))
+        tail = dict(zip(ids[::-1], asap_finishes(items[::-1])))
         return head, tail
 
     def critical_path(self) -> tuple[float, list[int]]:
@@ -327,7 +318,7 @@ class GDG:
         while step:
             longest = max(head[i] for i in step)
             path.append(min(i for i in step if head[i] >= longest - 1e-12))
-            step = self.predecessors(path[-1])
+            step = set(self.nodes[path[-1]].parents.values())
         return max(head.values(), default=0.0), path[::-1]
 
     # -- serialization -----------------------------------------------------

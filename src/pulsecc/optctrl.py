@@ -17,6 +17,7 @@ import numpy as np
 
 from .gates import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_operator
 from .gdg import AggregatedInstruction
+from .latency import asap_finishes
 
 MU_MAX_DEFAULT = 0.02   # GHz, XY coupling limit
 SINGLE_QUBIT_FACTOR = 5.0
@@ -705,15 +706,12 @@ class OptimalControlUnit:
         if len(ins.gates) < 2:
             return None
         row = {(ch.name[:2], ch.qubits): i for i, ch in enumerate(model.channels)}
-        placed, free = [], {}
-        for g in ins.gates:
-            seg = self._embed_member(g, row, ins.qubits)
-            start = max(free.get(q, 0) for q in g.qubits)
-            free.update(dict.fromkeys(g.qubits, start + seg.shape[1]))
-            placed.append((start, seg))
-        table = np.zeros((len(model.channels), max(free.values())))
-        for start, seg in placed:
-            table[:, start:start + seg.shape[1]] += seg
+        segs = [self._embed_member(g, row, ins.qubits) for g in ins.gates]
+        ends = asap_finishes((g.qubits, seg.shape[1])
+                             for g, seg in zip(ins.gates, segs))
+        table = np.zeros((len(model.channels), max(ends)))
+        for end, seg in zip(ends, segs):
+            table[:, end - seg.shape[1]:end] += seg
         return table
 
     def synthesize(self, ins) -> tuple[float, GrapeResult, HamiltonianModel]:

@@ -23,7 +23,7 @@ from .asm import gate_asm
 from .commute import build_commutation_groups, singleton_groups
 from .gates import Circuit, GateName, gate_unitary
 from .gdg import GDG, build_gdg
-from .latency import LatencyError, table_price
+from .latency import LatencyError, asap_finishes, table_price
 from .mapper import (RoutingResult, Topology, build_interaction_graph,
                      initial_mapping, route_swaps)
 from .optctrl import (DT_DEFAULT, MU_MAX_DEFAULT, OptimalControlUnit,
@@ -119,11 +119,8 @@ def _input_digest(circuit: Circuit) -> str:
 
 
 def _gdg_stats(g: GDG) -> dict:
-    depth: dict[int, int] = {}
-    for nid in g.topological_order():
-        depth[nid] = 1 + max((depth[p] for p in g.predecessors(nid)), default=0)
-    return {"nodes": len(g.real_nodes()),
-            "depth": max(depth.values(), default=0)}
+    depth = asap_finishes((g.nodes[i].qubits, 1) for i in g.topological_order())
+    return {"nodes": len(g.nodes), "depth": max(depth, default=0)}
 
 
 def _schedule(g: GDG, use_cls: bool) -> tuple[Schedule, str]:

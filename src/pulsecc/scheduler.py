@@ -95,7 +95,8 @@ def max_matching(edges: list[tuple[int, int, int]],
     return chosen
 
 
-def _run(g: GDG, groups: dict[int, list[list[int]]]) -> Schedule:
+def cls_schedule(g: GDG, groups: dict[int, list[list[int]]]) -> Schedule:
+    """Commutativity-aware schedule; durations must already be set on g."""
     unscheduled = {n.id for n in g.real_nodes()}
     queues = {q: deque(lst) for q, lst in groups.items()}
     current: dict[int, set[int]] = {q: set() for q in queues}
@@ -169,11 +170,6 @@ def _run(g: GDG, groups: dict[int, list[list[int]]]) -> Schedule:
     return Schedule(entries, makespan)
 
 
-def cls_schedule(g: GDG, groups: dict[int, list[list[int]]]) -> Schedule:
-    """Commutativity-aware schedule; durations must already be set on g."""
-    return _run(g, groups)
-
-
 def list_schedule(g: GDG) -> Schedule:
-    """ASAP baseline: same loop with every node in its own commutation group."""
-    return _run(g, singleton_groups(g))
+    """ASAP baseline: cls_schedule with singleton commutation groups."""
+    return cls_schedule(g, singleton_groups(g))

@@ -46,6 +46,14 @@ def test_parse_errors_carry_position():
         parse_asm("")
 
 
+def test_malformed_statement_and_parameter_list_rejected():
+    with pytest.raises(ParseError, match="cannot parse statement 'h q0 q'"):
+        parse_asm("qubits 2; h q0 q;")
+    with pytest.raises(ParseError, match=r"bad parameter list in 'rz\(1\.0\.2\) q0'") as e:
+        parse_asm("qubits 2;\nrz(1.0.2) q0;")
+    assert (e.value.line, e.value.col) == (2, 1)
+
+
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
 def test_non_finite_angle_is_parse_error(angle):
     with pytest.raises(ParseError, match="non-finite") as e:

@@ -57,6 +57,8 @@ def test_gate_validation():
         Gate(GateName.CUSTOM, (0,))      # missing matrix
     with pytest.raises(GateError):
         Gate(GateName.CUSTOM, (0, 1), (), np.eye(2))  # wrong shape
+    with pytest.raises(GateError, match="only CUSTOM gates carry"):
+        Gate(GateName.H, (0,), (), np.eye(2))
     for angle in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(GateError, match="non-finite"):
             Gate(GateName.RX, (0,), (angle,))

@@ -125,6 +125,19 @@ def test_contract_cycle_rejected():
     assert not ok and "cycle" in why
 
 
+def test_contract_raises_can_contracts_reason():
+    g = build_gdg(qaoa_triangle())
+    with pytest.raises(GDGError, match="members not contiguous on q1 chain"):
+        g.contract({4, 6})
+    c = Circuit(3)
+    for a, b in ((0, 1), (1, 2), (0, 2)):
+        c.add(GateName.CNOT, a, b)
+    g = build_gdg(c)
+    with pytest.raises(GDGError, match="contraction would create a cycle"):
+        g.contract({1, 3})
+    assert sorted(g.nodes) == [1, 2, 3]
+
+
 def test_contract_joins_members_in_seq_order():
     # node 5 (rz) is node 4's child and node 6's parent on qubit 1's chain:
     # however the members are given, their gates are joined in graph order

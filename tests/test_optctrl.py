@@ -357,6 +357,16 @@ def test_stationary_warm_start_stops(model1):
     assert np.array_equal(res.pulses.amplitudes, zeros)
 
 
+def test_zero_duration_returns_the_identity(model1):
+    target = gate_unitary(Gate(GateName.H, (0,)))
+    res = grape_optimize(target, model1, 0.0)
+    assert res.iterations == 0 and not res.converged
+    assert res.pulses.amplitudes.shape == (len(model1.channels), 0)
+    assert res.fidelity == pytest.approx(
+        1.0 - infidelity(np.eye(2, dtype=complex), target))
+    assert grape_optimize(np.eye(2, dtype=complex), model1, 0.0).converged
+
+
 def test_negative_duration_rejected(model1):
     target = gate_unitary(Gate(GateName.H, (0,)))
     with pytest.raises(ControlError, match=r"duration -2\.0 ns"):

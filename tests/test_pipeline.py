@@ -202,6 +202,12 @@ def test_invalid_pulse_options_rejected(flag, value):
     assert rc == cli.EXIT_PARSE
 
 
+def test_cli_synthesis_failure_is_optimizer_error(capsys):
+    rc = cli.main(["bench", "qaoa-triangle", "--max-iters", "1", "--quiet"])
+    assert rc == cli.EXIT_OPTIMIZER
+    assert "optimizer error: pulse synthesis failed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("width", [0, -3, 11, 13])
 def test_max_width_outside_range_rejected(width, capsys):
     with pytest.raises(ValueError, match="max_width"):

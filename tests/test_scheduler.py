@@ -7,8 +7,8 @@ from pulsecc.aggregator import aggregate_loop
 from pulsecc.bench import qaoa_triangle
 from pulsecc.commute import (build_commutation_groups, detect_diagonal_blocks,
                              singleton_groups)
-from pulsecc.gates import Circuit, GateName, circuit_unitary, phases_equal
-from pulsecc.gdg import build_gdg
+from pulsecc.gates import Circuit, Gate, GateName, circuit_unitary, phases_equal
+from pulsecc.gdg import GDG, AggregatedInstruction, build_gdg
 from pulsecc.latency import table_price
 from pulsecc.mapper import (Topology, build_interaction_graph, initial_mapping,
                             route_swaps)
@@ -239,6 +239,26 @@ def test_list_schedule_never_builds_a_matching(monkeypatch):
     sched = list_schedule(g)
     assert len(sched.entries) == len(g.real_nodes())
     assert schedule_is_valid(sched, g)
+
+
+def test_wide_node_keeps_the_qubit_its_matching_edge_leaves_out():
+    # a 3-qubit node enters the matching as its first two qubits' edge, so
+    # the matching also picks the cphase that shares its third qubit; the
+    # cphase must wait until the wide node frees that qubit
+    g = GDG(4)
+    last = {}
+    wide = g.add_instruction(AggregatedInstruction(
+        [Gate(GateName.CPHASE, (0, 1), (0.3,)),
+         Gate(GateName.CPHASE, (1, 2), (0.4,))]), last)
+    cp = g.add_instruction(AggregatedInstruction(
+        [Gate(GateName.CPHASE, (2, 3), (0.5,))]), last)
+    wide.duration, cp.duration = 10.0, 4.0
+    groups = {0: [[wide.id]], 1: [[wide.id]], 2: [[wide.id, cp.id]],
+              3: [[cp.id]]}
+    assert max_matching([(0, 1, wide.id), (2, 3, cp.id)], []) == {wide.id, cp.id}
+    sched = cls_schedule(g, groups)
+    assert sched.entries == [(wide.id, 0.0), (cp.id, 10.0)]
+    assert sched.makespan_ns == 14.0
 
 
 def test_cls_matches_conflicting_commuting_blocks(monkeypatch):
