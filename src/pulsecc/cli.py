@@ -41,10 +41,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="aggregated-instruction qubit limit")
     p.add_argument("--latency", choices=LATENCY_MODES,
                    default=defaults.latency_mode)
-    p.add_argument("--dt", type=float, default=defaults.dt,
-                   help="pulse step (ns)")
-    p.add_argument("--mu-max", type=float, default=defaults.mu_max,
-                   help="coupling amplitude bound (GHz)")
     p.add_argument("--fidelity", type=float, default=defaults.fidelity)
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--max-iters", type=int, default=defaults.max_iters)
@@ -76,8 +72,8 @@ def _options(args) -> CompileOptions:
         raise ValueError(str(e)) from None
     return CompileOptions(
         strategy=args.strategy, topology=topo, max_width=args.max_width,
-        latency_mode=args.latency, dt=args.dt, mu_max=args.mu_max,
-        fidelity=args.fidelity, seed=args.seed, max_iters=args.max_iters)
+        latency_mode=args.latency, fidelity=args.fidelity, seed=args.seed,
+        max_iters=args.max_iters)
 
 
 def _report(result, args):

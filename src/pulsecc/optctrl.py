@@ -1,8 +1,8 @@
 """GRAPE optimal control over a 2-level transmon model with XY coupling.
 
 The one model: zero drift in the rotating frame; per qubit sigma_x/y/z
-drives bounded at 5*mu_max, per coupled pair one XY exchange channel (s+s- +
-s-s+) bounded at mu_max = 0.02 GHz.  Piecewise-constant amplitudes u_k(j) in
+drives bounded at 5*MU_MAX, per coupled pair one XY exchange channel (s+s- +
+s-s+) bounded at MU_MAX = 0.02 GHz.  Piecewise-constant amplitudes u_k(j) in
 GHz enter the step Hamiltonian as H_j = sum_k 2*pi*u_k(j)*H_k (hbar = 1,
 angular frequencies in rad/ns), and U_j = exp(-i H_j dt).
 """
@@ -19,7 +19,7 @@ from .gates import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_operator
 from .gdg import AggregatedInstruction
 from .latency import asap_finishes
 
-MU_MAX_DEFAULT = 0.02   # GHz, XY coupling limit
+MU_MAX = 0.02           # GHz, XY coupling limit
 SINGLE_QUBIT_FACTOR = 5.0
 DT_DEFAULT = 0.5        # ns
 CAP_NS = 2000.0         # min_time's longest trial duration
@@ -74,7 +74,6 @@ class HamiltonianModel:
     channels and ops are derived from the fields."""
     num_qubits: int
     pairs: tuple[tuple[int, int], ...]
-    mu_max: float = MU_MAX_DEFAULT
     dt: float = DT_DEFAULT
     channels: list[Channel] = field(init=False, repr=False, compare=False)
     # 2*pi*H_k stacked over channels, K x d x d: the step Hamiltonian per unit
@@ -82,9 +81,8 @@ class HamiltonianModel:
     ops: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dt <= 0 or self.mu_max <= 0:
-            raise ControlError(f"dt and mu_max must be positive, not "
-                               f"{self.dt} and {self.mu_max}")
+        if self.dt <= 0:
+            raise ControlError(f"dt must be positive, not {self.dt}")
         for a, b in self.pairs:
             if not 0 <= a < b < self.num_qubits:
                 raise ControlError(f"pair {(a, b)} is not (a, b) with 0 <= a "
@@ -92,14 +90,14 @@ class HamiltonianModel:
         if len(set(self.pairs)) < len(self.pairs):
             raise ControlError(f"pairs {self.pairs} repeat a pair")
         wires = range(self.num_qubits)
-        u1 = SINGLE_QUBIT_FACTOR * self.mu_max
+        u1 = SINGLE_QUBIT_FACTOR * MU_MAX
         self.channels = [
             Channel(f"s{label}{q}", (q,), embed_operator(sig, [q], wires), u1)
             for q in wires
             for label, sig in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z))]
         self.channels += [
             Channel(f"xy{a}_{b}", (a, b), embed_operator(_XY, [a, b], wires),
-                    self.mu_max) for a, b in self.pairs]
+                    MU_MAX) for a, b in self.pairs]
         self.ops = np.array([TWO_PI * ch.op for ch in self.channels])
 
     @property
@@ -111,15 +109,14 @@ class HamiltonianModel:
         return np.array([ch.bound for ch in self.channels])
 
     @classmethod
-    def build(cls, num_qubits: int, coupled_pairs=None,
-              mu_max: float = MU_MAX_DEFAULT, dt: float = DT_DEFAULT):
+    def build(cls, num_qubits: int, coupled_pairs=None):
         """The model with each coupled pair stored as (min, max);
         coupled_pairs=None couples every qubit pair (all-to-all)."""
         if coupled_pairs is None:
             coupled_pairs = [(a, b) for a in range(num_qubits)
                              for b in range(a + 1, num_qubits)]
         pairs = tuple((min(a, b), max(a, b)) for a, b in coupled_pairs)
-        return cls(num_qubits, pairs, mu_max, dt)
+        return cls(num_qubits, pairs)
 
 
 @dataclass
@@ -445,7 +442,7 @@ def min_time_bound(v_target: np.ndarray, m: HamiltonianModel,
     """Duration (ns) below which no pulse on m reaches fidelity with v_target.
 
     0 unless m has 2 qubits: a member's bound is no bound for a merge
-    (CNOT.CNOT = I). With no drift, free local control and mu = mu_max on
+    (CNOT.CNOT = I). With no drift, free local control and mu = MU_MAX on
     the one XY pair (0 if uncoupled), the least time to U is theta(U) / (pi
     mu), theta = max(c1, (c1 + c2 + |c3|) / 2): U's Weyl coordinates must be
     special-majorized by t (pi mu, pi mu, 0), the Cartan coefficients of H =
@@ -461,7 +458,7 @@ def min_time_bound(v_target: np.ndarray, m: HamiltonianModel,
     """
     if m.num_qubits != 2:
         return 0.0
-    mu = m.mu_max if m.pairs else 0.0
+    mu = MU_MAX if m.pairs else 0.0
     c = _weyl_coordinates(v_target)
     s = (3.0 - math.sqrt(max(0.0, 9.0 - 12.0 * (1.0 - fidelity)))) / 2.0
     angle = max(c[0], c.sum() / 2) - math.asin(min(1.0, math.sqrt(s)))
@@ -598,69 +595,63 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
                 raise ConvergenceError(
                     f"no coupling crosses the cut of model qubits {part}, and no "
                     f"product across it exceeds fidelity {bound:.6f}", fid0)
-    coarse = HamiltonianModel(m.num_qubits, m.pairs, m.mu_max, 2 * m.dt)
-    fb = fallback_amplitudes
-    fb_steps = fb.shape[1] if fb is not None else None
-    steps = BISECT_RESOLUTION_STEPS
-    success = None
-    while success is None and steps * m.dt <= CAP_NS:
-        if fb is not None and fb_steps <= steps:
-            n_try, starts, fb = fb_steps, [(m, fb)], None
-        else:   # a rung: the best failure stretched, then cold, on 2*dt
-            n_try = steps
-            fine = [m.bounds[:, None] * np.tanh(
-                _cold_theta(len(m.channels), steps, cfg.seed))]
-            if seed.iterations:
-                fine.insert(0, _compress(seed.pulses.amplitudes, steps))
-            starts = [(coarse, _coarsen(a)) for a in fine]
-            steps *= 2
-        if n_try * m.dt < t_min:
-            continue
+    coarse = HamiltonianModel(m.num_qubits, m.pairs, 2 * m.dt)
+
+    def trial(n: int, starts) -> GrapeResult | None:
+        """The first start (model, amplitudes) to converge in n steps of m,
+        or None, at once under t_min; a failed one that beats seed replaces it."""
+        nonlocal seed
+        if n * m.dt < t_min:
+            return None
         for model, init in starts:
-            res = grape_optimize(v_target, model, n_try * m.dt, cfg,
+            res = grape_optimize(v_target, model, n * m.dt, cfg,
                                  init_amplitudes=init)
             if model is coarse:
                 res = _onto_dt(res, v_target, m, cfg)
             if res.converged:
-                success = (n_try, res)
-                break
+                return res
             if res.fidelity > seed.fidelity:
                 seed = res
-    if success is None:
+        return None
+
+    fb = fallback_amplitudes
+    steps, best = BISECT_RESOLUTION_STEPS, None
+    while best is None and steps * m.dt <= CAP_NS:
+        if fb is not None and fb.shape[1] <= steps:
+            hi, starts, fb = fb.shape[1], [(m, fb)], None
+        else:   # a rung: the best failure stretched, then cold, on 2*dt
+            fine = [m.bounds[:, None] * np.tanh(
+                _cold_theta(len(m.channels), steps, cfg.seed))]
+            if seed.iterations:
+                fine.insert(0, _compress(seed.pulses.amplitudes, steps))
+            hi, starts = steps, [(coarse, _coarsen(a)) for a in fine]
+            steps *= 2
+        best = trial(hi, starts)
+    if best is None:
         raise ConvergenceError(
             f"no pulse under {CAP_NS} ns reached fidelity "
             f"{cfg.fidelity_threshold}", seed.fidelity)
 
-    hi, best = success
     res_steps = BISECT_RESOLUTION_STEPS
     lo = hi // 2 // res_steps * res_steps
     while hi - lo > res_steps:
         # on the grid, and short of hi even when a fallback's hi is not
         mid = lo + max(1, (hi - lo) // (2 * res_steps)) * res_steps
-        if mid * m.dt < t_min:
+        res = trial(mid, [(m, _compress(best.pulses.amplitudes, mid)),
+                          (m, best.pulses.amplitudes[:, :mid])])
+        if res is None:
             lo = mid
-            continue
-        for warm in (_compress(best.pulses.amplitudes, mid),
-                     best.pulses.amplitudes[:, :mid]):
-            res = grape_optimize(v_target, m, mid * m.dt, cfg,
-                                 init_amplitudes=warm)
-            if res.converged:
-                hi, best = mid, res
-                break
         else:
-            lo = mid
+            hi, best = mid, res
     return hi * m.dt, best
 
 
 class OptimalControlUnit:
     """Latency oracle: per-instruction minimum-time pulse synthesis with cache."""
 
-    def __init__(self, mu_max: float = MU_MAX_DEFAULT, dt: float = DT_DEFAULT,
-                 cfg: OptimizerConfig | None = None, adjacency=None):
+    def __init__(self, cfg: OptimizerConfig | None = None, adjacency=None):
         """adjacency: callable (site_a, site_b) -> bool, or None for all-to-all
         coupling inside each instruction."""
-        self.mu_max = mu_max
-        self.dt = dt
         self.cfg = cfg or OptimizerConfig()
         self.adjacency = adjacency
         # fingerprint -> (duration, GrapeResult, HamiltonianModel)
@@ -723,8 +714,7 @@ class OptimalControlUnit:
         key = fingerprint(ins.target_unitary,
                           (pairs, self.cfg.fidelity_threshold))
         if key not in self.cache:
-            model = HamiltonianModel(len(ins.qubits), pairs,
-                                     mu_max=self.mu_max, dt=self.dt)
+            model = HamiltonianModel(len(ins.qubits), pairs)
             fallback = self._concat_fallback(ins, model)
             try:
                 duration, res = min_time(ins.target_unitary, model, self.cfg,

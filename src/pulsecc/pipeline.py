@@ -26,8 +26,7 @@ from .gdg import GDG, build_gdg
 from .latency import LatencyError, asap_finishes, table_price
 from .mapper import (RoutingResult, Topology, build_interaction_graph,
                      initial_mapping, route_swaps)
-from .optctrl import (DT_DEFAULT, MU_MAX_DEFAULT, OptimalControlUnit,
-                      OptimizerConfig)
+from .optctrl import OptimalControlUnit, OptimizerConfig
 from .scheduler import Schedule, cls_schedule, list_schedule
 from .verify import VerificationReport, sample_verify
 
@@ -47,11 +46,9 @@ class CompileOptions:
     topology: Topology | None = None       # default: 1 x num_qubits line
     max_width: int = DEFAULT_MAX_WIDTH
     latency_mode: str = "oracle"           # one of LATENCY_MODES
-    dt: float = DT_DEFAULT
-    mu_max: float = MU_MAX_DEFAULT
-    fidelity: float = 0.999
-    seed: int = 7
-    max_iters: int = 600
+    fidelity: float = OptimizerConfig.fidelity_threshold
+    seed: int = OptimizerConfig.seed
+    max_iters: int = OptimizerConfig.max_iters
     table_override: dict | None = None
     compare_baseline: bool = True
 
@@ -68,8 +65,8 @@ class CompileOptions:
         if not 1 <= self.max_width <= MAX_WIDTH_LIMIT:
             raise ValueError(f"max_width must be in 1..{MAX_WIDTH_LIMIT}, "
                              f"not {self.max_width}")
-        if not (0 < self.fidelity <= 1 and self.dt > 0 and self.mu_max > 0):
-            raise ValueError("fidelity must be in (0, 1]; dt and mu_max must be positive")
+        if not 0 < self.fidelity <= 1:
+            raise ValueError("fidelity must be in (0, 1]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.seed < 0:
@@ -139,8 +136,7 @@ def make_ocu(opts: CompileOptions, topo: Topology) -> OptimalControlUnit:
     cfg = OptimizerConfig(max_iters=opts.max_iters,
                           fidelity_threshold=opts.fidelity,
                           seed=opts.seed)
-    return OptimalControlUnit(mu_max=opts.mu_max, dt=opts.dt, cfg=cfg,
-                              adjacency=topo.adjacent)
+    return OptimalControlUnit(cfg=cfg, adjacency=topo.adjacent)
 
 
 def _route_and_price(g: GDG, groups, mapping: dict[int, int], topo: Topology,
@@ -219,7 +215,7 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
         for node in final_gdg.real_nodes():
             duration, res, model = ocu.synthesize(node.instruction)
             instructions.append((node.id, node.instruction, res.pulses, model))
-    report = (sample_verify(instructions, threshold=opts.fidelity)
+    report = (sample_verify(instructions, ocu.cfg.fidelity_threshold)
               if instructions else None)
 
     baseline_makespan = schedule.makespan_ns

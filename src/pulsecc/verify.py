@@ -5,7 +5,8 @@ import json
 from dataclasses import dataclass, field
 
 from .gdg import AggregatedInstruction
-from .optctrl import ControlPulses, HamiltonianModel, evolve, infidelity
+from .optctrl import (ControlPulses, HamiltonianModel, OptimizerConfig, evolve,
+                      infidelity)
 
 
 class VerificationError(RuntimeError):
@@ -24,7 +25,7 @@ class InstructionCheck:
 @dataclass
 class VerificationReport:
     checks: list[InstructionCheck] = field(default_factory=list)
-    threshold: float = 0.999
+    threshold: float = OptimizerConfig.fidelity_threshold
 
     @property
     def passed(self) -> bool:
@@ -60,7 +61,9 @@ def verify_instruction(ins: AggregatedInstruction, p: ControlPulses,
     return 1.0 - infidelity(u, ins.target_unitary)
 
 
-def sample_verify(instructions, threshold: float = 0.999) -> VerificationReport:
+def sample_verify(instructions,
+                  threshold: float = OptimizerConfig.fidelity_threshold
+                  ) -> VerificationReport:
     """Verify every emitted instruction against its pulses.
 
     instructions: list of (node_id, AggregatedInstruction, ControlPulses,
@@ -72,7 +75,5 @@ def sample_verify(instructions, threshold: float = 0.999) -> VerificationReport:
     for node_id, ins, pulses, model in instructions:
         fid = verify_instruction(ins, pulses, model)
         report.checks.append(InstructionCheck(
-            node_id, ins.label(), fid,
-            pulses.duration_ns if pulses is not None else 0.0,
-            fid >= threshold))
+            node_id, ins.label(), fid, pulses.duration_ns, fid >= threshold))
     return report

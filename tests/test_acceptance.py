@@ -42,8 +42,7 @@ def report(capfd, num: int, desc: str, passed: bool, elapsed: float):
 def line_ocu():
     """One shared pulse-synthesis oracle (and cache) for all line topologies."""
     cfg = OptimizerConfig(fidelity_threshold=0.999, seed=7)
-    return OptimalControlUnit(mu_max=0.02, dt=0.5, cfg=cfg,
-                              adjacency=lambda a, b: abs(a - b) == 1)
+    return OptimalControlUnit(cfg=cfg, adjacency=lambda a, b: abs(a - b) == 1)
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +80,7 @@ def test_criterion_1_worked_example_arithmetic(capfd):
 
 def test_criterion_2_triangle_speedup(capfd, line_ocu, compiled_store):
     t0 = time.time()
-    opts = CompileOptions(strategy="cls+agg", max_width=3, dt=0.5,
-                          mu_max=0.02, fidelity=0.999)
+    opts = CompileOptions(strategy="cls+agg", max_width=3, fidelity=0.999)
     res = compile_circuit(qaoa_triangle(), opts, ocu=line_ocu)
     compiled_store.append(res)
     speedup = res.manifest["speedup"]

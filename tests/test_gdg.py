@@ -125,6 +125,11 @@ def test_contract_cycle_rejected():
     assert not ok and "cycle" in why
 
 
+def test_can_contract_unknown_node():
+    g = build_gdg(qaoa_triangle())
+    assert g.can_contract({1, 99}) == (False, "unknown node 99")
+
+
 def test_contract_raises_can_contracts_reason():
     g = build_gdg(qaoa_triangle())
     with pytest.raises(GDGError, match="members not contiguous on q1 chain"):

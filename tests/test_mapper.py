@@ -77,6 +77,12 @@ def test_bisect_path_of_four():
     assert cut == 1  # optimal: split the middle edge
 
 
+@pytest.mark.parametrize("vertices", [[], [3]])
+def test_bisect_needs_two_vertices(vertices):
+    with pytest.raises(MappingError, match="at least 2 vertices"):
+        bisect(InteractionGraph(vertices))
+
+
 def test_bisect_matches_exhaustive_random(rng):
     for _ in range(20):
         n = int(rng.integers(4, 8))

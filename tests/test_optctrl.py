@@ -46,11 +46,10 @@ def test_build_normalizes_pairs():
     assert HamiltonianModel.build(3).pairs == ((0, 1), (0, 2), (1, 2))
 
 
-@pytest.mark.parametrize("kwargs", [{"mu_max": 0.0}, {"mu_max": -0.02},
-                                    {"dt": 0.0}, {"dt": -0.5}])
+@pytest.mark.parametrize("kwargs", [{"dt": 0.0}, {"dt": -0.5}])
 def test_nonpositive_model_parameters_rejected(kwargs):
     with pytest.raises(ControlError, match="must be positive"):
-        HamiltonianModel.build(2, **kwargs)
+        HamiltonianModel(2, ((0, 1),), **kwargs)
 
 
 def test_single_qubit_bound_is_five_times_coupling(model2):
@@ -380,6 +379,27 @@ def test_wrong_shaped_warm_start_rejected(model1):
                        init_amplitudes=np.zeros((3, 5)))
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.001])
+def test_fidelity_threshold_outside_unit_interval_rejected(threshold):
+    with pytest.raises(ControlError, match=r"in \(0, 1\]"):
+        OptimizerConfig(fidelity_threshold=threshold)
+
+
+def test_mismatched_shapes_rejected(model2):
+    with pytest.raises(ControlError, match="3 channels, model has 7"):
+        evolve(ControlPulses(np.zeros((3, 4)), model2.dt), model2)
+    with pytest.raises(ControlError, match="dimension mismatch"):
+        infidelity(np.eye(2), np.eye(4))
+
+
+@pytest.mark.parametrize("dim, duration_ns, message", [
+    (4, 2.0, r"target dimension \(4, 4\) does not match model dim 2"),
+    (2, 1.25, "1.25 ns is not a multiple of dt")])
+def test_grape_target_and_duration_checked(model1, dim, duration_ns, message):
+    with pytest.raises(ControlError, match=message):
+        grape_optimize(np.eye(dim, dtype=complex), model1, duration_ns)
+
+
 def test_max_iters_below_one_rejected():
     with pytest.raises(ControlError, match="max_iters"):
         OptimizerConfig(max_iters=0)
@@ -525,7 +545,7 @@ def test_cold_draw_is_grape_optimizes_own(model1):
 def test_repeated_coarse_pulse_keeps_the_unitary():
     # a pulse constant over 2*dt segments is exactly a pulse on dt steps
     m = HamiltonianModel.build(3, [(0, 1), (1, 2)])
-    coarse = HamiltonianModel(m.num_qubits, m.pairs, m.mu_max, 2 * m.dt)
+    coarse = HamiltonianModel(m.num_qubits, m.pairs, 2 * m.dt)
     segments = np.random.default_rng(6).uniform(-0.05, 0.05,
                                                 size=(len(m.channels), 7))
     u_coarse = evolve(ControlPulses(segments, coarse.dt), coarse)
@@ -784,7 +804,7 @@ def test_fidelity_ball_needs_at_most_delta(model2, f):
     # every W = exp(iG) with F(W, I) >= f has an exact bound of at most
     # delta(f), which is how much the relaxed bound gives up
     s_star = (3 - math.sqrt(9 - 12 * (1 - f))) / 2
-    delta = math.asin(math.sqrt(s_star)) / (math.pi * optctrl.MU_MAX_DEFAULT)
+    delta = math.asin(math.sqrt(s_star)) / (math.pi * optctrl.MU_MAX)
     rng = np.random.default_rng(int(f * 1000))
     worst = 0.0
     for _ in range(2000):

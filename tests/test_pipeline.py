@@ -15,7 +15,8 @@ from pulsecc.gates import (Circuit, Gate, GateName, circuit_unitary,
 from pulsecc.gdg import GDG, AggregatedInstruction, build_gdg
 from pulsecc.aggregator import MAX_WIDTH_LIMIT
 from pulsecc.latency import LatencyError, table_price
-from pulsecc.optctrl import ConvergenceError, OptimalControlUnit
+from pulsecc.optctrl import (ConvergenceError, OptimalControlUnit,
+                             OptimizerConfig)
 from pulsecc.pipeline import (CompileOptions, compare_strategies,
                               compile_circuit, write_artifacts)
 from pulsecc.mapper import Topology
@@ -190,9 +191,7 @@ def test_unknown_latency_mode_rejected():
 
 
 @pytest.mark.parametrize("flag, value", [("--fidelity", "1.5"), ("--fidelity", "0"),
-                                         ("--dt", "0"), ("--mu-max", "-1"),
-                                         ("--mu-max", "0"), ("--max-iters", "0"),
-                                         ("--seed", "-1")])
+                                         ("--max-iters", "0"), ("--seed", "-1")])
 def test_invalid_pulse_options_rejected(flag, value):
     field = flag[2:].replace("-", "_")
     with pytest.raises(ValueError, match=field):
@@ -200,6 +199,28 @@ def test_invalid_pulse_options_rejected(flag, value):
     rc = cli.main(["bench", "maxcut-line", "--n", "2", "--strategy", "isa",
                    flag, value])
     assert rc == cli.EXIT_PARSE
+
+
+def test_verification_uses_the_oracles_threshold():
+    # an oracle built for 0.99 synthesizes pulses that meet 0.99 but not the
+    # default 0.999; the compile verifies them at the threshold they were
+    # made for
+    ocu = OptimalControlUnit(cfg=OptimizerConfig(fidelity_threshold=0.99))
+    res = compile_circuit(make_bench("maxcut-line", 3),
+                          CompileOptions(max_width=2), ocu=ocu)
+    fids = [c.fidelity for c in res.report.checks]
+    assert res.report.threshold == 0.99 and min(fids) < 0.999
+    assert res.report.passed and res.manifest["verification_passed"]
+
+
+def test_cli_verification_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr("pulsecc.verify.verify_instruction",
+                        lambda ins, p, m: 0.0)
+    rc = cli.main(["bench", "maxcut-line", "--n", "2", "--strategy", "isa"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VERIFY
+    assert "verification failed" in captured.err
+    assert "verification: FAIL" in captured.out
 
 
 def test_cli_synthesis_failure_is_optimizer_error(capsys):
@@ -323,7 +344,6 @@ def test_pulse_files_read_against_manifest_qubits(tmp_path):
         doc = json.loads((tmp_path / entry["pulse_file"]).read_text())
         pairs = tuple(tuple(ch["qubits"]) for ch in doc["channels"]
                       if len(ch["qubits"]) == 2)
-        # a channel's operator does not depend on its bound, so mu_max is moot
         model = optctrl.HamiltonianModel(len(entry["qubits"]), pairs,
                                          dt=doc["dt"])
         assert [ch.name for ch in model.channels] == [

@@ -86,6 +86,14 @@ def test_cls_schedules_all_nodes_once():
            sorted(n.id for n in g.real_nodes())
 
 
+def test_cls_rejects_unpriced_node():
+    g = build_gdg(qaoa_triangle())
+    g.set_durations(table_price())
+    g.nodes[1].duration = None
+    with pytest.raises(ScheduleError, match="node 1 has no duration"):
+        cls_schedule(g, build_commutation_groups(g))
+
+
 def test_list_schedule_worked_example_makespan():
     g = build_gdg(qaoa_triangle())
     g.set_durations(table_price())

@@ -36,6 +36,12 @@ def test_fault_injected_pulses_fail(synthesized):
     assert verify_instruction(ins, broken, model) < 0.999
 
 
+def test_missing_pulses_rejected(synthesized):
+    _, ins, _, model = synthesized[0]
+    with pytest.raises(VerificationError, match="no pulses recorded for h q0"):
+        verify_instruction(ins, None, model)
+
+
 def test_sample_verify_report(synthesized):
     report = sample_verify(synthesized)
     assert report.passed
