@@ -81,6 +81,9 @@ class HamiltonianModel:
     ops: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.num_qubits <= 0:
+            raise ControlError(
+                f"num_qubits must be positive, not {self.num_qubits}")
         if self.dt <= 0:
             raise ControlError(f"dt must be positive, not {self.dt}")
         for a, b in self.pairs:

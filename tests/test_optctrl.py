@@ -46,10 +46,12 @@ def test_build_normalizes_pairs():
     assert HamiltonianModel.build(3).pairs == ((0, 1), (0, 2), (1, 2))
 
 
-@pytest.mark.parametrize("kwargs", [{"dt": 0.0}, {"dt": -0.5}])
+@pytest.mark.parametrize("kwargs", [{"dt": 0.0}, {"dt": -0.5},
+                                    {"num_qubits": 0, "pairs": ()},
+                                    {"num_qubits": -1, "pairs": ()}])
 def test_nonpositive_model_parameters_rejected(kwargs):
     with pytest.raises(ControlError, match="must be positive"):
-        HamiltonianModel(2, ((0, 1),), **kwargs)
+        HamiltonianModel(**{"num_qubits": 2, "pairs": ((0, 1),), **kwargs})
 
 
 def test_single_qubit_bound_is_five_times_coupling(model2):
