@@ -444,8 +444,7 @@ def min_time_bound(v_target: np.ndarray, m: HamiltonianModel,
                    fidelity: float) -> float:
     """Duration (ns) below which no pulse on m reaches fidelity with v_target.
 
-    0 unless m has 2 qubits: a member's bound is no bound for a merge
-    (CNOT.CNOT = I). With no drift, free local control and mu = MU_MAX on
+    At 2 qubits, with no drift, free local control and mu = MU_MAX on
     the one XY pair (0 if uncoupled), the least time to U is theta(U) / (pi
     mu), theta = max(c1, (c1 + c2 + |c3|) / 2): U's Weyl coordinates must be
     special-majorized by t (pi mu, pi mu, 0), the Cartan coefficients of H =
@@ -458,33 +457,54 @@ def min_time_bound(v_target: np.ndarray, m: HamiltonianModel,
     sqrt(9 - 12 (1 - f))) / 2 and theta(W) <= delta = arcsin(sqrt(S*)) by
     concavity, or pi/2 > every theta if S* > 1. So D >= (theta(V) - delta)
     / (pi mu): 0.503 ns under the exact bound at f = 0.999, mu = 0.02 GHz.
+
+    At 3 or more qubits, and at 2 uncoupled ones where that gives 0, a
+    member's bound is no bound for a merge (CNOT.CNOT = I). The bound is the
+    largest T_A = (arccos sqrt(P_A) - arccos sqrt(f)) / (2 pi MU_MAX c_A)
+    over the cuts A | B of m's qubits, P_A = cut_fidelity_bound(V, A) and
+    c_A the number of pairs crossing it; inf if c_A = 0 and P_A < f. Proof:
+    in the interaction picture of the terms inside A or B, U = (L_A (x)
+    L_B) W, and W is generated by the crossing XY terms alone, of operator
+    norm <= 2 pi MU_MAX c_A. So W(s) / sqrt(d) traces a curve of length <=
+    2 pi MU_MAX c_A D on the unit sphere of Hilbert-Schmidt space, and U is
+    within that Fubini-Study distance, arccos(|Tr(X^dag Y)| / (|X|_F
+    |Y|_F)), of the product L_A (x) L_B. V is at least
+    arccos sqrt(P_A) from every product and at most arccos sqrt(f) from U,
+    so the triangle inequality gives D >= T_A (after Nielsen et al., PRA 67,
+    052301, 2003). The Weyl bound stays at 2 coupled qubits: exact under
+    free local control, it is never below the cut formula at f = 1, nor on
+    sampled Haar-random targets at f = 0.999.
     """
-    if m.num_qubits != 2:
-        return 0.0
-    mu = MU_MAX if m.pairs else 0.0
-    c = _weyl_coordinates(v_target)
-    s = (3.0 - math.sqrt(max(0.0, 9.0 - 12.0 * (1.0 - fidelity)))) / 2.0
-    angle = max(c[0], c.sum() / 2) - math.asin(min(1.0, math.sqrt(s)))
-    if angle <= 0:
-        return 0.0
-    return angle / (math.pi * mu) if mu > 0 else math.inf
+    return _speed_limit(v_target, m, fidelity)[0]
 
 
-def _components(m: HamiltonianModel) -> list[list[int]]:
-    """The model's qubits grouped by the pairs that connect them."""
-    root = list(range(m.num_qubits))
-
-    def find(q: int) -> int:
-        while root[q] != q:
-            q = root[q]
-        return q
-
-    for a, b in m.pairs:
-        root[find(a)] = find(b)
-    parts: dict[int, list[int]] = {}
-    for q in range(m.num_qubits):
-        parts.setdefault(find(q), []).append(q)
-    return list(parts.values())
+def _speed_limit(v_target: np.ndarray, m: HamiltonianModel,
+                 fidelity: float) -> tuple[float, str | None]:
+    """min_time_bound, and why, if a cut that no pair crosses makes it inf."""
+    n, bound = m.num_qubits, 0.0
+    if n == 2:
+        mu = MU_MAX if m.pairs else 0.0
+        c = _weyl_coordinates(v_target)
+        s = (3.0 - math.sqrt(max(0.0, 9.0 - 12.0 * (1.0 - fidelity)))) / 2.0
+        angle = max(c[0], c.sum() / 2) - math.asin(min(1.0, math.sqrt(s)))
+        if angle > 0:
+            bound = angle / (math.pi * mu) if mu > 0 else math.inf
+        if m.pairs or bound:
+            return bound, None
+    for mask in range(1, 2 ** (n - 1)):   # every cut once: A without qubit n-1
+        part = [q for q in range(n) if mask >> q & 1]
+        p = cut_fidelity_bound(v_target, part)
+        # slack for rounding: a product target's bound is 1 within ulps
+        if p >= fidelity - 1e-12:
+            continue
+        crossing = sum((mask >> a ^ mask >> b) & 1 for a, b in m.pairs)
+        if not crossing:
+            return math.inf, (f"no coupling crosses the cut of model qubits "
+                              f"{part}, and no product across it exceeds "
+                              f"fidelity {p:.6f}")
+        bound = max(bound, (math.acos(math.sqrt(p)) - math.acos(
+            math.sqrt(fidelity))) / (TWO_PI * MU_MAX * crossing))
+    return bound, None
 
 
 def cut_fidelity_bound(v_target: np.ndarray, part: list[int]) -> float:
@@ -572,11 +592,10 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     A trial shorter than min_time_bound cannot converge, so it does not run.
     Its failure would have seeded the next rung, so the bound can change the
     later trials' starts and pulses, but it skips no trial that could
-    converge. A bound over CAP_NS, inf with no coupling, raises
-    ConvergenceError at once. So does a model whose pairs leave its qubits
-    disconnected, when a component's cut needs a coupling: with no channel
-    across it every pulse is a product across it, and no product reaches the
-    threshold when cut_fidelity_bound is below it.
+    converge. A bound over CAP_NS raises ConvergenceError at once. So does
+    inf: a CNOT on an uncoupled pair, or a cut that no pair crosses when
+    cut_fidelity_bound across it is below the threshold, since every pulse
+    is a product across such a cut; the error names that cut.
     """
     cfg = cfg or OptimizerConfig()
     fid0 = 1.0 - infidelity(np.eye(m.dim, dtype=complex), v_target)
@@ -587,17 +606,10 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
 
     t_min = min_time_bound(v_target, m, cfg.fidelity_threshold)
     if t_min > CAP_NS:
-        raise ConvergenceError(f"the {t_min:.2f} ns minimum-time bound exceeds "
-                               f"the {CAP_NS} ns cap", fid0)
-    parts = _components(m)
-    if len(parts) > 1:
-        for part in parts:
-            bound = cut_fidelity_bound(v_target, part)
-            # slack for rounding: a product target's bound is 1 within ulps
-            if bound < cfg.fidelity_threshold - 1e-12:
-                raise ConvergenceError(
-                    f"no coupling crosses the cut of model qubits {part}, and no "
-                    f"product across it exceeds fidelity {bound:.6f}", fid0)
+        raise ConvergenceError(
+            _speed_limit(v_target, m, cfg.fidelity_threshold)[1]
+            or f"the {t_min:.2f} ns minimum-time bound exceeds the {CAP_NS} "
+            f"ns cap", fid0)
     coarse = HamiltonianModel(m.num_qubits, m.pairs, 2 * m.dt)
 
     def trial(n: int, starts) -> GrapeResult | None:

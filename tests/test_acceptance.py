@@ -139,6 +139,22 @@ def test_two_qubit_pulses_respect_min_time_bound(line_ocu):
     assert checked > 0
 
 
+def test_wide_pulses_respect_min_time_bound(line_ocu):
+    # the same for every cached pulse of 3 or more qubits: none may beat the
+    # cut speed limit of its target on its cached model's pairs
+    if not line_ocu.cache:
+        compile_circuit(qaoa_triangle(), CompileOptions(
+            strategy="cls+agg", max_width=3), ocu=line_ocu)
+    bounds = []
+    for key, (duration, _, model) in line_ocu.cache.items():
+        if model.num_qubits >= 3:
+            target = np.frombuffer(key[1], dtype=complex).reshape(
+                model.dim, model.dim)
+            bounds.append(min_time_bound(target, model, 0.999))
+            assert duration >= bounds[-1], (duration, bounds[-1])
+    assert max(bounds) > 0
+
+
 def test_criterion_4_commutation_oracle(capfd, rng):
     t0 = time.time()
     from conftest import random_gate

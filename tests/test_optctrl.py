@@ -719,11 +719,16 @@ def test_plateau_stop_changes_no_min_time_result(monkeypatch, gates):
                    for args, kwargs in stopped)
 
 
-@CRITERION_9
+@pytest.mark.parametrize(
+    "gates", [[Gate(GateName.CNOT, (0, 1))], [Gate(GateName.SWAP, (0, 1))],
+              ZZ_BLOCK, list(qaoa_triangle().gates)],
+    ids=["cnot", "swap", "cnot-rz-cnot", "qaoa-triangle"])
 def test_min_time_bound_changes_no_min_time_result(monkeypatch, gates):
     # the bound only skips trials that cannot converge: the same duration
     # with it on and off, in fewer GRAPE runs, and every trial run below the
     # bound with it off fails. Pulses may differ, since failures seed rungs.
+    # qaoa-triangle's gates merge into one 3-qubit instruction on a line,
+    # whose bound is the cut speed limit.
     calls = []
 
     def counting_grape(*args, **kwargs):
@@ -791,12 +796,20 @@ def test_weyl_coordinates_invariant_under_local_unitaries():
                            atol=1e-7)
 
 
-def test_min_time_bound_is_zero_off_two_qubit_xy_models():
-    # a member's bound is no bound for a wider merge: CNOT.CNOT = I; and an
-    # uncoupled pair never reaches an entangling target
+def test_min_time_bound_off_two_qubit_xy_models():
+    # CNOT (x) I on a triangle: the cuts {0} | {1, 2} and {1} | {0, 2} have
+    # P = 1/2 and two crossing pairs, so T = (pi/4 - arccos sqrt(0.999)) /
+    # (4 pi MU_MAX); a product target gets 0; and an uncoupled pair never
+    # reaches an entangling target
     cnot = gate_unitary(Gate(GateName.CNOT, (0, 1)))
     m3 = HamiltonianModel.build(3)
-    assert min_time_bound(np.kron(cnot, np.eye(2)), m3, 0.999) == 0.0
+    expected = (QUARTER - math.acos(math.sqrt(0.999))) / (
+        4 * math.pi * optctrl.MU_MAX)
+    assert expected == pytest.approx(2.999, abs=1e-3)
+    assert min_time_bound(np.kron(cnot, np.eye(2)), m3, 0.999) \
+        == pytest.approx(expected, rel=1e-12)
+    x = gate_unitary(Gate(GateName.X, (0,)))
+    assert min_time_bound(np.kron(np.kron(x, x), x), m3, 0.999) == 0.0
     assert min_time_bound(cnot, HamiltonianModel.build(2, []), 0.999) \
         == math.inf
 
@@ -826,6 +839,62 @@ def test_fidelity_ball_needs_at_most_delta(model2, f):
         assert 1 - infidelity(w, np.eye(4)) >= f - 1e-12
         worst = max(worst, min_time_bound(w, model2, 1.0))
     assert 0 < worst <= delta
+
+
+TWO_PI_MU = 2 * math.pi * optctrl.MU_MAX
+
+
+def _cuts(m):
+    """Every bipartition of m's qubits once, with its crossing pair count."""
+    n = m.num_qubits
+    for mask in range(1, 2 ** (n - 1)):
+        part = [q for q in range(n) if mask >> q & 1]
+        yield part, sum((a in part) != (b in part) for a, b in m.pairs)
+
+
+@pytest.mark.parametrize("m", [
+    HamiltonianModel.build(3, [(0, 1), (1, 2)]), HamiltonianModel.build(3),
+    HamiltonianModel.build(4, [(0, 1), (1, 2), (2, 3)])],
+    ids=["line-3", "triangle", "line-4"])
+def test_cut_speed_limit_holds_on_sampled_pulses(m):
+    # the cut bound's speed limit: a T ns pulse ends within Fubini-Study
+    # distance 2 pi MU_MAX c_A T of the products across every cut A | B,
+    # checked where that is below pi/2, on uniform random, bang-bang and
+    # constant pulses (full coupling, random local drives); so no pulse
+    # beats min_time_bound of the unitary it reaches
+    rng = np.random.default_rng(m.num_qubits + len(m.pairs))
+    k, bounds = len(m.channels), m.bounds[:, None]
+    coupling = [len(ch.qubits) == 2 for ch in m.channels]
+    checked, slack = 0, math.inf
+    for n in (2, 4, 8, 12, 16):
+        for _ in range(20):
+            constant = np.where(coupling, 1.0, rng.uniform(-1, 1, size=k))
+            for amps in (rng.uniform(-1, 1, size=(k, n)),
+                         rng.choice([-1.0, 1.0], size=(k, n)),
+                         np.repeat(constant[:, None], n, axis=1)):
+                u = evolve(ControlPulses(bounds * amps, m.dt), m)
+                assert min_time_bound(u, m, 1.0) <= n * m.dt + 1e-9
+                for part, crossing in _cuts(m):
+                    reach = TWO_PI_MU * crossing * n * m.dt
+                    if reach < math.pi / 2:
+                        p = min(1.0, cut_fidelity_bound(u, part))
+                        slack = min(slack, reach - math.acos(math.sqrt(p)))
+                        checked += 1
+    assert checked >= 600 and slack >= -1e-9
+
+
+@pytest.mark.parametrize("f", [1.0, 0.999])
+def test_cut_formula_never_exceeds_the_weyl_bound(model2, f):
+    # on a coupled pair the cut formula is (arccos sqrt(P) -
+    # arccos sqrt(f)) / (2 pi MU_MAX); the Weyl bound is exact under free
+    # local control, so on Haar-random targets the cut formula stays below
+    # it, a cross-check of both bounds
+    rng = np.random.default_rng(int(f * 1000) + 4)
+    for _ in range(500):
+        v = _haar(4, rng)
+        p = cut_fidelity_bound(v, [0])
+        cut = (math.acos(math.sqrt(p)) - math.acos(math.sqrt(f))) / TWO_PI_MU
+        assert cut <= min_time_bound(v, model2, f) + 1e-9
 
 
 def test_unreachable_target_fails_before_any_trial(monkeypatch, model2):
