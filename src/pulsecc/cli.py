@@ -20,7 +20,7 @@ from .asm import ParseError, parse_asm
 from .bench import BENCH_NAMES, make_bench
 from .gates import Circuit, GateError
 from .mapper import MappingError, Topology
-from .optctrl import ConvergenceError
+from .optctrl import ControlError, ConvergenceError, OptimizerConfig
 from .pipeline import (LATENCY_MODES, STRATEGIES, CompileOptions,
                        PipelineError, compile_circuit, write_artifacts)
 from .scheduler import ScheduleError
@@ -41,9 +41,11 @@ def _add_common(p: argparse.ArgumentParser):
                    help="aggregated-instruction qubit limit")
     p.add_argument("--latency", choices=LATENCY_MODES,
                    default=defaults.latency_mode)
-    p.add_argument("--fidelity", type=float, default=defaults.fidelity)
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    cfg = defaults.optimizer
+    p.add_argument("--fidelity", type=float, default=cfg.fidelity_threshold)
+    p.add_argument("--seed", type=int, default=defaults.seed,
+                   help="placement seed")
+    p.add_argument("--max-iters", type=int, default=cfg.max_iters)
     p.add_argument("--out", default=None, help="artifact output directory")
     p.add_argument("--quiet", action="store_true")
 
@@ -66,14 +68,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _options(args) -> CompileOptions:
-    try:
+    try:  # a malformed spec or setting is a bad option, not a stage's error
         topo = Topology.parse(args.topology) if args.topology else None
-    except MappingError as e:  # a malformed spec is a bad option, not a routing error
+        optimizer = OptimizerConfig(max_iters=args.max_iters,
+                                    fidelity_threshold=args.fidelity)
+    except (MappingError, ControlError) as e:
         raise ValueError(str(e)) from None
     return CompileOptions(
         strategy=args.strategy, topology=topo, max_width=args.max_width,
-        latency_mode=args.latency, fidelity=args.fidelity, seed=args.seed,
-        max_iters=args.max_iters)
+        latency_mode=args.latency, optimizer=optimizer, seed=args.seed)
 
 
 def _report(result, args):

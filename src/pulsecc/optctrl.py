@@ -145,7 +145,7 @@ class ControlPulses:
         }, indent=2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 600
     fidelity_threshold: float = 0.999
@@ -604,12 +604,11 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     if seed.converged:
         return 0.0, seed
 
-    t_min = min_time_bound(v_target, m, cfg.fidelity_threshold)
+    t_min, why = _speed_limit(v_target, m, cfg.fidelity_threshold)
     if t_min > CAP_NS:
         raise ConvergenceError(
-            _speed_limit(v_target, m, cfg.fidelity_threshold)[1]
-            or f"the {t_min:.2f} ns minimum-time bound exceeds the {CAP_NS} "
-            f"ns cap", fid0)
+            why or f"the {t_min:.2f} ns minimum-time bound exceeds the "
+            f"{CAP_NS} ns cap", fid0)
     coarse = HamiltonianModel(m.num_qubits, m.pairs, 2 * m.dt)
 
     def trial(n: int, starts) -> GrapeResult | None:

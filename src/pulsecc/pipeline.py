@@ -46,9 +46,8 @@ class CompileOptions:
     topology: Topology | None = None       # default: 1 x num_qubits line
     max_width: int = DEFAULT_MAX_WIDTH
     latency_mode: str = "oracle"           # one of LATENCY_MODES
-    fidelity: float = OptimizerConfig.fidelity_threshold
-    seed: int = OptimizerConfig.seed
-    max_iters: int = OptimizerConfig.max_iters
+    optimizer: OptimizerConfig = OptimizerConfig()  # oracle's, if built here
+    seed: int = 7                          # placement seed only
     table_override: dict | None = None
     compare_baseline: bool = True
 
@@ -65,10 +64,6 @@ class CompileOptions:
         if not 1 <= self.max_width <= MAX_WIDTH_LIMIT:
             raise ValueError(f"max_width must be in 1..{MAX_WIDTH_LIMIT}, "
                              f"not {self.max_width}")
-        if not 0 < self.fidelity <= 1:
-            raise ValueError("fidelity must be in (0, 1]")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, not {self.seed}")
         gate_names = {name.value for name in GateName}
@@ -80,6 +75,11 @@ class CompileOptions:
             if not 0.0 <= float(ns) < math.inf:
                 raise ValueError(f"table_override[{name!r}] must be a finite "
                                  f"non-negative latency, not {ns}")
+
+    @property
+    def fidelity(self) -> float:
+        """perfbench's alias for optimizer.fidelity_threshold."""
+        return self.optimizer.fidelity_threshold
 
     @property
     def use_cls(self) -> bool:
@@ -132,13 +132,6 @@ def _schedule(g: GDG, use_cls: bool) -> tuple[Schedule, str]:
     return asap, "asap"
 
 
-def make_ocu(opts: CompileOptions, topo: Topology) -> OptimalControlUnit:
-    cfg = OptimizerConfig(max_iters=opts.max_iters,
-                          fidelity_threshold=opts.fidelity,
-                          seed=opts.seed)
-    return OptimalControlUnit(cfg=cfg, adjacency=topo.adjacent)
-
-
 def _route_and_price(g: GDG, groups, mapping: dict[int, int], topo: Topology,
                      table, price) -> RoutingResult:
     """Schedule g on table estimates with its commutation groups, route that
@@ -180,7 +173,7 @@ def compile_circuit(circuit: Circuit, opts: CompileOptions | None = None,
     # critical path, oracle mode by its synthesized pulse
     table = table_price(opts.table_override)
     if opts.latency_mode == "oracle":
-        ocu = ocu or make_ocu(opts, topo)
+        ocu = ocu or OptimalControlUnit(opts.optimizer, topo.adjacent)
         price = ocu.latency
     else:
         ocu, price = None, table
@@ -279,7 +272,8 @@ def compare_strategies(circuit: Circuit, opts: CompileOptions,
         strategies = [s for s in STRATEGIES
                       if opts.latency_mode == "oracle" or "agg" not in s]
     topo = opts.topology or Topology.line(circuit.num_qubits)
-    ocu = make_ocu(opts, topo) if opts.latency_mode == "oracle" else None
+    ocu = (OptimalControlUnit(opts.optimizer, topo.adjacent)
+           if opts.latency_mode == "oracle" else None)
     rows = {}
     for strat in strategies:
         o = replace(opts, strategy=strat, topology=topo,

@@ -80,7 +80,8 @@ def test_criterion_1_worked_example_arithmetic(capfd):
 
 def test_criterion_2_triangle_speedup(capfd, line_ocu, compiled_store):
     t0 = time.time()
-    opts = CompileOptions(strategy="cls+agg", max_width=3, fidelity=0.999)
+    opts = CompileOptions(strategy="cls+agg", max_width=3,
+                          optimizer=OptimizerConfig(fidelity_threshold=0.999))
     res = compile_circuit(qaoa_triangle(), opts, ocu=line_ocu)
     compiled_store.append(res)
     speedup = res.manifest["speedup"]

@@ -381,7 +381,7 @@ def test_wrong_shaped_warm_start_rejected(model1):
                        init_amplitudes=np.zeros((3, 5)))
 
 
-@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.001])
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.001, 1.5])
 def test_fidelity_threshold_outside_unit_interval_rejected(threshold):
     with pytest.raises(ControlError, match=r"in \(0, 1\]"):
         OptimizerConfig(fidelity_threshold=threshold)
@@ -472,7 +472,7 @@ def test_bisection_retries_the_truncated_start(monkeypatch, model2):
                            0.9995 if ok else 0.99, 1, ok)
 
     monkeypatch.setattr(optctrl, "grape_optimize", fake_grape)
-    monkeypatch.setattr(optctrl, "min_time_bound", lambda *args: 0.0)
+    monkeypatch.setattr(optctrl, "_speed_limit", lambda *args: (0.0, None))
     t, res = min_time(gate_unitary(Gate(GateName.CNOT, (0, 1))), model2,
                       fallback_amplitudes=fallback)
     polish = next(i for i, (_, n, _) in enumerate(trials) if n == 32)
@@ -512,7 +512,7 @@ def test_ladder_rung_starts_from_the_best_failure_stretched(monkeypatch):
 
     real_grape = optctrl.grape_optimize
     monkeypatch.setattr(optctrl, "grape_optimize", recording_grape)
-    monkeypatch.setattr(optctrl, "min_time_bound", lambda *args: 0.0)
+    monkeypatch.setattr(optctrl, "_speed_limit", lambda *args: (0.0, None))
     min_time(gate_unitary(Gate(GateName.SWAP, (0, 1))), model, cfg)
     n, dt, start, best = trials[0]
     assert n == BISECT_RESOLUTION_STEPS and dt == 2 * model.dt
@@ -570,7 +570,7 @@ def test_rungs_run_on_2dt_and_the_rest_on_dt(monkeypatch, model2):
 
     real_grape = optctrl.grape_optimize
     monkeypatch.setattr(optctrl, "grape_optimize", recording_grape)
-    monkeypatch.setattr(optctrl, "min_time_bound", lambda *args: 0.0)
+    monkeypatch.setattr(optctrl, "_speed_limit", lambda *args: (0.0, None))
     t, res = min_time(gate_unitary(Gate(GateName.CNOT, (0, 1))), model2,
                       fallback_amplitudes=fallback)
     first = next(i for i, (_, _, ok) in enumerate(trials) if ok)
@@ -706,7 +706,7 @@ def test_plateau_stop_changes_no_min_time_result(monkeypatch, gates):
 
     # the minimum-time bound skips every failing SWAP trial, so it is off
     # here to leave failed trials for the stop to end
-    monkeypatch.setattr(optctrl, "min_time_bound", lambda *args: 0.0)
+    monkeypatch.setattr(optctrl, "_speed_limit", lambda *args: (0.0, None))
     t_on, _ = synthesize()
     max_iters = OptimizerConfig().max_iters
     stopped = [(args, kwargs) for args, kwargs, res in trials
@@ -746,12 +746,13 @@ def test_min_time_bound_changes_no_min_time_result(monkeypatch, gates):
         return t, list(calls)
 
     t_on, runs_on = synthesize()
-    monkeypatch.setattr(optctrl, "min_time_bound", lambda *args: 0.0)
+    real_limit = optctrl._speed_limit
+    monkeypatch.setattr(optctrl, "_speed_limit", lambda *args: (0.0, None))
     t_off, runs_off = synthesize()
     assert t_on == t_off
     assert len(runs_on) < len(runs_off)
     below = [res for (v, m, duration, cfg), res in runs_off
-             if duration < min_time_bound(v, m, cfg.fidelity_threshold)]
+             if duration < real_limit(v, m, cfg.fidelity_threshold)[0]]
     assert below and not any(res.converged for res in below)
 
 

@@ -182,7 +182,8 @@ def test_disconnected_instruction_fails_before_any_trial(monkeypatch):
     why = re.escape("no coupling crosses the cut of model qubits [0]")
     for strategy in ("cls", "cls+agg"):
         with pytest.raises(ConvergenceError, match=why):
-            compile_circuit(c, CompileOptions(strategy=strategy, max_iters=100))
+            compile_circuit(c, CompileOptions(
+                strategy=strategy, optimizer=OptimizerConfig(max_iters=100)))
 
 
 def test_unknown_latency_mode_rejected():
@@ -193,12 +194,31 @@ def test_unknown_latency_mode_rejected():
 @pytest.mark.parametrize("flag, value", [("--fidelity", "1.5"), ("--fidelity", "0"),
                                          ("--max-iters", "0"), ("--seed", "-1")])
 def test_invalid_pulse_options_rejected(flag, value):
-    field = flag[2:].replace("-", "_")
-    with pytest.raises(ValueError, match=field):
-        CompileOptions(**{field: float(value)})
+    # OptimizerConfig's ControlError for --fidelity and --max-iters is a bad
+    # option to the CLI, as CompileOptions' ValueError for --seed is
     rc = cli.main(["bench", "maxcut-line", "--n", "2", "--strategy", "isa",
                    flag, value])
     assert rc == cli.EXIT_PARSE
+
+
+def test_negative_placement_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be non-negative, not -1"):
+        CompileOptions(seed=-1)
+
+
+def test_grape_draws_do_not_follow_the_placement_seed(monkeypatch):
+    seeds = []
+    cold_theta = optctrl._cold_theta
+
+    def recorder(k, n, seed):
+        seeds.append(seed)
+        return cold_theta(k, n, seed)
+
+    monkeypatch.setattr(optctrl, "_cold_theta", recorder)
+    res = compile_circuit(make_bench("maxcut-line", 3),
+                          CompileOptions(max_width=2, seed=3))
+    assert res.report.passed
+    assert seeds and set(seeds) == {OptimizerConfig().seed} == {7}
 
 
 def test_verification_uses_the_oracles_threshold():
