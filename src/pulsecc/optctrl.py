@@ -160,29 +160,36 @@ class OptimizerConfig:
             raise ControlError(f"seed must be non-negative, not {self.seed}")
 
 
-def _step_propagators(u: np.ndarray, m: HamiltonianModel):
-    """Batched eigendecomposition of every step Hamiltonian."""
+def _propagate(u: np.ndarray, m: HamiltonianModel):
+    """Amplitude table u's forward products F_0 = I, F_j = U_j ... U_1 on m
+    (F_N is its unitary), and the eigenvalues and eigenvectors of its step
+    Hamiltonians, from one batched eigendecomposition."""
     (k, n), d = u.shape, m.dim
     h = (u.T @ m.ops.reshape(k, d * d)).reshape(n, d, d)
     lam, q = np.linalg.eigh(h)
     phase = np.exp(-1j * lam * m.dt)
     steps = (q * phase[:, None, :]) @ np.swapaxes(q.conj(), 1, 2)
-    return steps, lam, q
+    fwd = np.empty((n + 1, d, d), dtype=complex)
+    fwd[0] = np.eye(d)
+    for j in range(n):
+        np.matmul(steps[j], fwd[j], out=fwd[j + 1])
+    return fwd, lam, q
+
+
+def _table(p: ControlPulses, m: HamiltonianModel) -> np.ndarray:
+    """p's amplitudes, once p has m's channels and time step."""
+    if p.amplitudes.size and p.amplitudes.shape[0] != len(m.channels):
+        raise ControlError(f"pulse table has {p.amplitudes.shape[0]} "
+                           f"channels, model has {len(m.channels)}")
+    if not math.isclose(p.dt, m.dt):
+        raise ControlError(f"pulse table has dt {p.dt} ns, model has {m.dt} ns")
+    return p.amplitudes
 
 
 def evolve(p: ControlPulses, m: HamiltonianModel) -> np.ndarray:
     """Total propagator U = U_N ... U_1 for piecewise-constant pulses."""
-    if p.amplitudes.size and p.amplitudes.shape[0] != len(m.channels):
-        raise ControlError(
-            f"pulse table has {p.amplitudes.shape[0]} channels, "
-            f"model has {len(m.channels)}")
-    u_total = np.eye(m.dim, dtype=complex)
-    if p.steps == 0:
-        return u_total
-    steps, *_ = _step_propagators(p.amplitudes, m)
-    for j in range(p.steps):
-        u_total = steps[j] @ u_total
-    return u_total
+    u = _table(p, m)
+    return _propagate(u, m)[0][-1] if p.steps else np.eye(m.dim, dtype=complex)
 
 
 def infidelity(u: np.ndarray, v_target: np.ndarray) -> float:
@@ -201,8 +208,9 @@ def _cold_theta(k: int, n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-0.05, 0.05, size=(k, n))
 
 
-def _derivative_parts(u_amp: np.ndarray, m: HamiltonianModel):
-    """The forward products F_0 = I, F_j = U_j ... U_1, and per step the
+def _derivative_parts(prop, m: HamiltonianModel):
+    """From a table's one propagation (_propagate), shared by its loss, its
+    gradient and its Jacobian, the forward products F_j and per step the
     eigenvectors Q_j, A_j = Q_j^dag F_{j-1} and weights w_j of the one
     derivative formula, exact for piecewise-constant controls:
 
@@ -214,26 +222,20 @@ def _derivative_parts(u_amp: np.ndarray, m: HamiltonianModel):
     (la - lb) dt / 2, e^{i g} = conj(h_a) h_b with h = e^{-i la dt / 2}: free
     of cancellation, and the derivative on degenerate pairs (idle qubits).
     """
-    n, d = u_amp.shape[1], m.dim
-    steps, lam, q = _step_propagators(u_amp, m)
-    fwd = np.empty((n + 1, d, d), dtype=complex)
-    fwd[0] = np.eye(d)
-    for j in range(n):
-        np.matmul(steps[j], fwd[j], out=fwd[j + 1])
+    fwd, lam, q = prop
     half = np.exp(-0.5j * m.dt * lam)
     gap = 0.5 * m.dt * (lam[:, :, None] - lam[:, None, :])
     w = (-1j * m.dt * half.conj()[:, :, None] * half[:, None, :]
          * np.sinc(gap / np.pi))
-    return fwd, q, np.swapaxes(q.conj(), 1, 2) @ fwd[:n], w
+    return fwd, q, np.swapaxes(q.conj(), 1, 2) @ fwd[:-1], w
 
 
-def _loss_and_gradient(u_amp: np.ndarray, m: HamiltonianModel,
-                       v_target: np.ndarray):
-    """Infidelity and its exact gradient w.r.t. every amplitude u_k(j):
-    d tau / du_kj = Tr(V^dag dU/du_kj) by _derivative_parts' formula.
+def _loss_and_gradient(prop, m: HamiltonianModel, v_target: np.ndarray):
+    """Infidelity of a propagated table and its exact gradient w.r.t. every
+    amplitude u_k(j): d tau / du_kj = Tr(V^dag dU/du_kj) by _derivative_parts.
     With N steps, K channels and dimension d it costs O(N d^3 + K N d^2).
     """
-    fwd, q, a, w = _derivative_parts(u_amp, m)
+    fwd, q, a, w = _derivative_parts(prop, m)
     n, d = len(a), m.dim
     vu = v_target.conj().T @ fwd[n]
     tau = np.trace(vu)
@@ -250,10 +252,10 @@ def _loss_and_gradient(u_amp: np.ndarray, m: HamiltonianModel,
     return loss, grad
 
 
-def _jacobian(u_amp: np.ndarray, m: HamiltonianModel):
-    """U and U^dag dU/du_kj for every channel k and step j (K x N x d x d),
-    by _derivative_parts' formula."""
-    fwd, q, a, w = _derivative_parts(u_amp, m)
+def _jacobian(prop, m: HamiltonianModel):
+    """U and U^dag dU/du_kj for every channel k and step j (K x N x d x d) of
+    the propagated table, by _derivative_parts' formula."""
+    fwd, q, a, w = _derivative_parts(prop, m)
     y = np.swapaxes(q.conj(), 1, 2) @ m.ops[:, None] @ q
     return fwd[-1], np.swapaxes(a.conj(), 1, 2) @ (w * y) @ a
 
@@ -261,8 +263,7 @@ def _jacobian(u_amp: np.ndarray, m: HamiltonianModel):
 def gradient(p: ControlPulses, m: HamiltonianModel,
              v_target: np.ndarray) -> np.ndarray:
     """d(infidelity)/d u_k(j) as a channels x steps matrix."""
-    _, grad = _loss_and_gradient(p.amplitudes, m, v_target)
-    return grad
+    return _loss_and_gradient(_propagate(_table(p, m), m), m, v_target)[1]
 
 
 @dataclass
@@ -308,8 +309,10 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
     infidelity falls; lambda shrinks fourfold when it does and grows
     fourfold when it does not. Every loss and gradient evaluation,
     line-search trial, Jacobian and Levenberg-Marquardt step counts as one
-    of max_iters iterations. A trial whose recent rate cannot reach the
-    threshold stops early (PLATEAU_RATE_FACTOR).
+    of max_iters iterations. Each propagates its table once but a Jacobian,
+    which reads the accepted iterate's propagation and with its solve costs
+    about 2 gradient evaluations (3 qubits, 36 steps). A trial whose recent
+    rate cannot reach the threshold stops early (PLATEAU_RATE_FACTOR).
     """
     cfg = cfg or OptimizerConfig()
     if v_target.shape != (m.dim, m.dim):
@@ -336,19 +339,13 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
     else:
         theta = _cold_theta(k, n, cfg.seed)
 
-    def evaluate(th):
-        t = np.tanh(th)
-        u = bounds * t
-        loss, grad_u = _loss_and_gradient(u, m, v_target)
-        return u, loss, grad_u * bounds * (1.0 - t ** 2)
-
-    def system(th):
+    def system(th, prop):
         # J^T (a row per theta entry), J J^T and r, rotated by U^dag: U^dag
         # maps J's columns to anti-Hermitian X, and Re X + Im X is an
         # isometry onto d x d reals; neither the rotation nor dropping the
         # Hermitian part of U^dag r, orthogonal to J's range, moves the step
         t = np.tanh(th)
-        big_u, jac = _jacobian(bounds * t, m)
+        big_u, jac = _jacobian(prop, m)
         uv = big_u.conj().T @ v_target
         uv *= np.exp(-1j * np.angle(np.trace(uv)))
         r = 0.5 * (uv.conj().T - uv)
@@ -365,24 +362,27 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
 
     for it in range(1, cfg.max_iters + 1):
         if endgame and jt is None:   # the Jacobian at the accepted iterate
-            jt, gram, r = system(theta)
+            jt, gram, r = system(theta, prop)
             if damping is None:
                 damping = 1e-3 * np.trace(gram) / len(r)
         else:
             if endgame:   # a Levenberg-Marquardt step
                 step = jt @ np.linalg.solve(gram + damping * np.eye(len(r)), r)
                 trial = theta - step.reshape(k, n)
-                u_t = bounds * np.tanh(trial)
-                loss_t = infidelity(evolve(ControlPulses(u_t, m.dt), m),
-                                    v_target)
+            t = np.tanh(trial)
+            u_t = bounds * t
+            prop_t = _propagate(u_t, m)
+            if endgame:   # its loss alone
+                loss_t = infidelity(prop_t[0][-1], v_target)
             else:
-                u_t, loss_t, g_t = evaluate(trial)
+                loss_t, g_t = _loss_and_gradient(prop_t, m, v_target)
+                g_t = g_t * bounds * (1.0 - t ** 2)
             if loss_t <= target_loss:
                 return GrapeResult(ControlPulses(u_t, m.dt), 1.0 - loss_t, it,
                                    True)
             if endgame:   # kept only if the loss falls
                 if loss_t < loss:
-                    theta, u, loss, jt = trial, u_t, loss_t, None
+                    theta, u, prop, loss, jt = trial, u_t, prop_t, loss_t, None
                     damping /= 4
                 else:
                     damping *= 4
@@ -394,7 +394,7 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
                         pairs.append((s, y, 1.0 / sy))
                     else:   # negative curvature, which the pairs cannot model
                         pairs.clear()
-                theta, u, loss, g = trial, u_t, loss_t, g_t
+                theta, u, prop, loss, g = trial, u_t, prop_t, loss_t, g_t
                 endgame = loss <= ENDGAME_FACTOR * target_loss
                 if pairs:
                     direction = _lbfgs_direction(g, pairs)

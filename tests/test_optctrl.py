@@ -8,9 +8,9 @@ from pulsecc import optctrl
 from pulsecc.bench import qaoa_triangle
 from pulsecc.gates import Gate, GateName, gate_unitary, gates_unitary
 from pulsecc.gdg import AggregatedInstruction
-from pulsecc.optctrl import (BISECT_RESOLUTION_STEPS, ControlError,
-                             ControlPulses, ConvergenceError, GrapeResult,
-                             HamiltonianModel, OptimalControlUnit,
+from pulsecc.optctrl import (BISECT_RESOLUTION_STEPS, MU_MAX, TWO_PI,
+                             ControlError, ControlPulses, ConvergenceError,
+                             GrapeResult, HamiltonianModel, OptimalControlUnit,
                              OptimizerConfig, _weyl_coordinates,
                              cut_fidelity_bound, evolve,
                              fingerprint, gradient, grape_optimize,
@@ -229,31 +229,40 @@ def test_grape_converges_on_hadamard(model1):
 
 
 def test_accepted_losses_never_increase(monkeypatch, model2):
-    # every evaluation of both phases, in order: L-BFGS's losses and
-    # gradients ("g"), then Jacobians ("J") and Levenberg-Marquardt steps
-    # ("t"). A rejected line-search trial theta_i is followed by one halfway
-    # back to the accepted iterate, theta_i = 2 theta_{i+1} - theta_base; a
-    # step is kept exactly when a Jacobian follows it, and each Jacobian is
-    # taken at the accepted iterate. Every other trial was accepted and must
-    # not raise the loss of the iterate it left. At 14 ns, near the CNOT's
-    # minimum time, the endgame both keeps and drops steps
+    # every table propagated in both phases, in order: L-BFGS's losses and
+    # gradients ("g"), then Jacobians ("J", recorded at the table whose
+    # propagation they read) and Levenberg-Marquardt steps ("t"). A rejected
+    # line-search trial theta_i is followed by one halfway back to the
+    # accepted iterate, theta_i = 2 theta_{i+1} - theta_base; a step is kept
+    # exactly when a Jacobian follows it, and each Jacobian is taken at the
+    # accepted iterate. Every other trial was accepted and must not raise the
+    # loss of the iterate it left. At 14 ns, near the CNOT's minimum time,
+    # the endgame both keeps and drops steps
     target = gate_unitary(Gate(GateName.CNOT, (0, 1)))
-    evals = []
+    evals, props = [], []
+    real_propagate, real_lg = optctrl._propagate, optctrl._loss_and_gradient
+    real_jacobian = optctrl._jacobian
 
-    def record(kind, real, loss):
-        def call(u_amp, m, *rest):
-            out = real(u_amp, m, *rest)
-            amps = getattr(u_amp, "amplitudes", u_amp)
-            evals.append((kind, amps / m.bounds[:, None], loss(out)))
-            return out
-        return call
+    def propagate(u_amp, m):
+        out = real_propagate(u_amp, m)
+        props.append((out, u_amp / m.bounds[:, None]))
+        evals.append(["t", props[-1][1], infidelity(out[0][-1], target)])
+        return out
 
-    monkeypatch.setattr(optctrl, "_loss_and_gradient", record(
-        "g", optctrl._loss_and_gradient, lambda out: out[0]))
-    monkeypatch.setattr(optctrl, "_jacobian", record(
-        "J", optctrl._jacobian, lambda out: infidelity(out[0], target)))
-    monkeypatch.setattr(optctrl, "evolve", record(
-        "t", optctrl.evolve, lambda out: infidelity(out, target)))
+    def loss_and_gradient(prop, m, v):
+        assert prop is props[-1][0]
+        evals[-1][0] = "g"
+        return real_lg(prop, m, v)
+
+    def jacobian(prop, m):
+        frac = next(f for out, f in props if out is prop)
+        out = real_jacobian(prop, m)
+        evals.append(["J", frac, infidelity(out[0], target)])
+        return out
+
+    monkeypatch.setattr(optctrl, "_propagate", propagate)
+    monkeypatch.setattr(optctrl, "_loss_and_gradient", loss_and_gradient)
+    monkeypatch.setattr(optctrl, "_jacobian", jacobian)
     res = grape_optimize(target, model2, 14.0)
     assert res.converged and res.iterations == len(evals)
     kinds = "".join(kind for kind, _, _ in evals)
@@ -279,6 +288,30 @@ def test_accepted_losses_never_increase(monkeypatch, model2):
     assert all(b <= a for a, b in zip(accepted, accepted[1:]))
     assert evals[-1][2] <= accepted[-1]
     assert res.fidelity == pytest.approx(1.0 - evals[-1][2], abs=1e-15)
+
+
+def test_each_table_is_propagated_once(monkeypatch, model2):
+    # the CNOT at 14 ns enters the endgame: every L-BFGS evaluation and
+    # Levenberg-Marquardt step propagates its table once, with one batched
+    # eigendecomposition, and a Jacobian reads the accepted iterate's
+    # propagation, so the trial's iterations are its propagations plus its
+    # Jacobians
+    calls = {"P": 0, "J": 0, "eigh": 0}
+
+    def counted(key, real):
+        def call(*args):
+            calls[key] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(optctrl, "_propagate", counted(
+        "P", optctrl._propagate))
+    monkeypatch.setattr(optctrl, "_jacobian", counted("J", optctrl._jacobian))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    res = grape_optimize(gate_unitary(Gate(GateName.CNOT, (0, 1))), model2,
+                         14.0)
+    assert res.converged and calls["J"] > 0
+    assert calls["P"] == calls["eigh"] == res.iterations - calls["J"]
 
 
 def test_endgame_converges_in_fewer_evaluations(monkeypatch):
@@ -309,7 +342,7 @@ def test_jacobian_matches_finite_differences(nq, coupling):
     amps = rng.uniform(-1, 1, size=(len(m.channels), 3)) * m.bounds[:, None]
     if nq > 1:
         amps[[i for i, ch in enumerate(m.channels) if nq - 1 in ch.qubits]] = 0
-    u, jac = optctrl._jacobian(amps, m)
+    u, jac = optctrl._jacobian(optctrl._propagate(amps, m), m)
     d_u = u @ jac
     eps = 1e-6
     for k in range(amps.shape[0]):
@@ -329,7 +362,7 @@ def test_jacobian_reproduces_the_gradient(nq, coupling):
     rng = np.random.default_rng([nq, len(coupling), 4])
     target = _random_unitary(m.dim, rng)
     amps = rng.uniform(-1, 1, size=(len(m.channels), 12)) * m.bounds[:, None]
-    u, jac = optctrl._jacobian(amps, m)
+    u, jac = optctrl._jacobian(optctrl._propagate(amps, m), m)
     dtau = (target.conj() * (u @ jac)).sum(axis=(2, 3))
     tau = np.trace(target.conj().T @ u)
     grad = (-2.0 / m.dim ** 2) * np.real(np.conj(tau) * dtau)
@@ -392,6 +425,18 @@ def test_mismatched_shapes_rejected(model2):
         evolve(ControlPulses(np.zeros((3, 4)), model2.dt), model2)
     with pytest.raises(ControlError, match="dimension mismatch"):
         infidelity(np.eye(2), np.eye(4))
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.25])
+def test_pulses_on_another_time_grid_rejected(model2, dt):
+    # evolve and gradient read the step from the model: a table on another
+    # grid would be evolved as if it lasted steps * model.dt
+    p = ControlPulses(np.zeros((7, 8)), dt)
+    target = gate_unitary(Gate(GateName.CNOT, (0, 1)))
+    with pytest.raises(ControlError, match=f"dt {dt} ns, model has 0.5 ns"):
+        evolve(p, model2)
+    with pytest.raises(ControlError, match=f"dt {dt} ns, model has 0.5 ns"):
+        gradient(p, model2, target)
 
 
 @pytest.mark.parametrize("dim, duration_ns, message", [
@@ -978,6 +1023,20 @@ def test_synthesis_failure_names_best_fidelity_once(monkeypatch):
 def test_min_time_identity_is_zero(model1):
     t, res = min_time(np.eye(2, dtype=complex), model1)
     assert t == 0.0 and res.converged
+
+
+def test_min_time_of_xy_native_targets_next_to_their_bound(model2):
+    # exp(-i 2 pi MU_MAX T0 XY) is reached by the bare coupling in T0 ns;
+    # its Weyl bound at fidelity 0.999 lies 0.503 ns below, and the 12 ns
+    # trial just past the bound converges, so the result sits within 1 ns
+    # of it. Skipping trials below bound + 1 ns would return 14 ns for both
+    w, q = np.linalg.eigh(optctrl._XY)
+    for t0, bound in ((12.2, 11.70), (11.8, 11.30)):
+        v = (q * np.exp(-1j * TWO_PI * MU_MAX * t0 * w)) @ q.conj().T
+        assert min_time_bound(v, model2, 0.999) == pytest.approx(bound,
+                                                                 abs=5e-3)
+        t, res = min_time(v, model2)
+        assert t == 12.0 and res.converged and res.fidelity >= 0.999
 
 
 def test_min_time_monotone_in_difficulty(model1):
