@@ -29,10 +29,14 @@ TWO_PI = 2.0 * math.pi
 # max_iters // 24 evaluations, misses ln(1 - threshold). The projection is
 # no proof: a stopped trial might have converged. It also ends at another
 # pulse, and min_time seeds later ladder rungs from the best failed pulse, so
-# a stop can change min_time's pulses. A hopeless rung still runs at least
-# max_iters // 8 evaluations per start, but on min_time's 2*dt segments, each
-# at about half the cost of one on dt. None turns it off.
+# a stop can change min_time's pulses. A hopeless rung outside min_time's
+# band (BAND_NS) still runs at least max_iters // 8 evaluations per start,
+# but on min_time's 2*dt segments, each at about half the cost of one on dt.
+# None turns it off.
 PLATEAU_RATE_FACTOR = 3.0
+# ns past the minimum-time bound in which min_time caps a trial at one
+# plateau window, max_iters // 24 evaluations: a heuristic (see min_time)
+BAND_NS = 1.0
 # GRAPE switches to Levenberg-Marquardt at a loss <= this * (1 - threshold)
 ENDGAME_FACTOR = 3.0
 # L-BFGS: curvature pairs kept, Armijo sufficient-decrease constant, and the
@@ -291,7 +295,8 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
 
 def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
                    duration_ns: float, cfg: OptimizerConfig | None = None,
-                   init_amplitudes: np.ndarray | None = None) -> GrapeResult:
+                   init_amplitudes: np.ndarray | None = None,
+                   budget: int | None = None) -> GrapeResult:
     """L-BFGS on infidelity over tanh-bounded pulses u = bound * tanh(theta),
     finished by Levenberg-Marquardt steps.
 
@@ -313,6 +318,13 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
     which reads the accepted iterate's propagation and with its solve costs
     about 2 gradient evaluations (3 qubits, 36 steps). A trial whose recent
     rate cannot reach the threshold stops early (PLATEAU_RATE_FACTOR).
+    budget, if given, stops the trial after that many iterations; the
+    plateau stop's window and check point still come from cfg.max_iters, so
+    a budget under max_iters // 8 leaves the stop no chance to fire.
+    min_time gives a trial within BAND_NS of its minimum-time bound one
+    plateau window, max_iters // 24. That is a heuristic: 10 of 10 measured
+    trials in that band failed, and those that converge there, as XY-native
+    targets do, take 1 evaluation.
     """
     cfg = cfg or OptimizerConfig()
     if v_target.shape != (m.dim, m.dim):
@@ -323,6 +335,8 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
     n = int(round(duration_ns / m.dt))
     if abs(n * m.dt - duration_ns) > 1e-9:
         raise ControlError(f"duration {duration_ns} ns is not a multiple of dt")
+    if budget is not None and budget < 1:
+        raise ControlError(f"budget must be at least 1, not {budget}")
     k = len(m.channels)
     bounds = m.bounds[:, None]
     if n == 0:
@@ -360,7 +374,7 @@ def grape_optimize(v_target: np.ndarray, m: HamiltonianModel,
     pairs = deque(maxlen=LBFGS_MEMORY)
     trial, endgame, jt, damping = theta, False, None, None
 
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, min(budget or cfg.max_iters, cfg.max_iters) + 1):
         if endgame and jt is None:   # the Jacobian at the accepted iterate
             jt, gram, r = system(theta, prop)
             if damping is None:
@@ -596,6 +610,17 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
     inf: a CNOT on an uncoupled pair, or a cut that no pair crosses when
     cut_fidelity_bound across it is below the threshold, since every pulse
     is a product across such a cut; the error names that cut.
+
+    A trial shorter than min_time_bound + BAND_NS runs at most one plateau
+    window, max_iters // 24 evaluations per start. That is a heuristic, not
+    a proof: the 2-qubit bound assumes free, instant local control, which
+    m's bounded drives do not give. Measured at the default configuration,
+    10 of 10 trials in the band failed (CNOTs at 12 ns for an 11.9965 ns
+    bound, among them), every 2-qubit trial 1-2 ns above its bound
+    converged, and the trials that converge in the band, such as XY-native
+    targets right past their bound, do so in 1 evaluation. A band trial's
+    failure seeds the next rung, so the budget can change later starts and
+    pulses.
     """
     cfg = cfg or OptimizerConfig()
     fid0 = 1.0 - infidelity(np.eye(m.dim, dtype=complex), v_target)
@@ -610,16 +635,19 @@ def min_time(v_target: np.ndarray, m: HamiltonianModel,
             why or f"the {t_min:.2f} ns minimum-time bound exceeds the "
             f"{CAP_NS} ns cap", fid0)
     coarse = HamiltonianModel(m.num_qubits, m.pairs, 2 * m.dt)
+    band_budget = max(1, cfg.max_iters // 24)
 
     def trial(n: int, starts) -> GrapeResult | None:
         """The first start (model, amplitudes) to converge in n steps of m,
-        or None, at once under t_min; a failed one that beats seed replaces it."""
+        or None, at once under t_min; a failed one that beats seed replaces
+        it. Under t_min + BAND_NS each start gets band_budget evaluations."""
         nonlocal seed
         if n * m.dt < t_min:
             return None
+        budget = band_budget if n * m.dt < t_min + BAND_NS else None
         for model, init in starts:
             res = grape_optimize(v_target, model, n * m.dt, cfg,
-                                 init_amplitudes=init)
+                                 init_amplitudes=init, budget=budget)
             if model is coarse:
                 res = _onto_dt(res, v_target, m, cfg)
             if res.converged:

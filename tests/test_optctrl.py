@@ -199,7 +199,8 @@ def test_bisection_trials_stay_on_resolution_grid(monkeypatch, model1,
     # run on a model with step 2*dt
     trials = []
 
-    def fake_grape(v_target, m, duration_ns, cfg=None, init_amplitudes=None):
+    def fake_grape(v_target, m, duration_ns, cfg=None, init_amplitudes=None,
+                   budget=None):
         n = int(round(duration_ns / model1.dt))
         trials.append(n)
         assert len(trials) < 50, f"bisection does not terminate: {trials}"
@@ -508,7 +509,8 @@ def test_bisection_retries_the_truncated_start(monkeypatch, model2):
     fallback = np.random.default_rng(3).uniform(
         -0.01, 0.01, size=(len(model2.channels), 32))
 
-    def fake_grape(v_target, m, duration_ns, cfg=None, init_amplitudes=None):
+    def fake_grape(v_target, m, duration_ns, cfg=None, init_amplitudes=None,
+                   budget=None):
         n = int(round(duration_ns / m.dt))
         trials.append((m.dt, n, init_amplitudes))
         ok = m is model2 and (n == 32 or np.array_equal(
@@ -542,8 +544,9 @@ def test_ladder_rung_starts_from_the_best_failure_stretched(monkeypatch):
     cfg = OptimizerConfig()
 
     def recording_grape(v_target, m, duration_ns, cfg=None,
-                        init_amplitudes=None):
-        res = real_grape(v_target, m, duration_ns, cfg, init_amplitudes)
+                        init_amplitudes=None, budget=None):
+        res = real_grape(v_target, m, duration_ns, cfg, init_amplitudes,
+                         budget)
         trials.append((int(round(duration_ns / model.dt)), m.dt,
                        init_amplitudes, res))
         return res
@@ -608,8 +611,9 @@ def test_rungs_run_on_2dt_and_the_rest_on_dt(monkeypatch, model2):
     fallback = np.zeros((len(model2.channels), 28))
 
     def recording_grape(v_target, m, duration_ns, cfg=None,
-                        init_amplitudes=None):
-        res = real_grape(v_target, m, duration_ns, cfg, init_amplitudes)
+                        init_amplitudes=None, budget=None):
+        res = real_grape(v_target, m, duration_ns, cfg, init_amplitudes,
+                         budget)
         trials.append((m, init_amplitudes is fallback, res.converged))
         return res
 
@@ -1037,6 +1041,61 @@ def test_min_time_of_xy_native_targets_next_to_their_bound(model2):
                                                                  abs=5e-3)
         t, res = min_time(v, model2)
         assert t == 12.0 and res.converged and res.fidelity >= 0.999
+
+
+def test_band_trials_run_at_most_one_plateau_window(monkeypatch, model2):
+    # every trial shorter than the bound + BAND_NS (the CNOT's 12 ns, 0.0035
+    # ns past its bound) stops within max_iters // 24 evaluations, and the
+    # CNOT still comes out at 14 ns
+    trials = []
+
+    def recording_grape(*args, **kwargs):
+        res = real_grape(*args, **kwargs)
+        trials.append((args, res.iterations))
+        return res
+
+    real_grape = optctrl.grape_optimize
+    monkeypatch.setattr(optctrl, "grape_optimize", recording_grape)
+    cfg = OptimizerConfig()
+    t, res = min_time(gate_unitary(Gate(GateName.CNOT, (0, 1))), model2, cfg)
+    assert t == 14.0 and res.converged
+    band = [iters for (v, m, duration, c), iters in trials
+            if duration < min_time_bound(v, m, c.fidelity_threshold)
+            + optctrl.BAND_NS]
+    assert band and all(iters <= cfg.max_iters // 24 for iters in band)
+
+
+def test_budget_keeps_the_plateau_window_of_max_iters(model2):
+    # the cold CNOT at 12 ns runs its whole budget of 25, since the stop
+    # cannot fire before max_iters // 8; with max_iters = 25 itself, the
+    # window shrinks and the stop ends the trial after a few evaluations
+    cnot = gate_unitary(Gate(GateName.CNOT, (0, 1)))
+    capped = grape_optimize(cnot, model2, 12.0, budget=25)
+    assert not capped.converged and capped.iterations == 25
+    short = grape_optimize(cnot, model2, 12.0, OptimizerConfig(max_iters=25))
+    assert short.iterations < 25
+    with pytest.raises(ControlError, match="budget must be at least 1"):
+        grape_optimize(cnot, model2, 12.0, budget=0)
+
+
+def test_cnot_misses_the_threshold_at_its_band_grid_point(monkeypatch,
+                                                          model2):
+    # the evidence for the band budget: with no plateau stop and all 600
+    # evaluations, six cold starts and the 14 ns pulse compressed and
+    # truncated onto 12 ns all stay below 0.999 (the best reached 0.9943).
+    # Of the CNOT, the SWAP and the CNOT-Rz-CNOT block, only the CNOT has a
+    # grid point in the band: 12 ns for an 11.9965 ns bound
+    cnot = gate_unitary(Gate(GateName.CNOT, (0, 1)))
+    t, found = min_time(cnot, model2)
+    assert t == 14.0
+    monkeypatch.setattr(optctrl, "PLATEAU_RATE_FACTOR", None)
+    cold = [grape_optimize(cnot, model2, 12.0, OptimizerConfig(seed=s))
+            for s in range(6)]
+    amps = found.pulses.amplitudes
+    warm = [grape_optimize(cnot, model2, 12.0, init_amplitudes=init)
+            for init in (optctrl._compress(amps, 24), amps[:, :24])]
+    assert all(not r.converged and r.iterations == 600 and r.fidelity < 0.999
+               for r in cold + warm)
 
 
 def test_min_time_monotone_in_difficulty(model1):
